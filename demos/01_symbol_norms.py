@@ -2,8 +2,11 @@
 
 A radial symbol assigns a complex value to every word length.  Its norm is
 the sum of the trace norms of the two difference Hankel matrices plus the
-absolute tail constant; the library grows truncations adaptively until the
-norms stabilise.
+absolute tail constant.  The library computes it exactly: one SVD at
+support + 2 for finite-support symbols, and for geometric and measure
+symbols a small matrix from a QR factorization of the Vandermonde matrix of
+the atoms, cut where the powers fall below rounding.  Each report names its
+route, the matrix height it used and an error bound.
 """
 
 import numpy as np
@@ -51,7 +54,8 @@ for s in (0.5, -0.5, 0.3 + 0.4j):
     closed = abs(1 - s) / (1 - abs(s))
     print(
         f"s = {s}: computed {report.total:.12f}, closed form {closed:.12f}, "
-        f"truncation {report.truncation}"
+        f"{report.route} route at height {report.truncation}, "
+        f"error bound {report.error_bound:.1e}"
     )
 
 report = c_norm(Indicator(1))

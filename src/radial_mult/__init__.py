@@ -1,17 +1,15 @@
 """Radial multiplier norms via trace-class Hankel matrices.
 
 The library represents radial symbols (functions on the non-negative
-integers), decides membership in the summable-difference class by growing
-Hankel truncations, and realizes the induced multiplier map on a truncated
-free-product word space, where every operator identity can be checked as
-a concrete matrix equation.
+integers), computes their summable-difference norms exactly from
+finite-dimensional Hankel data, and realizes the induced multiplier map on
+a truncated free-product word space, where every operator identity can be
+checked as a concrete matrix equation.
 """
 
 from .errors import (
     DimensionMismatch,
     NonConvergent,
-    NotInClassC,
-    NotInClassCPrime,
     NumericalFailure,
     RadialMultError,
     TooLarge,

@@ -6,15 +6,7 @@ class RadialMultError(Exception):
 
 
 class NonConvergent(RadialMultError):
-    """A series failed to meet its tolerance within the iteration cap."""
-
-
-class NotInClassC(RadialMultError):
-    """First-difference Hankel trace norms grow without bound."""
-
-
-class NotInClassCPrime(RadialMultError):
-    """Two-step-difference Hankel trace norms grow without bound."""
+    """A series diverges: its terms do not tend to zero."""
 
 
 class UnsupportedTail(RadialMultError):

@@ -1,9 +1,20 @@
-"""Truncated Hankel matrices of symbol differences and their trace norms.
+"""Hankel matrices of symbol differences and their exact trace norms.
 
-Membership of a symbol in the summable-difference class is decided
-numerically: the trace norms of nested truncations are grown until they
-stabilise (or are declared divergent at the cap).  The same truncations
-feed the rank-one decompositions used to assemble multiplier maps.
+Every symbol family has one exact, finite-dimensional route to the trace
+norms of its difference Hankel matrices:
+
+* support route: finite-support symbols (indicators, truncated geometrics,
+  finite data, parity tails) have differences that vanish beyond the
+  support, so one SVD at support + 2 holds the whole spectrum;
+* Vandermonde route: a measure symbol phi(n) = c + sum_a w_a s_a**n has
+  H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
+  theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
+  below rounding, the nonzero singular values of H are those of the small
+  matrix R diag(d) R^T, and the rows dropped past M move the trace norm by
+  at most the reported geometric-tail bound.
+
+The same factorization feeds the rank-one decompositions used to assemble
+multiplier maps.
 """
 
 from __future__ import annotations
@@ -13,20 +24,33 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotInClassC, NotInClassCPrime, NumericalFailure
-from .symbols import RadialSymbol, evaluate, parity_tails, tail_constant
-
-M_START = 32
-M_CAP = 4096
-DIVERGENCE_RATIO = 1.5
+from .errors import NumericalFailure
+from .symbols import (
+    RadialSymbol,
+    evaluate,
+    measure_atoms,
+    parity_tails,
+    support_length,
+    tail_constant,
+)
 
 # Singular values below this relative level are double-precision noise.
 RANK_CUTOFF = 1e-14
 
+# The Vandermonde horizon M is the first power of two with max|s|**M at or
+# below this level, so the rows past M carry nothing a double can hold.
+ROUNDING = float(np.finfo(float).eps)
+
 
 @dataclass
 class HankelReport:
-    """Trace norms of the first-difference Hankel truncations and their total."""
+    """Trace norms of the first-difference Hankel matrices and their total.
+
+    ``truncation`` is the matrix height the route used: support + 2 on the
+    support route, the Vandermonde horizon M otherwise.  ``error_bound``
+    bounds what the rows past that height add to the trace norms (zero on
+    the support route).  ``converged`` is always True: both routes are exact.
+    """
 
     truncation: int
     trace_norm_h: float
@@ -34,6 +58,8 @@ class HankelReport:
     tail_abs: float
     total: float
     converged: bool
+    route: str
+    error_bound: float
     singular_values_h: np.ndarray
     singular_values_k: np.ndarray
 
@@ -45,12 +71,18 @@ class HankelReport:
             "tail_abs": self.tail_abs,
             "total": self.total,
             "converged": self.converged,
+            "route": self.route,
+            "error_bound": self.error_bound,
         }
 
 
 @dataclass
 class CPrimeReport:
-    """Trace norm of the two-step-difference Hankel truncation with parity constants."""
+    """Trace norm of the two-step-difference Hankel matrix with parity constants.
+
+    ``truncation``, ``route``, ``error_bound`` and ``converged`` are as in
+    HankelReport.
+    """
 
     truncation: int
     trace_norm_hhat: float
@@ -58,6 +90,8 @@ class CPrimeReport:
     c2: complex
     total: float
     converged: bool
+    route: str
+    error_bound: float
     singular_values_hhat: np.ndarray
 
     def to_obj(self) -> dict:
@@ -68,6 +102,8 @@ class CPrimeReport:
             "c2": [self.c2.real, self.c2.imag],
             "total": self.total,
             "converged": self.converged,
+            "route": self.route,
+            "error_bound": self.error_bound,
         }
 
 
@@ -128,88 +164,145 @@ def trace_norm(a: np.ndarray) -> float:
     return float(singular_values(a).sum())
 
 
-def _adaptive_trace_norms(builders, tol, error_cls):
-    """Grow truncations by doubling until every trace norm stabilises.
+def _atom_arrays(sym: RadialSymbol) -> tuple[np.ndarray, np.ndarray]:
+    atoms = measure_atoms(sym)
+    s = np.array([a for a, _ in atoms], dtype=complex)
+    w = np.array([b for _, b in atoms], dtype=complex)
+    return s, w
 
-    ``builders`` maps names to ``f(m) -> matrix``.  Returns
-    (m, {name: singular values}, converged).  Raises ``error_cls`` when the
-    norms are still growing by more than DIVERGENCE_RATIO at the cap.
-    """
-    m = M_START
-    prev: dict[str, float] | None = None
-    while True:
-        spectra = {name: singular_values(build(m)) for name, build in builders.items()}
-        norms = {name: float(sv.sum()) for name, sv in spectra.items()}
-        if prev is not None and all(
-            abs(norms[name] - prev[name]) < tol for name in norms
-        ):
-            return m, spectra, True
-        if m >= M_CAP:
-            if prev is not None and any(
-                norms[name] > DIVERGENCE_RATIO * max(prev[name], tol)
-                for name in norms
-            ):
-                raise error_cls(
-                    f"trace norms still growing at truncation {m}: {norms}"
-                )
-            return m, spectra, False
-        prev = norms
+
+def _vandermonde_horizon(s: np.ndarray) -> int:
+    """First power of two M with max|s|**M <= ROUNDING."""
+    m, power = 1, float(np.abs(s).max())
+    while power > ROUNDING:
+        power *= power
         m *= 2
+    return m
+
+
+def exact_horizon(sym: RadialSymbol) -> int:
+    """Matrix height of the symbol's exact route: support + 2, or the horizon M."""
+    length = support_length(sym)
+    if length is not None:
+        return length + 2
+    return _vandermonde_horizon(_atom_arrays(sym)[0])
+
+
+def _vandermonde_r(s: np.ndarray, m: int) -> np.ndarray:
+    """Triangular factor of the thin QR of V[i, a] = s_a**i cut at m rows.
+
+    ``m`` is a power of two.  Rows [M, 2M) of V are V_M diag(s**M), so
+    V_2M = diag(Q_M, Q_M) [R_M; R_M diag(s**M)] and R_2M is the triangular
+    factor of that 2N x N stack: doubling from the first row never forms V.
+    """
+    r = np.ones((1, s.size), dtype=complex)
+    rows = 1
+    while rows < m:
+        # s**rows directly: repeated squaring would double its relative
+        # error at every step.
+        r = np.linalg.qr(np.vstack([r, r * s**rows]), mode="r")
+        rows *= 2
+    return r
+
+
+# Diagonals d(s, w) with V diag(d) V^T equal to h, k and hhat.
+def _diagonal_h(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w * (1 - s)
+
+
+def _diagonal_k(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w * s * (1 - s)
+
+
+def _diagonal_hhat(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w * (1 - s * s)
+
+
+def _exact_spectra(sym: RadialSymbol, assemblers, diagonals):
+    """Route, matrix height, spectra and error bound of some difference matrices.
+
+    ``assemblers`` build the matrices for the support route and
+    ``diagonals`` give their d(s, w) for the Vandermonde route.  There, Q
+    and conj(Q) are isometries, so Q R diag(d) R^T Q^T has the singular
+    values of the small matrix R diag(d) R^T.  For one atom, the rows past M
+    change d v v^T in trace norm by at most
+    2 |d| ||v|| ||v past M|| = 2 |d| |s|**M / (1 - |s|^2); the bound sums
+    these over atoms and matrices.
+    """
+    length = support_length(sym)
+    if length is not None:
+        m = length + 2
+        return "support", m, [singular_values(build(sym, m)) for build in assemblers], 0.0
+    s, w = _atom_arrays(sym)
+    m = _vandermonde_horizon(s)
+    r = _vandermonde_r(s, m)
+    radius = np.abs(s)
+    tail = 2.0 * radius**m / ((1.0 - radius) * (1.0 + radius))
+    spectra, bound = [], 0.0
+    for diagonal in diagonals:
+        d = diagonal(s, w)
+        spectra.append(singular_values((r * d) @ r.T))
+        bound += float(np.abs(d) @ tail)
+    return "vandermonde", m, spectra, bound
 
 
 def c_norm(sym: RadialSymbol, tol: float = 1e-10) -> HankelReport:
     """Symbol norm: trace norms of both difference Hankel matrices plus |tail|.
 
-    The truncation doubles from M_START until successive trace norms of
-    both matrices change by less than ``tol``; hitting M_CAP without
-    stabilising yields converged=False, and still-growing norms raise
-    NotInClassC.
+    Finite-support symbols take one SVD per matrix at support + 2; measure
+    symbols take the Vandermonde route with d = w(1-s) for h and
+    w s(1-s) for k.  Both are exact, so ``tol`` is only checked to be
+    positive.  A symbol whose even and odd tails differ raises
+    UnsupportedTail.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tail_abs = abs(tail_constant(sym))
-    m, spectra, converged = _adaptive_trace_norms(
-        {"h": lambda mm: hankel_h(sym, mm), "k": lambda mm: hankel_k(sym, mm)},
-        tol,
-        NotInClassC,
+    route, m, (sv_h, sv_k), bound = _exact_spectra(
+        sym, (hankel_h, hankel_k), (_diagonal_h, _diagonal_k)
     )
-    tn_h = float(spectra["h"].sum())
-    tn_k = float(spectra["k"].sum())
+    tn_h = float(sv_h.sum())
+    tn_k = float(sv_k.sum())
     return HankelReport(
         truncation=m,
         trace_norm_h=tn_h,
         trace_norm_k=tn_k,
         tail_abs=tail_abs,
         total=tn_h + tn_k + tail_abs,
-        converged=converged,
-        singular_values_h=spectra["h"],
-        singular_values_k=spectra["k"],
+        converged=True,
+        route=route,
+        error_bound=bound,
+        singular_values_h=sv_h,
+        singular_values_k=sv_k,
     )
 
 
 def cprime_norm(sym: RadialSymbol, tol: float = 1e-10) -> CPrimeReport:
-    """Two-step-difference norm: |c1| + |c2| + trace norm of the hhat truncation.
+    """Two-step-difference norm: |c1| + |c2| + trace norm of hhat.
 
     The parity constants come from the even/odd tail limits:
-    c1 = (even + odd)/2 and c2 = (even - odd)/2.
+    c1 = (even + odd)/2 and c2 = (even - odd)/2.  The two-step differences
+    of every parity-tail symbol vanish beyond its stored values, so it takes
+    the support route; measure symbols take the Vandermonde route with
+    d = w(1-s^2).  ``tol`` is only checked to be positive.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     even, odd = parity_tails(sym)
     c1 = (even + odd) / 2
     c2 = (even - odd) / 2
-    m, spectra, converged = _adaptive_trace_norms(
-        {"hhat": lambda mm: hankel_hhat(sym, mm)}, tol, NotInClassCPrime
-    )
-    tn = float(spectra["hhat"].sum())
+    route, m, (sv,), bound = _exact_spectra(sym, (hankel_hhat,), (_diagonal_hhat,))
+    tn = float(sv.sum())
     return CPrimeReport(
         truncation=m,
         trace_norm_hhat=tn,
         c1=c1,
         c2=c2,
         total=abs(c1) + abs(c2) + tn,
-        converged=converged,
-        singular_values_hhat=spectra["hhat"],
+        converged=True,
+        route=route,
+        error_bound=bound,
+        singular_values_hhat=sv,
     )
 
 
@@ -237,6 +330,29 @@ def rank_one_decompose(a: np.ndarray, tol: float = RANK_CUTOFF) -> RankOneDecomp
             terms.append((root * u[:, i], root * vh[i].conj()))
             kept += float(sigma)
     return RankOneDecomposition(terms=terms, nuclear_sum=kept)
+
+
+def difference_decompositions(
+    sym: RadialSymbol, m: int
+) -> tuple[RankOneDecomposition, RankOneDecomposition]:
+    """Rank-one terms of the m x m truncations of h and k.
+
+    Finite-support symbols decompose the truncations themselves.  Measure
+    symbols reuse the Vandermonde factorization: with V_m = QR and
+    R diag(d) R^T = U Sigma W^*, the truncation is (QU) Sigma (conj(Q) W)^*,
+    so x_i = sqrt(sigma_i) Q u_i and y_i = sqrt(sigma_i) conj(Q) w_i.  The
+    terms carry the whole operator once m reaches exact_horizon(sym).
+    """
+    if support_length(sym) is not None:
+        return rank_one_decompose(hankel_h(sym, m)), rank_one_decompose(hankel_k(sym, m))
+    s, w = _atom_arrays(sym)
+    q, r = np.linalg.qr(s[None, :] ** np.arange(m)[:, None])
+    out = []
+    for diagonal in (_diagonal_h, _diagonal_k):
+        small = rank_one_decompose((r * diagonal(s, w)) @ r.T)
+        terms = [(q @ x, q.conj() @ y) for x, y in small.terms]
+        out.append(RankOneDecomposition(terms, small.nuclear_sum))
+    return out[0], out[1]
 
 
 def singular_values_csv(sv: np.ndarray) -> str:

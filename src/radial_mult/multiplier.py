@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import DimensionMismatch, NumericalFailure, TooLarge
 from .fock import (
     CASE_TWO,
     FockOperator,
@@ -34,10 +34,17 @@ from .fock import (
     word_label,
     word_operator,
 )
-from .hankel import RankOneDecomposition, c_norm, hankel_h, hankel_k, rank_one_decompose
+from .hankel import RankOneDecomposition, difference_decompositions, exact_horizon
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
 
 DENSE_EIG_LIMIT = 512
+
+# Plan vectors hold at least this many entries, so a plan built without an
+# explicit horizon covers every space with max_len up to 32.
+MIN_VECTOR_HORIZON = 32
+# Longest plan vectors built; atoms with |s| above about 1 - 3.4e-5 would
+# need more.
+VECTOR_HORIZON_CAP = 1 << 20
 
 
 @dataclass
@@ -143,23 +150,30 @@ def build_plan(
     horizon: int | None = None,
     rank_cap: int | None = None,
 ) -> MultiplierPlan:
-    """Decompose both difference Hankel truncations into rank-one terms.
+    """Decompose both difference Hankel matrices into rank-one terms.
 
-    The truncation size is taken from the adaptive norm computation (and
-    enlarged to ``horizon`` when that is bigger).  When ``horizon`` is
-    smaller than the truncation, the stored vectors are cut to that many
+    The vectors are as long as the symbol's exact route needs (support + 2,
+    or the Vandermonde horizon of a measure symbol), at least
+    MIN_VECTOR_HORIZON, and enlarged to ``horizon`` when that is bigger.
+    When ``horizon`` is smaller, the stored vectors are cut to that many
     entries and the discarded correlation mass is reported in
     ``beyond_horizon_mass`` so callers can tell whether eigenvalue sums
-    were affected.
+    were affected.  ``tol`` is only checked to be positive.
     """
-    report = c_norm(sym, tol)
-    m = report.truncation
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    c = tail_constant(sym)
+    m = max(exact_horizon(sym), MIN_VECTOR_HORIZON)
+    if m > VECTOR_HORIZON_CAP:
+        raise TooLarge(
+            f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
+            "atoms too close to the unit circle"
+        )
     if horizon is not None:
         if horizon < 1:
             raise ValueError("horizon must be positive")
         m = max(m, horizon)
-    dec_h = rank_one_decompose(hankel_h(sym, m))
-    dec_k = rank_one_decompose(hankel_k(sym, m))
+    dec_h, dec_k = difference_decompositions(sym, m)
     if rank_cap is not None:
         dec_h = RankOneDecomposition(
             dec_h.terms[:rank_cap],
@@ -178,7 +192,7 @@ def build_plan(
         symbol=sym,
         decomposition_h=dec_h,
         decomposition_k=dec_k,
-        c=tail_constant(sym),
+        c=c,
         rank_cap=rank_cap,
         vector_horizon=horizon if horizon is not None else m,
         beyond_horizon_mass=beyond,

@@ -9,8 +9,8 @@ index-doubling construction that interleaves a symbol with zeros.
 
 from __future__ import annotations
 
+import cmath
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +20,6 @@ from .errors import NonConvergent, TooLarge, UnsupportedTail
 # Margin keeping measure atoms away from the unit circle, where the
 # weight |1-s|/(1-|s|) blows up.
 ATOM_BOUNDARY_MARGIN = 1e-6
-
-# Series truncation policy for psi1/psi2: stop once the absolute terms in a
-# sliding window of this length sum below the tolerance; give up at the cap.
-PSI_WINDOW = 64
-PSI_TERM_CAP = 10**6
 
 # Stored-value horizons for double(): entries are kept until the symbol is
 # within this distance of its tail, and never fewer than covers n <= 64.
@@ -37,6 +32,13 @@ def _as_complex(z) -> complex:
     return complex(z)
 
 
+def _finite_complex(z, what: str) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{what} must be finite, got {z}")
+    return z
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely many atoms (location s strictly inside the unit disk, weight w)."""
@@ -44,7 +46,10 @@ class DiscreteMeasure:
     atoms: tuple[tuple[complex, complex], ...]
 
     def __post_init__(self):
-        atoms = tuple((_as_complex(s), _as_complex(w)) for s, w in self.atoms)
+        atoms = tuple(
+            (_finite_complex(s, "atom location"), _finite_complex(w, "atom weight"))
+            for s, w in self.atoms
+        )
         for s, _ in atoms:
             if abs(s) >= 1.0 - ATOM_BOUNDARY_MARGIN:
                 raise ValueError(
@@ -64,7 +69,7 @@ class Geometric:
     s: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _as_complex(self.s))
+        object.__setattr__(self, "s", _finite_complex(self.s, "geometric ratio"))
         if abs(self.s) >= 1.0:
             raise ValueError(f"geometric ratio must satisfy |s| < 1, got {self.s}")
 
@@ -105,8 +110,10 @@ class Finite:
     tail: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_as_complex(v) for v in self.values))
-        object.__setattr__(self, "tail", _as_complex(self.tail))
+        object.__setattr__(
+            self, "values", tuple(_finite_complex(v, "value") for v in self.values)
+        )
+        object.__setattr__(self, "tail", _finite_complex(self.tail, "tail"))
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ class FromMeasure:
     measure: DiscreteMeasure
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _as_complex(self.c))
+        object.__setattr__(self, "c", _finite_complex(self.c, "constant"))
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,11 @@ class ParityTail:
     tail_odd: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_as_complex(v) for v in self.values))
-        object.__setattr__(self, "tail_even", _as_complex(self.tail_even))
-        object.__setattr__(self, "tail_odd", _as_complex(self.tail_odd))
+        object.__setattr__(
+            self, "values", tuple(_finite_complex(v, "value") for v in self.values)
+        )
+        object.__setattr__(self, "tail_even", _finite_complex(self.tail_even, "even tail"))
+        object.__setattr__(self, "tail_odd", _finite_complex(self.tail_odd, "odd tail"))
 
 
 RadialSymbol = (
@@ -192,34 +201,58 @@ def tail_constant(sym: RadialSymbol) -> complex:
     return even
 
 
+def support_length(sym: RadialSymbol) -> int | None:
+    """Index from which phi is constant on the even and on the odd indices.
+
+    Every difference of a finite-support symbol vanishes from there on.
+    Measure symbols with atoms never settle and give None.
+    """
+    if isinstance(sym, (Indicator, TruncatedGeometric)):
+        return sym.n0 + 1
+    if isinstance(sym, (Finite, ParityTail)):
+        return len(sym.values)
+    if isinstance(sym, FromMeasure) and not sym.measure.atoms:
+        return 0
+    if isinstance(sym, (Geometric, FromMeasure)):
+        return None
+    raise TypeError(f"not a radial symbol: {sym!r}")
+
+
+def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
+    """Atoms (s, w) with phi(n) = tail + sum w * s**n, for the measure families."""
+    if isinstance(sym, Geometric):
+        return ((sym.s, 1.0 + 0.0j),)
+    if isinstance(sym, FromMeasure):
+        return sym.measure.atoms
+    raise TypeError(f"{type(sym).__name__} has no measure representation")
+
+
 def psi1(sym: RadialSymbol, n: int, tol: float = 1e-10) -> complex:
     """Sum of the alternating difference series starting at index n.
 
-    psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)), summed until the
-    absolute terms over PSI_WINDOW consecutive indices drop below ``tol``.
-    The geometric family uses its closed form s**n / (1 + s).
+    psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)), in closed form: a measure
+    symbol gives sum_j w_j s_j**n / (1 + s_j), and a finite-support symbol a
+    finite sum up to its support length.  When the even and odd tails differ
+    the terms tend to +-(even - odd), so the series diverges and
+    NonConvergent is raised.  Both forms are exact; ``tol`` is only checked
+    to be positive.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if n < 0:
         raise ValueError("index must be non-negative")
-    if isinstance(sym, Geometric):
-        return sym.s**n / (1.0 + sym.s)
-    total = 0.0 + 0.0j
-    window: deque[float] = deque()
-    window_sum = 0.0
-    for i in range(PSI_TERM_CAP):
-        term = evaluate(sym, n + 2 * i) - evaluate(sym, n + 2 * i + 1)
-        total += term
-        mag = abs(term)
-        window.append(mag)
-        window_sum += mag
-        if len(window) > PSI_WINDOW:
-            window_sum -= window.popleft()
-        if len(window) == PSI_WINDOW and window_sum < tol:
-            return total
-    raise NonConvergent(
-        f"difference series did not settle below {tol} within {PSI_TERM_CAP} terms"
+    length = support_length(sym)
+    if length is None:
+        return sum((w * s**n / (1.0 + s) for s, w in measure_atoms(sym)), 0.0 + 0.0j)
+    even, odd = parity_tails(sym)
+    if even != odd:
+        raise NonConvergent(
+            f"difference terms tend to +-{even - odd} (even/odd tails differ), "
+            "so the series diverges"
+        )
+    return sum(
+        (evaluate(sym, i) - evaluate(sym, i + 1) for i in range(n, length, 2)),
+        0.0 + 0.0j,
     )
 
 

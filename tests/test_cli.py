@@ -30,6 +30,8 @@ def test_norm_geometric(capsys):
     assert obj["schema"] == "radial-mult/1"
     assert abs(obj["report"]["total"] - 1.0) < 1e-8
     assert obj["report"]["converged"]
+    assert obj["report"]["route"] == "vandermonde"
+    assert obj["report"]["error_bound"] < 1e-15
 
 
 def test_norm_indicator_bound(capsys):
@@ -58,6 +60,21 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "norm", "-s", "nonsense:1")[0] == 1
     assert run_cli(capsys, "norm", "-s", "geometric:zzz")[0] == 1
     assert main([]) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "geometric:nan",
+        "constant:inf",
+        '{"family":"from_measure","c":0,"measure":[{"s":[NaN,0],"w":[1,0]}]}',
+    ],
+)
+def test_non_finite_symbol_exits_1(capsys, spec):
+    code, out, err = run_cli(capsys, "norm", "-s", spec)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:")
 
 
 def test_fock_verify(capsys):

@@ -10,10 +10,10 @@ from radial_mult import (
     FromMeasure,
     Geometric,
     Indicator,
-    NotInClassC,
     ParityTail,
     TruncatedGeometric,
     UnsupportedTail,
+    build_plan,
     c_norm,
     cprime_norm,
     double,
@@ -94,11 +94,38 @@ def test_c_norm_report_invariants():
         assert abs(rep.singular_values_h.sum() - rep.trace_norm_h) < 1e-12
 
 
-def test_c_norm_divergence(monkeypatch):
-    monkeypatch.setattr(hankel_mod, "M_CAP", 128)
-    growing = Finite(tuple(float(2**k) for k in range(600)), 0.0)
-    with pytest.raises(NotInClassC):
-        c_norm(growing)
+def brute_norm(phi, size):
+    # h and k of the symbol by brute force, summed trace norms by dense SVD
+    return sum(
+        np.linalg.svd(brute_hankel(phi, size, offset, 1), compute_uv=False).sum()
+        for offset in (0, 1)
+    )
+
+
+def test_c_norm_divergence():
+    # Growing data with a finite support is trace class: the norm is exact.
+    growing = Finite(tuple(float(2**k) for k in range(60)), 0.0)
+    rep = c_norm(growing)
+    oracle = brute_norm(lambda n: evaluate(growing, n), 62)
+    assert rep.route == "support" and rep.error_bound == 0.0
+    assert abs(rep.total - oracle) <= 1e-12 * oracle
+    # Unequal even/odd tails are genuinely outside the class.
+    with pytest.raises(UnsupportedTail):
+        c_norm(ParityTail((), 1.0, 0.0))
+
+
+@pytest.mark.parametrize("n0", [127, 128, 129, 300])
+def test_c_norm_late_indicator(n0):
+    rep = c_norm(Indicator(n0))
+    oracle = brute_norm(lambda n: 1.0 if n == n0 else 0.0, n0 + 10)
+    assert rep.converged and rep.truncation == n0 + 3
+    assert abs(rep.total - oracle) <= 1e-10 * oracle
+
+
+def test_c_norm_geometric_near_unit_circle():
+    rep = c_norm(Geometric(0.999))
+    assert abs(rep.total - 1.0) <= 1e-12
+    assert rep.route == "vandermonde" and rep.error_bound <= 1e-20
 
 
 def test_c_norm_unsupported_tail():
@@ -198,3 +225,82 @@ def test_singular_values_csv_format():
     assert lines[0] == "index,sigma"
     assert lines[1].startswith("0,")
     assert len(lines) == 1 + len(rep.singular_values_h)
+
+
+def test_reports_record_route():
+    rep = c_norm(Indicator(3)).to_obj()
+    assert rep["route"] == "support" and rep["error_bound"] == 0.0
+    assert rep["truncation"] == 6
+    rep = cprime_norm(Geometric(0.5)).to_obj()
+    assert rep["route"] == "vandermonde" and 0.0 < rep["error_bound"] < 1e-15
+
+
+def test_measure_plan_terms_reconstruct_truncation():
+    atoms = ((0.6, 1.0), (-0.4 + 0.3j, 0.5j), (0.6 + 1e-7, -1.0))
+    sym = FromMeasure(0.25, DiscreteMeasure(atoms))
+    plan = build_plan(sym)
+    m = plan.vector_horizon
+    for dec, dense in (
+        (plan.decomposition_h, hankel_h(sym, m)),
+        (plan.decomposition_k, hankel_k(sym, m)),
+    ):
+        assert np.abs(dec.reconstruct(m) - dense).max() <= 1e-13
+        assert abs(dec.nuclear_sum - trace_norm(dense)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# High-precision oracle for the Vandermonde route
+# ---------------------------------------------------------------------------
+
+
+def mp_trace_norm(atoms, diagonal, height):
+    """Trace norm of V diag(d) V^T with V cut at ``height`` rows (None: all rows).
+
+    Computed in 50 digits from the Cauchy Gram matrix V^* V = L L^*: then
+    V = Q L^* and the nonzero singular values are those of L^* D conj(L).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = [mpmath.mpc(a) for a, _ in atoms]
+        w = [mpmath.mpc(b) for _, b in atoms]
+        n = len(s)
+        gram = mpmath.matrix(n, n)
+        for a in range(n):
+            for b in range(n):
+                z = mpmath.conj(s[a]) * s[b]
+                gram[a, b] = (1 if height is None else 1 - z**height) / (1 - z)
+        r = mpmath.cholesky(gram).H
+        small = r * mpmath.diag([diagonal(s[a], w[a]) for a in range(n)]) * r.T
+        return mpmath.fsum(mpmath.svd_c(small, compute_uv=False))
+
+
+ORACLE_MEASURES = {
+    "cluster-1e-6": ((0.5, 1.0), (0.5 + 1e-6, -1.0), (-0.2 + 0.6j, 0.3)),
+    "cluster-1e-9": ((0.5, 1.0), (0.5 + 1e-9, -1.0)),
+    "cluster-1e-9-complex": (
+        (0.3 + 0.4j, 1.0 - 0.5j),
+        (0.3 + 0.4j + 1e-9j, 0.5j),
+        (-0.7, 0.2),
+    ),
+    "radius-0.99": ((0.99, 1.0), (-0.5 + 0.5j, 0.5 - 0.25j)),
+    "radius-0.999": ((0.999j, 1.0), (0.999 - 1e-6, -0.5), (0.1, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MEASURES))
+def test_vandermonde_route_matches_mp_oracle(name):
+    atoms = ORACLE_MEASURES[name]
+    sym = FromMeasure(0.0, DiscreteMeasure(atoms))
+    rep = c_norm(sym)
+    crep = cprime_norm(sym)
+    assert rep.route == crep.route == "vandermonde"
+    for value, bound, diagonal in (
+        (rep.trace_norm_h, rep.error_bound, lambda s, w: w * (1 - s)),
+        (rep.trace_norm_k, rep.error_bound, lambda s, w: w * s * (1 - s)),
+        (crep.trace_norm_hhat, crep.error_bound, lambda s, w: w * (1 - s * s)),
+    ):
+        # rounding scale: the sum of the rank-one trace norms |d| ||v||^2
+        scale = sum(abs(complex(diagonal(s, w))) / (1 - abs(s) ** 2) for s, w in atoms)
+        at_horizon = mp_trace_norm(atoms, diagonal, rep.truncation)
+        assert abs(value - float(at_horizon)) <= 1e-14 * scale
+        assert float(abs(mp_trace_norm(atoms, diagonal, None) - at_horizon)) <= bound

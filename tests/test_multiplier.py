@@ -10,6 +10,7 @@ from radial_mult import (
     FromMeasure,
     Geometric,
     Indicator,
+    TooLarge,
     apply_T,
     apply_T1,
     apply_T2,
@@ -213,6 +214,12 @@ def test_horizon_truncation_reports_mass(line5):
     assert cut.beyond_horizon_mass > 0.0
     report = verify_eigenaction(cut, line5, max_word=2)
     assert report.worst_residual <= 10 * 1e-10 + cut.beyond_horizon_mass
+
+
+def test_plan_vector_cap():
+    # |s| = 1 - 1e-5 needs a Vandermonde horizon of 2**22 rows
+    with pytest.raises(TooLarge):
+        build_plan(Geometric(1 - 1e-5))
 
 
 def test_rank_cap():

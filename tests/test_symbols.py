@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import radial_mult.symbols as symbols
 from radial_mult import (
     DiscreteMeasure,
     Finite,
@@ -126,11 +125,41 @@ def test_psi_decays_to_zero():
     assert psi1(Indicator(3), 10, 1e-12) == 0
 
 
-def test_psi_nonconvergent_outside_class(monkeypatch):
-    # constant difference terms never pass the window criterion
-    monkeypatch.setattr(symbols, "PSI_TERM_CAP", 10_000)
+def test_psi_nonconvergent_outside_class():
+    # unequal even/odd tails keep the difference terms at +-1
     with pytest.raises(NonConvergent):
         psi1(ParityTail((), 1.0, 0.0), 0, 1e-10)
+
+
+def test_psi1_late_indicator():
+    # a long run of zero terms before the support does not end the sum
+    assert psi1(Indicator(500), 0) == 1
+    assert psi1(Indicator(500), 1) == -1
+    assert psi1(Indicator(500), 501) == 0
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Geometric(NAN),
+        lambda: Geometric(complex(0.1, INF)),
+        lambda: DiscreteMeasure(((NAN, 1.0),)),
+        lambda: DiscreteMeasure(((0.5, complex(INF, 0.0)),)),
+        lambda: Finite((1.0, NAN), 0.0),
+        lambda: Finite((1.0,), INF),
+        lambda: ParityTail((complex(0.0, NAN),), 0.0, 0.0),
+        lambda: ParityTail((), NAN, 0.0),
+        lambda: ParityTail((), 0.0, -INF),
+        lambda: FromMeasure(NAN, DiscreteMeasure(((0.5, 1.0),))),
+    ],
+)
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
 
 
 @pytest.mark.parametrize("sym", FAMILIES, ids=lambda s: type(s).__name__)
