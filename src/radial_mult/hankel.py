@@ -5,7 +5,8 @@ norms of its difference Hankel matrices:
 
 * support route: finite-support symbols (indicators, truncated geometrics,
   finite data, parity tails) have differences that vanish beyond the
-  support, so one SVD at support + 2 holds the whole spectrum;
+  support, so one SVD at support + 2 holds the whole spectrum (heights
+  past SUPPORT_HEIGHT_CAP raise TooLarge);
 * Vandermonde route: a measure symbol phi(n) = c + sum_a w_a s_a**n has
   H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
   theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, TooLarge
 from .symbols import (
     RadialSymbol,
     evaluate,
@@ -36,6 +37,10 @@ from .symbols import (
 
 # Singular values below this relative level are double-precision noise.
 RANK_CUTOFF = 1e-14
+
+# The support route assembles dense m x m complex matrices; one at this
+# height already takes 268 MB, so taller ones raise TooLarge.
+SUPPORT_HEIGHT_CAP = 4096
 
 # The Vandermonde horizon M is the first power of two with max|s|**M at or
 # below this level, so the rows past M carry nothing a double can hold.
@@ -180,12 +185,22 @@ def _vandermonde_horizon(s: np.ndarray) -> int:
     return m
 
 
-def exact_horizon(sym: RadialSymbol) -> int:
-    """Matrix height of the symbol's exact route: support + 2, or the horizon M."""
+def exact_route(sym: RadialSymbol) -> tuple[str, int]:
+    """The symbol's exact route and its matrix height.
+
+    ("support", support + 2) for finite-support symbols, ("vandermonde", M)
+    for measure symbols.  Raises TooLarge when the support route would need
+    a matrix taller than SUPPORT_HEIGHT_CAP.
+    """
     length = support_length(sym)
-    if length is not None:
-        return length + 2
-    return _vandermonde_horizon(_atom_arrays(sym)[0])
+    if length is None:
+        return "vandermonde", _vandermonde_horizon(_atom_arrays(sym)[0])
+    m = length + 2
+    if m > SUPPORT_HEIGHT_CAP:
+        raise TooLarge(
+            f"support route would need {m} x {m} matrices (cap {SUPPORT_HEIGHT_CAP})"
+        )
+    return "support", m
 
 
 def _vandermonde_r(s: np.ndarray, m: int) -> np.ndarray:
@@ -229,12 +244,10 @@ def _exact_spectra(sym: RadialSymbol, assemblers, diagonals):
     2 |d| ||v|| ||v past M|| = 2 |d| |s|**M / (1 - |s|^2); the bound sums
     these over atoms and matrices.
     """
-    length = support_length(sym)
-    if length is not None:
-        m = length + 2
-        return "support", m, [singular_values(build(sym, m)) for build in assemblers], 0.0
+    route, m = exact_route(sym)
+    if route == "support":
+        return route, m, [singular_values(build(sym, m)) for build in assemblers], 0.0
     s, w = _atom_arrays(sym)
-    m = _vandermonde_horizon(s)
     r = _vandermonde_r(s, m)
     radius = np.abs(s)
     tail = 2.0 * radius**m / ((1.0 - radius) * (1.0 + radius))
@@ -243,16 +256,16 @@ def _exact_spectra(sym: RadialSymbol, assemblers, diagonals):
         d = diagonal(s, w)
         spectra.append(singular_values((r * d) @ r.T))
         bound += float(np.abs(d) @ tail)
-    return "vandermonde", m, spectra, bound
+    return route, m, spectra, bound
 
 
 def c_norm(sym: RadialSymbol, tol: float = 1e-10) -> HankelReport:
     """Symbol norm: trace norms of both difference Hankel matrices plus |tail|.
 
-    Finite-support symbols take one SVD per matrix at support + 2; measure
-    symbols take the Vandermonde route with d = w(1-s) for h and
-    w s(1-s) for k.  Both are exact, so ``tol`` is only checked to be
-    positive.  A symbol whose even and odd tails differ raises
+    Finite-support symbols take one SVD per matrix at support + 2 (TooLarge
+    past SUPPORT_HEIGHT_CAP); measure symbols take the Vandermonde route
+    with d = w(1-s) for h and w s(1-s) for k.  Both are exact, so ``tol``
+    is only checked to be positive.  A symbol whose even and odd tails differ raises
     UnsupportedTail.
     """
     if tol <= 0:
@@ -341,9 +354,10 @@ def difference_decompositions(
     symbols reuse the Vandermonde factorization: with V_m = QR and
     R diag(d) R^T = U Sigma W^*, the truncation is (QU) Sigma (conj(Q) W)^*,
     so x_i = sqrt(sigma_i) Q u_i and y_i = sqrt(sigma_i) conj(Q) w_i.  The
-    terms carry the whole operator once m reaches exact_horizon(sym).
+    terms carry the whole operator once m reaches the height of
+    exact_route(sym).
     """
-    if support_length(sym) is not None:
+    if exact_route(sym)[0] == "support":
         return rank_one_decompose(hankel_h(sym, m)), rank_one_decompose(hankel_k(sym, m))
     s, w = _atom_arrays(sym)
     q, r = np.linalg.qr(s[None, :] ** np.arange(m)[:, None])

@@ -34,7 +34,7 @@ from .fock import (
     word_label,
     word_operator,
 )
-from .hankel import RankOneDecomposition, difference_decompositions, exact_horizon
+from .hankel import RankOneDecomposition, difference_decompositions, exact_route
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
 
 DENSE_EIG_LIMIT = 512
@@ -163,7 +163,7 @@ def build_plan(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     c = tail_constant(sym)
-    m = max(exact_horizon(sym), MIN_VECTOR_HORIZON)
+    m = max(exact_route(sym)[1], MIN_VECTOR_HORIZON)
     if m > VECTOR_HORIZON_CAP:
         raise TooLarge(
             f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "

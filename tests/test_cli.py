@@ -77,6 +77,20 @@ def test_non_finite_symbol_exits_1(capsys, spec):
     assert err.startswith("radial-mult: error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "-s", "indicator:100000"),
+        ("integral-check", "-s", "geometric:0.999"),
+    ],
+)
+def test_support_height_cap_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:")
+
+
 def test_fock_verify(capsys):
     code, out, _ = run_cli(
         capsys,

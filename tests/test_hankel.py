@@ -11,6 +11,7 @@ from radial_mult import (
     Geometric,
     Indicator,
     ParityTail,
+    TooLarge,
     TruncatedGeometric,
     UnsupportedTail,
     build_plan,
@@ -126,6 +127,17 @@ def test_c_norm_geometric_near_unit_circle():
     rep = c_norm(Geometric(0.999))
     assert abs(rep.total - 1.0) <= 1e-12
     assert rep.route == "vandermonde" and rep.error_bound <= 1e-20
+
+
+def test_support_route_height_cap():
+    cap = hankel_mod.SUPPORT_HEIGHT_CAP
+    assert hankel_mod.exact_route(Indicator(cap - 3)) == ("support", cap)
+    with pytest.raises(TooLarge):
+        hankel_mod.exact_route(Indicator(cap - 2))
+    with pytest.raises(TooLarge):
+        c_norm(Indicator(100_000))
+    with pytest.raises(TooLarge):
+        cprime_norm(ParityTail((0.0,) * (cap - 1), 0.0, 0.0))
 
 
 def test_c_norm_unsupported_tail():

@@ -9,6 +9,7 @@ from radial_mult import (
     FromMeasure,
     Geometric,
     Indicator,
+    TooLarge,
     TruncatedGeometric,
     UnsupportedRepresentation,
     c_norm,
@@ -141,6 +142,13 @@ def test_doubling_examples():
     assert rep.holds
     assert rep.doubled.c1 == 0.5 and rep.doubled.c2 == 0.5
     assert rep.doubled.trace_norm_hhat < 1e-10
+
+
+def test_doubling_near_unit_circle_too_large():
+    # double() stores about 39,000 half-values, so the doubled symbol's
+    # support route would need a matrix past the height cap
+    with pytest.raises(TooLarge):
+        verify_doubling(Geometric(0.999))
 
 
 def test_measure_json_roundtrip():

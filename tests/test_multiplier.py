@@ -220,6 +220,8 @@ def test_plan_vector_cap():
     # |s| = 1 - 1e-5 needs a Vandermonde horizon of 2**22 rows
     with pytest.raises(TooLarge):
         build_plan(Geometric(1 - 1e-5))
+    with pytest.raises(TooLarge):
+        build_plan(Indicator(100_000))
 
 
 def test_rank_cap():
