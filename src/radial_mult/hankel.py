@@ -6,7 +6,9 @@ norms of its difference Hankel matrices:
 * support route: finite-support symbols (indicators, truncated geometrics,
   finite data, parity tails) have differences that vanish beyond the
   support, so one SVD at support + 2 holds the whole spectrum (heights
-  past SUPPORT_HEIGHT_CAP raise TooLarge);
+  past SUPPORT_HEIGHT_CAP raise TooLarge).  Indicators skip the SVD: their
+  difference matrices are signed shifts with singular values and vectors
+  in closed form;
 * Vandermonde route: a measure symbol phi(n) = c + sum_a w_a s_a**n has
   H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
   theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
@@ -23,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailure, TooLarge
 from .symbols import (
+    Indicator,
     RadialSymbol,
     evaluate,
     measure_atoms,
@@ -132,7 +134,7 @@ def _difference_row(sym: RadialSymbol, length: int, offset: int, step: int) -> n
 
 
 def _hankel_from_sequence(seq: np.ndarray, m: int) -> np.ndarray:
-    return scipy.linalg.hankel(seq[:m], seq[m - 1 : 2 * m - 1])
+    return seq[np.add.outer(np.arange(m), np.arange(m))]
 
 
 def hankel_h(sym: RadialSymbol, m: int) -> np.ndarray:
@@ -220,24 +222,70 @@ def _vandermonde_r(s: np.ndarray, m: int) -> np.ndarray:
     return r
 
 
-# Diagonals d(s, w) with V diag(d) V^T equal to h, k and hhat.
-def _diagonal_h(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w * (1 - s)
+# Each difference matrix has entries phi(i+j+offset) - phi(i+j+offset+step).
+H, K, HHAT = (0, 1), (1, 1), (0, 2)
 
 
-def _diagonal_k(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w * s * (1 - s)
+def _diagonal(s: np.ndarray, w: np.ndarray, offset: int, step: int) -> np.ndarray:
+    """d(s, w) with V diag(d) V^T equal to the (offset, step) difference matrix."""
+    return w * s**offset * (1 - s**step)
 
 
-def _diagonal_hhat(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w * (1 - s * s)
+def _chain_angles(n: int) -> np.ndarray:
+    """theta_k = (2k-1) pi / (2n+1) for k = n, ..., 1 (descending).
+
+    The n x n matrix B = I - N (N the upper shift) has B^T B equal to the
+    path Laplacian with one free end, whose eigenvalues are 2 - 2 cos theta_k
+    with eigenvectors cos((j + 1/2) theta_k), so B has singular values
+    2 sin(theta_k / 2).
+    """
+    k = np.arange(n, 0, -1)
+    return (2 * k - 1) * np.pi / (2 * n + 1)
 
 
-def _exact_spectra(sym: RadialSymbol, assemblers, diagonals):
+def _indicator_spectrum(n0: int, offset: int, step: int, m: int) -> np.ndarray:
+    """Singular values of the m x m (offset, step) difference matrix of Indicator(n0).
+
+    The matrix is +1 on the antidiagonal i + j = n0 - offset and -1 on
+    i + j = n0 - offset - step.  Reversing its first n = n0 - offset + 1
+    columns gives I - N**step, which splits into ``step`` chains I - N.
+    """
+    n = max(n0 - offset + 1, 0)
+    chains = [2.0 * np.sin(_chain_angles(len(range(r, n, step))) / 2) for r in range(step)]
+    return np.sort(np.concatenate([*chains, np.zeros(m - n)]))[::-1]
+
+
+def _indicator_decomposition(n0: int, offset: int, m: int) -> RankOneDecomposition:
+    """Rank-one terms of the m x m (offset, 1) difference matrix of Indicator(n0).
+
+    With P the reversal of the first n = n0 - offset + 1 columns, the matrix
+    is B P for B = I - N, so each singular triple (sigma, u, v) of B gives
+    x = sqrt(sigma) u and y = sqrt(sigma) P v, largest sigma first.
+    """
+    n = n0 - offset + 1
+    if n <= 0:
+        return RankOneDecomposition([], 0.0)
+    theta = _chain_angles(n)
+    sigma = 2.0 * np.sin(theta / 2)
+    v = np.cos(np.outer(theta, np.arange(n) + 0.5))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    u = v.copy()
+    u[:, :-1] -= v[:, 1:]
+    u /= sigma[:, None]
+    root = np.sqrt(sigma)[:, None]
+    x = np.zeros((n, m), dtype=complex)
+    y = np.zeros((n, m), dtype=complex)
+    x[:, :n] = root * u
+    y[:, :n] = root * v[:, ::-1]
+    return RankOneDecomposition(list(zip(x, y)), float(sigma.sum()))
+
+
+def _exact_spectra(sym: RadialSymbol, matrices):
     """Route, matrix height, spectra and error bound of some difference matrices.
 
-    ``assemblers`` build the matrices for the support route and
-    ``diagonals`` give their d(s, w) for the Vandermonde route.  There, Q
+    ``matrices`` holds (assemble, offset, step) per matrix: the support
+    route calls assemble(sym, m), or for indicators takes the closed form,
+    and the Vandermonde route uses d = w s**offset (1 - s**step).  There, Q
     and conj(Q) are isometries, so Q R diag(d) R^T Q^T has the singular
     values of the small matrix R diag(d) R^T.  For one atom, the rows past M
     change d v v^T in trace norm by at most
@@ -246,14 +294,18 @@ def _exact_spectra(sym: RadialSymbol, assemblers, diagonals):
     """
     route, m = exact_route(sym)
     if route == "support":
-        return route, m, [singular_values(build(sym, m)) for build in assemblers], 0.0
+        if isinstance(sym, Indicator):
+            spectra = [_indicator_spectrum(sym.n0, o, t, m) for _, o, t in matrices]
+        else:
+            spectra = [singular_values(assemble(sym, m)) for assemble, _, _ in matrices]
+        return route, m, spectra, 0.0
     s, w = _atom_arrays(sym)
     r = _vandermonde_r(s, m)
     radius = np.abs(s)
     tail = 2.0 * radius**m / ((1.0 - radius) * (1.0 + radius))
     spectra, bound = [], 0.0
-    for diagonal in diagonals:
-        d = diagonal(s, w)
+    for _, offset, step in matrices:
+        d = _diagonal(s, w, offset, step)
         spectra.append(singular_values((r * d) @ r.T))
         bound += float(np.abs(d) @ tail)
     return route, m, spectra, bound
@@ -263,17 +315,15 @@ def c_norm(sym: RadialSymbol, tol: float = 1e-10) -> HankelReport:
     """Symbol norm: trace norms of both difference Hankel matrices plus |tail|.
 
     Finite-support symbols take one SVD per matrix at support + 2 (TooLarge
-    past SUPPORT_HEIGHT_CAP); measure symbols take the Vandermonde route
-    with d = w(1-s) for h and w s(1-s) for k.  Both are exact, so ``tol``
-    is only checked to be positive.  A symbol whose even and odd tails differ raises
-    UnsupportedTail.
+    past SUPPORT_HEIGHT_CAP; indicators use the closed form); measure
+    symbols take the Vandermonde route with d = w(1-s) for h and w s(1-s)
+    for k.  Both are exact, so ``tol`` is only checked to be positive.  A
+    symbol whose even and odd tails differ raises UnsupportedTail.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tail_abs = abs(tail_constant(sym))
-    route, m, (sv_h, sv_k), bound = _exact_spectra(
-        sym, (hankel_h, hankel_k), (_diagonal_h, _diagonal_k)
-    )
+    route, m, (sv_h, sv_k), bound = _exact_spectra(sym, ((hankel_h, *H), (hankel_k, *K)))
     tn_h = float(sv_h.sum())
     tn_k = float(sv_k.sum())
     return HankelReport(
@@ -304,7 +354,7 @@ def cprime_norm(sym: RadialSymbol, tol: float = 1e-10) -> CPrimeReport:
     even, odd = parity_tails(sym)
     c1 = (even + odd) / 2
     c2 = (even - odd) / 2
-    route, m, (sv,), bound = _exact_spectra(sym, (hankel_hhat,), (_diagonal_hhat,))
+    route, m, (sv,), bound = _exact_spectra(sym, ((hankel_hhat, *HHAT),))
     tn = float(sv.sum())
     return CPrimeReport(
         truncation=m,
@@ -332,17 +382,13 @@ def rank_one_decompose(a: np.ndarray, tol: float = RANK_CUTOFF) -> RankOneDecomp
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    terms: list[tuple[np.ndarray, np.ndarray]] = []
-    kept = 0.0
-    if s.size and s[0] > 0.0:
-        cutoff = tol * s[0]
-        for i, sigma in enumerate(s):
-            if sigma < cutoff:
-                break
-            root = np.sqrt(sigma)
-            terms.append((root * u[:, i], root * vh[i].conj()))
-            kept += float(sigma)
-    return RankOneDecomposition(terms=terms, nuclear_sum=kept)
+    if not (s.size and s[0] > 0.0):
+        return RankOneDecomposition(terms=[], nuclear_sum=0.0)
+    kept = s[: int(np.count_nonzero(s >= tol * s[0]))]
+    root = np.sqrt(kept)
+    x = np.ascontiguousarray((u[:, : kept.size] * root).T)
+    y = root[:, None] * vh[: kept.size].conj()
+    return RankOneDecomposition(terms=list(zip(x, y)), nuclear_sum=sum(kept.tolist()))
 
 
 def difference_decompositions(
@@ -350,20 +396,22 @@ def difference_decompositions(
 ) -> tuple[RankOneDecomposition, RankOneDecomposition]:
     """Rank-one terms of the m x m truncations of h and k.
 
-    Finite-support symbols decompose the truncations themselves.  Measure
-    symbols reuse the Vandermonde factorization: with V_m = QR and
-    R diag(d) R^T = U Sigma W^*, the truncation is (QU) Sigma (conj(Q) W)^*,
-    so x_i = sqrt(sigma_i) Q u_i and y_i = sqrt(sigma_i) conj(Q) w_i.  The
-    terms carry the whole operator once m reaches the height of
-    exact_route(sym).
+    Finite-support symbols decompose the truncations themselves, indicators
+    in closed form.  Measure symbols reuse the Vandermonde factorization:
+    with V_m = QR and R diag(d) R^T = U Sigma W^*, the truncation is
+    (QU) Sigma (conj(Q) W)^*, so x_i = sqrt(sigma_i) Q u_i and
+    y_i = sqrt(sigma_i) conj(Q) w_i.  The terms carry the whole operator
+    once m reaches the height of exact_route(sym).
     """
     if exact_route(sym)[0] == "support":
+        if isinstance(sym, Indicator) and m > sym.n0:
+            return _indicator_decomposition(sym.n0, 0, m), _indicator_decomposition(sym.n0, 1, m)
         return rank_one_decompose(hankel_h(sym, m)), rank_one_decompose(hankel_k(sym, m))
     s, w = _atom_arrays(sym)
     q, r = np.linalg.qr(s[None, :] ** np.arange(m)[:, None])
     out = []
-    for diagonal in (_diagonal_h, _diagonal_k):
-        small = rank_one_decompose((r * diagonal(s, w)) @ r.T)
+    for offset, step in (H, K):
+        small = rank_one_decompose((r * _diagonal(s, w, offset, step)) @ r.T)
         terms = [(q @ x, q.conj() @ y) for x, y in small.terms]
         out.append(RankOneDecomposition(terms, small.nuclear_sum))
     return out[0], out[1]

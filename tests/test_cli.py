@@ -81,7 +81,11 @@ def test_non_finite_symbol_exits_1(capsys, spec):
     "argv",
     [
         ("norm", "-s", "indicator:100000"),
-        ("integral-check", "-s", "geometric:0.999"),
+        (
+            "integral-check",
+            "-s",
+            '{"family": "from_measure", "c": 1, "measure": [{"s": 0.999, "w": 1}]}',
+        ),
     ],
 )
 def test_support_height_cap_exits_1(capsys, argv):

@@ -123,6 +123,28 @@ def test_c_norm_late_indicator(n0):
     assert abs(rep.total - oracle) <= 1e-10 * oracle
 
 
+@pytest.mark.parametrize("n0", [0, 1, 2, 7, 40, 129])
+def test_indicator_closed_form_matches_svd(n0):
+    sym = Indicator(n0)
+    m = n0 + 3
+    rep, crep = c_norm(sym), cprime_norm(sym)
+    pairs = (
+        (rep.singular_values_h, hankel_h),
+        (rep.singular_values_k, hankel_k),
+        (crep.singular_values_hhat, hankel_hhat),
+    )
+    for sv, assemble in pairs:
+        dense = np.linalg.svd(assemble(sym, m), compute_uv=False)
+        assert sv.shape == dense.shape
+        assert np.abs(sv - dense).max() <= 1e-12
+    for extra in (0, 5):
+        dec_h, dec_k = hankel_mod.difference_decompositions(sym, m + extra)
+        for dec, assemble in ((dec_h, hankel_h), (dec_k, hankel_k)):
+            target = assemble(sym, m + extra)
+            assert np.abs(dec.reconstruct(m + extra) - target).max() <= 1e-12
+            assert abs(dec.nuclear_sum - trace_norm(target)) <= 1e-12 * max(1.0, n0)
+
+
 def test_c_norm_geometric_near_unit_circle():
     rep = c_norm(Geometric(0.999))
     assert abs(rep.total - 1.0) <= 1e-12

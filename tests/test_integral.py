@@ -144,11 +144,23 @@ def test_doubling_examples():
     assert rep.doubled.trace_norm_hhat < 1e-10
 
 
-def test_doubling_near_unit_circle_too_large():
+def test_doubling_of_measure_without_tail_takes_vandermonde_route():
+    # the doubled symbol is the measure with atoms +-sqrt(s) and weights w/2
+    for sym in (
+        Geometric(0.999),
+        Geometric(0.8j),
+        FromMeasure(0.0, DiscreteMeasure(((0.5 + 0.2j, 1.0), (-0.3, 0.5j), (0.0, 0.7)))),
+    ):
+        rep = verify_doubling(sym)
+        assert rep.holds and rep.doubled.route == "vandermonde"
+        assert abs(rep.doubled_total - rep.base_total) <= 1e-10 * rep.base_total
+
+
+def test_doubling_with_tail_near_unit_circle_too_large():
     # double() stores about 39,000 half-values, so the doubled symbol's
     # support route would need a matrix past the height cap
     with pytest.raises(TooLarge):
-        verify_doubling(Geometric(0.999))
+        verify_doubling(FromMeasure(1.0, DiscreteMeasure(((0.999, 1.0),))))
 
 
 def test_measure_json_roundtrip():
