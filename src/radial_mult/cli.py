@@ -166,7 +166,7 @@ def cmd_fock_verify(args) -> int:
         )
     space = build_space(spec)
     plan = build_plan(sym, args.tol)
-    report = verify_eigenaction(plan, space, args.max_word, args.tol)
+    report = verify_eigenaction(plan, space, args.max_word)
     obj = {
         "schema": SCHEMA,
         "command": "fock-verify",

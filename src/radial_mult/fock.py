@@ -75,12 +75,9 @@ class FockSpace:
         self.dim = len(basis)
         self.levels = np.array([len(w) for w in basis], dtype=int)
         self.last_factor = np.array([w[-1][0] if w else -1 for w in basis], dtype=int)
-        self._right_letter_ops: dict[Letter, FockOperator] | None = None
-        self._left_letter_ops: dict[Letter, FockOperator] = {}
-        self._left_word_cache: dict[Word, FockOperator] = {}
+        self._prepend_targets: dict[Word, np.ndarray] = {}
         self._factor_projs: list[FockOperator] | None = None
         self._append_maps: list[np.ndarray] | None = None
-        self._prefix_index: dict[int, np.ndarray] = {}
 
     @property
     def max_len(self) -> int:
@@ -187,55 +184,41 @@ def zero(space: FockSpace) -> FockOperator:
     return FockOperator(space, sp.csr_matrix((space.dim, space.dim), dtype=complex))
 
 
-def _letter_op(space: FockSpace, letter: Letter, side: str) -> FockOperator:
-    f, a = letter
+def _prepend_targets(space: FockSpace, word: Word) -> np.ndarray:
+    """Index of word + w for every basis word w (-1 where that is no word of the space)."""
+    cached = space._prepend_targets
+    if word not in cached:
+        cached[word] = np.array([space.index.get(word + w, -1) for w in space.basis])
+    return cached[word]
+
+
+def _append_targets(space: FockSpace, word: Word) -> np.ndarray:
+    """Index of w + word for every basis word w (-1 where that is no word of the space)."""
+    return np.array([space.index.get(w + word, -1) for w in space.basis])
+
+
+def _partial_isometry(space: FockSpace, targets: np.ndarray) -> FockOperator:
+    """e_j -> e_targets[j], zero where targets[j] is -1."""
+    ok = targets >= 0
+    return _from_triplets(space, (targets[ok], np.flatnonzero(ok), np.ones(int(ok.sum()))))
+
+
+def _checked(space: FockSpace, word: Word) -> Word:
     dims = space.spec.factor_dims
-    if not (0 <= f < len(dims) and 0 <= a < dims[f]):
-        raise ValueError(f"invalid letter {letter} for factors {dims}")
-    rows, cols = [], []
-    for j, w in enumerate(space.basis):
-        if len(w) == space.max_len:
-            continue
-        if side == "left":
-            if w and w[0][0] == f:
-                continue
-            target = (letter,) + w
-        else:
-            if w and w[-1][0] == f:
-                continue
-            target = w + (letter,)
-        rows.append(space.index[target])
-        cols.append(j)
-    data = np.ones(len(rows), dtype=complex)
-    return FockOperator(
-        space, sp.csr_matrix((data, (rows, cols)), shape=(space.dim, space.dim))
-    )
+    for f, a in word:
+        if not (0 <= f < len(dims) and 0 <= a < dims[f]):
+            raise ValueError(f"invalid letter {(f, a)} for factors {dims}")
+    return word
 
 
 def creation(space: FockSpace, letter: Letter) -> FockOperator:
     """Prepend a letter; zero on words starting in its factor or of full length."""
-    return _letter_op(space, letter, "left")
+    return left_word(space, (letter,))
 
 
 def right_creation(space: FockSpace, letter: Letter) -> FockOperator:
     """Append a letter; zero on words ending in its factor or of full length."""
-    return _letter_op(space, letter, "right")
-
-
-def _cached_left(space: FockSpace, letter: Letter) -> FockOperator:
-    op = space._left_letter_ops.get(letter)
-    if op is None:
-        op = creation(space, letter)
-        space._left_letter_ops[letter] = op
-    return op
-
-
-def _cached_rights(space: FockSpace) -> dict[Letter, FockOperator]:
-    if space._right_letter_ops is None:
-        space._right_letter_ops = {
-            letter: right_creation(space, letter) for letter in space.letters()
-        }
-    return space._right_letter_ops
+    return right_word(space, (letter,))
 
 
 def left_word(space: FockSpace, word: Word) -> FockOperator:
@@ -243,28 +226,25 @@ def left_word(space: FockSpace, word: Word) -> FockOperator:
 
     The first letter of the word is the outermost factor of the product.
     """
-    cached = space._left_word_cache.get(word)
-    if cached is not None:
-        return cached
-    res = identity(space)
-    for letter in reversed(word):
-        res = _cached_left(space, letter) @ res
-    space._left_word_cache[word] = res
-    return res
+    return _partial_isometry(space, _prepend_targets(space, _checked(space, word)))
 
 
 def right_word(space: FockSpace, word: Word) -> FockOperator:
     """Operator appending the whole word at the right end (identity for the vacuum)."""
-    rights = _cached_rights(space)
-    res = identity(space)
-    for letter in word:
-        res = rights[letter] @ res
-    return res
+    return _partial_isometry(space, _append_targets(space, _checked(space, word)))
+
+
+def _word_triplets(space: FockSpace, xi: Word, eta: Word):
+    """COO triplets of L_xi L_eta^*: a 1 at (xi w, eta w) for every w."""
+    rx = _prepend_targets(space, xi)
+    re = _prepend_targets(space, eta)
+    ok = (rx >= 0) & (re >= 0)
+    return rx[ok], re[ok], np.ones(int(ok.sum()), dtype=complex)
 
 
 def word_operator(space: FockSpace, xi: Word, eta: Word) -> FockOperator:
-    """The rank-style operator L_xi L_eta^* built from letter products."""
-    return left_word(space, xi) @ left_word(space, eta).adjoint()
+    """The rank-style operator L_xi L_eta^*."""
+    return _from_triplets(space, _word_triplets(space, _checked(space, xi), _checked(space, eta)))
 
 
 def diagonal(space: FockSpace, a) -> FockOperator:
@@ -311,22 +291,37 @@ def _cached_factor_projs(space: FockSpace) -> list[FockOperator]:
 
 
 def _cached_append_maps(space: FockSpace) -> list[np.ndarray]:
-    """Per letter, the index map j -> index of basis[j] with the letter appended.
-
-    Entry -1 marks words killed by the appending partial isometry (full
-    length, or last letter in the same factor).
-    """
+    """Per letter, the map j -> index of basis[j] with the letter appended
+    (-1 where the appending partial isometry kills the word)."""
     if space._append_maps is None:
-        maps = []
-        for letter in space.letters():
-            t = np.full(space.dim, -1, dtype=int)
-            for j, w in enumerate(space.basis):
-                if len(w) == space.max_len or (w and w[-1][0] == letter[0]):
-                    continue
-                t[j] = space.index[w + (letter,)]
-            maps.append(t)
-        space._append_maps = maps
+        space._append_maps = [_append_targets(space, (letter,)) for letter in space.letters()]
     return space._append_maps
+
+
+def _concat(parts):
+    """One COO triplet (row, col, data) from a list of them."""
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _rho_triplets(space: FockSpace, row, col, data):
+    """rho on COO triplets; distinct entries have distinct images."""
+    parts = []
+    for t in _cached_append_maps(space):
+        ok = (t[row] >= 0) & (t[col] >= 0)
+        parts.append((t[row[ok]], t[col[ok]], data[ok]))
+    return _concat(parts)
+
+
+def _eps_triplets(space: FockSpace, row, col, data):
+    """eps on COO triplets: the entries whose row and column end in one factor."""
+    lf = space.last_factor
+    ok = (lf[row] >= 0) & (lf[row] == lf[col])
+    return row[ok], col[ok], data[ok]
+
+
+def _from_triplets(space: FockSpace, triplets) -> FockOperator:
+    row, col, data = triplets
+    return FockOperator(space, sp.csr_matrix((data, (row, col)), shape=(space.dim,) * 2))
 
 
 def rho(space: FockSpace, op: FockOperator) -> FockOperator:
@@ -337,22 +332,7 @@ def rho(space: FockSpace, op: FockOperator) -> FockOperator:
     remapped triplets.
     """
     coo = op.mat.tocoo()
-    rows, cols, data = [], [], []
-    for t in _cached_append_maps(space):
-        tr = t[coo.row]
-        tc = t[coo.col]
-        ok = (tr >= 0) & (tc >= 0)
-        if ok.any():
-            rows.append(tr[ok])
-            cols.append(tc[ok])
-            data.append(coo.data[ok])
-    if not rows:
-        return zero(space)
-    mat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    )
-    return FockOperator(space, mat)
+    return _from_triplets(space, _rho_triplets(space, coo.row, coo.col, coo.data))
 
 
 def rho_power(space: FockSpace, op: FockOperator, n: int) -> FockOperator:
@@ -372,24 +352,7 @@ def eps(space: FockSpace, op: FockOperator) -> FockOperator:
     factor (the vacuum belongs to none of the blocks).
     """
     coo = op.mat.tocoo()
-    lf = space.last_factor
-    ok = (lf[coo.row] >= 0) & (lf[coo.row] == lf[coo.col])
-    mat = sp.csr_matrix(
-        (coo.data[ok], (coo.row[ok], coo.col[ok])), shape=(space.dim, space.dim)
-    )
-    return FockOperator(space, mat)
-
-
-def _cached_prefix_index(space: FockSpace, length: int) -> np.ndarray:
-    """Basis index of each word's length-``length`` prefix (-1 for shorter words)."""
-    arr = space._prefix_index.get(length)
-    if arr is None:
-        arr = np.array(
-            [space.index[w[:length]] if len(w) >= length else -1 for w in space.basis],
-            dtype=int,
-        )
-        space._prefix_index[length] = arr
-    return arr
+    return _from_triplets(space, _eps_triplets(space, coo.row, coo.col, coo.data))
 
 
 def classify_case(xi: Word, eta: Word) -> int:

@@ -416,9 +416,3 @@ def difference_decompositions(
         out.append(RankOneDecomposition(terms, small.nuclear_sum))
     return out[0], out[1]
 
-
-def singular_values_csv(sv: np.ndarray) -> str:
-    """CSV dump of a singular-value list (columns: index, sigma)."""
-    lines = ["index,sigma"]
-    lines += [f"{i},{float(x)!r}" for i, x in enumerate(sv)]
-    return "\n".join(lines) + "\n"

@@ -8,6 +8,9 @@ difference Hankel matrices plus the tail constant c.  The induced map
 acts on operators over a truncated word space and rescales each
 word-pair operator L_xi L_eta^* by the symbol value at the pair's
 combined length (shifted by one when the last letters share a factor).
+``apply_T`` and the verifiers sum each decomposition once into level
+kernels, so their cost does not depend on the plan's rank;
+``phi1_apply``/``phi2_apply`` keep the per-term formula as the reference.
 The module also bounds the map through explicit Kraus families and
 realizes the unital completely positive tensor extensions.
 """
@@ -15,6 +18,7 @@ realizes the unital completely positive tensor extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,13 +30,17 @@ from .fock import (
     FockSpace,
     Word,
     _cached_factor_projs,
-    _cached_prefix_index,
+    _prepend_targets,
+    _concat,
+    _eps_triplets,
+    _from_triplets,
+    _rho_triplets,
+    _word_triplets,
     classify_case,
     eps,
     rho,
     right_word,
     word_label,
-    word_operator,
 )
 from .hankel import RankOneDecomposition, difference_decompositions, exact_route
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
@@ -173,15 +181,13 @@ def build_plan(
         if horizon < 1:
             raise ValueError("horizon must be positive")
         m = max(m, horizon)
+    if rank_cap is not None and rank_cap < 0:
+        raise ValueError("rank_cap must be non-negative")
     dec_h, dec_k = difference_decompositions(sym, m)
     if rank_cap is not None:
-        dec_h = RankOneDecomposition(
-            dec_h.terms[:rank_cap],
-            sum(np.linalg.norm(x) * np.linalg.norm(y) for x, y in dec_h.terms[:rank_cap]),
-        )
-        dec_k = RankOneDecomposition(
-            dec_k.terms[:rank_cap],
-            sum(np.linalg.norm(x) * np.linalg.norm(y) for x, y in dec_k.terms[:rank_cap]),
+        dec_h, dec_k = (
+            RankOneDecomposition(d.terms[:rank_cap], _nuclear(d.terms[:rank_cap]))
+            for d in (dec_h, dec_k)
         )
     beyond = 0.0
     if horizon is not None and horizon < m:
@@ -199,29 +205,40 @@ def build_plan(
     )
 
 
+def _stack(terms) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors x_i and y_i of a non-empty term list as rank x length arrays."""
+    pairs = np.asarray(terms, dtype=complex)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _nuclear(terms) -> float:
+    """sum_i ||x_i|| ||y_i||."""
+    if not terms:
+        return 0.0
+    x, y = _stack(terms)
+    return float(np.sum(np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)))
+
+
 def _truncate_terms(dec: RankOneDecomposition, horizon: int):
-    terms = []
-    lost = 0.0
-    for x, y in dec.terms:
-        lost += np.linalg.norm(x[horizon:]) * np.linalg.norm(y)
-        lost += np.linalg.norm(x[:horizon]) * np.linalg.norm(y[horizon:])
-        terms.append((x[:horizon], y[:horizon]))
-    nuclear = sum(np.linalg.norm(x) * np.linalg.norm(y) for x, y in terms)
-    return RankOneDecomposition(terms, float(nuclear)), float(lost)
+    if not dec.terms:
+        return dec, 0.0
+    x, y = _stack(dec.terms)
+    lost = np.sum(
+        np.linalg.norm(x[:, horizon:], axis=1) * np.linalg.norm(y, axis=1)
+        + np.linalg.norm(x[:, :horizon], axis=1) * np.linalg.norm(y[:, horizon:], axis=1)
+    )
+    terms = list(zip(x[:, :horizon], y[:, :horizon]))
+    return RankOneDecomposition(terms, _nuclear(terms)), float(lost)
 
 
 def plan_cb_bound(plan: MultiplierPlan) -> float:
     """Upper bound sum_i ||x_i|| ||y_i|| + sum_i ||z_i|| ||w_i|| + |c|."""
-    total = abs(plan.c)
-    for x, y in plan.decomposition_h.terms:
-        total += float(np.linalg.norm(x) * np.linalg.norm(y))
-    for z, w in plan.decomposition_k.terms:
-        total += float(np.linalg.norm(z) * np.linalg.norm(w))
-    return total
+    terms = plan.decomposition_h.terms, plan.decomposition_k.terms
+    return abs(plan.c) + _nuclear(terms[0]) + _nuclear(terms[1])
 
 
 # ---------------------------------------------------------------------------
-# The transformations Phi1 / Phi2 and their sums
+# The transformations Phi1 / Phi2 term by term, and T through level kernels
 # ---------------------------------------------------------------------------
 
 
@@ -248,8 +265,6 @@ def _correlation_weights(x: np.ndarray, y: np.ndarray, max_level: int) -> np.nda
 def _first_sum(space: FockSpace, x, y, mat) -> sp.csr_matrix:
     """sum_n D_{(S*)^n x} A D*_{(S*)^n y}, collapsed to entrywise level weights."""
     coo = mat.tocoo()
-    if coo.nnz == 0:
-        return sp.csr_matrix(mat.shape, dtype=complex)
     w = _correlation_weights(x, y, space.max_len)
     lv = space.levels
     data = coo.data * w[lv[coo.row], lv[coo.col]]
@@ -258,26 +273,12 @@ def _first_sum(space: FockSpace, x, y, mat) -> sp.csr_matrix:
 
 def _deep_sum(space: FockSpace, x, y, deep: list) -> sp.csr_matrix:
     """sum_{n>=1} D_{S^n x} deep[n] D*_{S^n y} with deep[n] a sparse matrix."""
-    lv = space.levels
-    rows, cols, data = [], [], []
+    total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for n in range(1, len(deep)):
-        inner = deep[n]
-        if inner is None or inner.nnz == 0:
-            continue
-        dx = _shift_values(x, lv, -n)
-        dy = _shift_values(y, lv, -n)
-        if not dx.any() or not dy.any():
-            continue
-        coo = inner.tocoo()
-        rows.append(coo.row)
-        cols.append(coo.col)
-        data.append(coo.data * dx[coo.row] * dy[coo.col].conj())
-    if not rows:
-        return sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    )
+        dx = sp.diags(_shift_values(x, space.levels, -n))
+        dy = sp.diags(_shift_values(y, space.levels, -n).conj())
+        total = total + dx @ deep[n] @ dy
+    return total
 
 
 def _rho_chain(space: FockSpace, mat, count: int) -> list:
@@ -291,23 +292,11 @@ def _rho_chain(space: FockSpace, mat, count: int) -> list:
     return chain
 
 
-def _phi_deep_variant1(space: FockSpace, mat) -> list:
-    # deep[n] = rho^n(A); index 0 unused by the deep sum
-    return _rho_chain(space, mat, space.max_len)
-
-
-def _phi_deep_variant2(space: FockSpace, mat) -> list:
-    # deep[n] = rho^(n-1)(eps(A))
-    eps_mat = eps(space, FockOperator(space, mat)).mat
-    chain = _rho_chain(space, eps_mat, space.max_len - 1)
-    return [None] + chain
-
-
 def phi1_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
     """Apply the first elementary transformation for vectors x, y."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    deep = _phi_deep_variant1(space, op.mat)
+    deep = _rho_chain(space, op.mat, space.max_len)  # deep[n] = rho^n(A)
     return FockOperator(space, _first_sum(space, x, y, op.mat) + _deep_sum(space, x, y, deep))
 
 
@@ -315,53 +304,97 @@ def phi2_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
     """Apply the second elementary transformation (compressed deep part)."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    deep = _phi_deep_variant2(space, op.mat)
+    # deep[n] = rho^(n-1)(eps(A))
+    deep = [None] + _rho_chain(space, eps(space, op).mat, space.max_len - 1)
     return FockOperator(space, _first_sum(space, x, y, op.mat) + _deep_sum(space, x, y, deep))
 
 
-def _apply_terms(space: FockSpace, terms, mat, deep) -> sp.csr_matrix:
-    total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for x, y in terms:
-        total = total + _first_sum(space, x, y, mat)
-        total = total + _deep_sum(space, x, y, deep)
-    return total
+def _level_kernels(dec: RankOneDecomposition, max_len: int):
+    """G[a, b] = sum_i x_i[a] conj(y_i[b]) and W[a, b] = sum_t G[a+t, b+t]
+    for a, b <= max_len, W summing each diagonal to the end of the vectors."""
+    size = max_len + 1
+    x, y = _stack(dec.terms)
+    if x.shape[1] < size:
+        x, y = (np.pad(v, ((0, 0), (0, size - v.shape[1]))) for v in (x, y))
+    length = x.shape[1]
+    g, w = np.zeros((2, size, size), dtype=complex)
+    for d in range(-max_len, max_len + 1):
+        a, b = max(d, 0), max(-d, 0)
+        diag = np.einsum("it,it->t", x[:, a : length - b], y[:, b : length - a].conj())
+        t = np.arange(size - abs(d))
+        g[a + t, b + t] = diag[t]
+        w[a + t, b + t] = np.cumsum(diag[::-1])[::-1][t]
+    return g, w
 
 
-def _check_plan_space(plan: MultiplierPlan, space: FockSpace, op: FockOperator):
-    if op.space is not space and op.space.spec != space.spec:
-        raise DimensionMismatch("operator lives on a different space")
+def _kernels(plan: MultiplierPlan, space: FockSpace, c=0.0, h=False, k=False):
+    """(c, W, [(G, compressed)]) of the map c A + the chosen decompositions:
+    T(A) = c A + A o W[lv_r, lv_c] + sum_n G[lv_r - n, lv_c - n] deep[n],
+    with deep[n] = rho^n(A), or rho^(n-1)(eps(A)) for the compressed k part."""
     if plan.vector_horizon < space.max_len:
         raise DimensionMismatch(
             f"plan horizon {plan.vector_horizon} does not cover max_len {space.max_len}"
         )
+    first = np.zeros((space.max_len + 1,) * 2, dtype=complex)
+    deep = []
+    parts = ((plan.decomposition_h, False, h), (plan.decomposition_k, True, k))
+    for dec, compressed, chosen in parts:
+        if chosen and dec.terms:
+            g, w = _level_kernels(dec, space.max_len)
+            first += w
+            deep.append((g, compressed))
+    return c, first, deep
+
+
+def _triplets(mat):
+    coo = mat.tocoo()
+    return coo.row, coo.col, coo.data
+
+
+def _deep_chain(space: FockSpace, row, col, data, compressed: bool):
+    """Yield (n, triplets of deep[n]) for n = 1..max_len: rho^n(A), or
+    rho^(n-1)(eps(A)) when compressed.  deep[n] sits at levels >= n."""
+    step = _eps_triplets if compressed else _rho_triplets
+    row, col, data = step(space, row, col, data)
+    for n in range(1, space.max_len + 1):
+        if not len(data):
+            return
+        yield n, row, col, data
+        row, col, data = _rho_triplets(space, row, col, data)
+
+
+def _apply(space: FockSpace, kernels, row, col, data) -> list:
+    """T(A) from the triplets of A, as triplets whose positions may repeat."""
+    c, first, deep = kernels
+    lv = space.levels
+    out = [(row, col, data * (c + first[lv[row], lv[col]]))]
+    for g, compressed in deep:
+        out += [
+            (r, q, v * g[lv[r] - n, lv[q] - n])
+            for n, r, q, v in _deep_chain(space, row, col, data, compressed)
+        ]
+    return out
+
+
+def _apply_map(space: FockSpace, op: FockOperator, kernels) -> FockOperator:
+    if op.space is not space and op.space.spec != space.spec:
+        raise DimensionMismatch("operator lives on a different space")
+    return _from_triplets(space, _concat(_apply(space, kernels, *_triplets(op.mat))))
 
 
 def apply_T(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """T(A) = T1(A) + T2(A) + c A."""
-    _check_plan_space(plan, space, op)
-    mat = op.mat
-    out = (plan.c * mat).tocsr()
-    if plan.decomposition_h.terms:
-        deep1 = _phi_deep_variant1(space, mat)
-        out = out + _apply_terms(space, plan.decomposition_h.terms, mat, deep1)
-    if plan.decomposition_k.terms:
-        deep2 = _phi_deep_variant2(space, mat)
-        out = out + _apply_terms(space, plan.decomposition_k.terms, mat, deep2)
-    return FockOperator(space, out)
+    return _apply_map(space, op, _kernels(plan, space, plan.c, h=True, k=True))
 
 
 def apply_T1(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """The rank-term sum over the first-difference decomposition alone."""
-    _check_plan_space(plan, space, op)
-    deep1 = _phi_deep_variant1(space, op.mat)
-    return FockOperator(space, _apply_terms(space, plan.decomposition_h.terms, op.mat, deep1))
+    return _apply_map(space, op, _kernels(plan, space, h=True))
 
 
 def apply_T2(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """The rank-term sum over the shifted-difference decomposition alone."""
-    _check_plan_space(plan, space, op)
-    deep2 = _phi_deep_variant2(space, op.mat)
-    return FockOperator(space, _apply_terms(space, plan.decomposition_k.terms, op.mat, deep2))
+    return _apply_map(space, op, _kernels(plan, space, k=True))
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +416,60 @@ def _iter_pairs(space: FockSpace, max_word: int, max_pair_sum: int | None):
 def _safe_columns(space: FockSpace, k: int, l: int, eta: Word) -> np.ndarray:
     """Columns where truncation cannot interfere: extensions of eta whose
     image level k + len - l stays within the space."""
-    prefix = _cached_prefix_index(space, l)
-    return (prefix == space.index[eta]) & (space.levels - l + k <= space.max_len)
+    extensions = _prepend_targets(space, eta)
+    mask = np.zeros(space.dim, dtype=bool)
+    mask[extensions[extensions >= 0]] = True
+    return mask & (space.levels - l + k <= space.max_len)
 
 
-def _column_residual(diff: sp.csr_matrix, mask: np.ndarray) -> float:
-    if not mask.any():
-        return 0.0
-    sub = diff.tocsc()[:, np.flatnonzero(mask)]
-    if sub.nnz == 0:
-        return 0.0
-    return float(np.abs(sub.data).max())
+def _max_abs_summed(row, col, data, ncols: int) -> float:
+    """Largest |entry| once the triplets sharing a position are summed."""
+    _, at = np.unique(row.astype(np.int64) * ncols + col, return_inverse=True)
+    summed = np.bincount(at, data.real) + 1j * np.bincount(at, data.imag)
+    return float(np.abs(summed).max(initial=0.0))
+
+
+def _verify_pairs(space: FockSpace, max_word: int, max_pair_sum, checks, width: int = 1):
+    """The word-pair driver of the three verifiers.
+
+    Per pair it builds the triplets of A = L_xi L_eta^* and runs each
+    check(k, l, case, A) -> (expected, triplets of the difference to the
+    target); the residual is the difference's largest entry over the
+    pair's truncation-safe columns, each widened to ``width`` columns.
+    Returns rows (k, l, xi, eta, case, [(expected, residual)]) and the worst.
+    """
+    if max_word < 0:
+        raise ValueError("max_word must be non-negative")
+    rows = []
+    for k, l, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
+        a = _word_triplets(space, xi, eta)
+        case = classify_case(xi, eta)
+        mask = np.repeat(_safe_columns(space, k, l, eta), width)
+        results = []
+        for check in checks:
+            expected, (row, col, data) = check(k, l, case, a)
+            keep = mask[col]
+            resid = _max_abs_summed(row[keep], col[keep], data[keep], len(mask))
+            results.append((expected, resid))
+        rows.append((k, l, xi, eta, case, results))
+    return rows, max((r for row in rows for _, r in row[5]), default=0.0)
+
+
+def _scaling_check(space: FockSpace, kernels, expected):
+    """The check that the kernel map scales A by expected(k, l, case)."""
+
+    def check(k, l, case, a):
+        lam = expected(k, l, case)
+        row, col, data = a
+        return lam, _concat(_apply(space, kernels, row, col, data) + [(row, col, -lam * data)])
+
+    return check
 
 
 def verify_eigenaction(
     plan: MultiplierPlan,
     space: FockSpace,
     max_word: int,
-    tol: float = 1e-10,
     max_pair_sum: int | None = None,
 ) -> EigenReport:
     """Compare T on every word-pair operator against its expected eigenvalue.
@@ -409,18 +478,11 @@ def verify_eigenaction(
     letters lie in distinct factors, and phi(k+l-1) otherwise.  Residuals
     are measured entrywise over the truncation-safe columns.
     """
-    sym = plan.symbol
-    records: list[EigenRecord] = []
-    worst = 0.0
-    for k, l, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
-        a = word_operator(space, xi, eta)
-        case = classify_case(xi, eta)
-        n_eff = k + l if case == 1 else k + l - 1
-        lam = evaluate(sym, n_eff)
-        diff = apply_T(plan, space, a).mat - lam * a.mat
-        resid = _column_residual(diff.tocsr(), _safe_columns(space, k, l, eta))
-        worst = max(worst, resid)
-        records.append(EigenRecord(xi, eta, case, k, l, lam, resid))
+    phi = cache(lambda n: evaluate(plan.symbol, n))
+    kernels = _kernels(plan, space, plan.c, h=True, k=True)
+    check = _scaling_check(space, kernels, lambda k, l, case: phi(k + l - (case == CASE_TWO)))
+    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check])
+    records = [EigenRecord(xi, eta, case, k, l, *r[0]) for k, l, xi, eta, case, r in rows]
     return EigenReport(records, worst)
 
 
@@ -428,7 +490,6 @@ def verify_component_eigenaction(
     plan: MultiplierPlan,
     space: FockSpace,
     max_word: int,
-    tol: float = 1e-10,
     max_pair_sum: int | None = None,
 ) -> ComponentReport:
     """Check T1 and T2 separately against their difference-series eigenvalues.
@@ -437,27 +498,19 @@ def verify_component_eigenaction(
     distinct-factor case and psi2(k+l-2) otherwise.
     """
     sym = plan.symbol
-    records: list[ComponentRecord] = []
-    worst = 0.0
-    series_tol = min(tol, 1e-12)
-    for k, l, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
-        a = word_operator(space, xi, eta)
-        case = classify_case(xi, eta)
-        mask = _safe_columns(space, k, l, eta)
-        deep1 = _phi_deep_variant1(space, a.mat)
-        deep2 = _phi_deep_variant2(space, a.mat)
-        t1 = _apply_terms(space, plan.decomposition_h.terms, a.mat, deep1)
-        t2 = _apply_terms(space, plan.decomposition_k.terms, a.mat, deep2)
-        lam1 = psi1(sym, k + l, series_tol)
-        lam2 = (
-            psi2(sym, k + l, series_tol)
-            if case == 1
-            else psi2(sym, k + l - 2, series_tol)
-        )
-        r1 = _column_residual((t1 - lam1 * a.mat).tocsr(), mask)
-        r2 = _column_residual((t2 - lam2 * a.mat).tocsr(), mask)
-        worst = max(worst, r1, r2)
-        records.append(ComponentRecord(xi, eta, case, k, l, lam1, r1, lam2, r2))
+    t1, t2 = cache(lambda n: psi1(sym, n)), cache(lambda n: psi2(sym, n))
+    checks = [
+        _scaling_check(space, _kernels(plan, space, h=True), lambda k, l, case: t1(k + l)),
+        _scaling_check(
+            space,
+            _kernels(plan, space, k=True),
+            lambda k, l, case: t2(k + l - 2 * (case == CASE_TWO)),
+        ),
+    ]
+    rows, worst = _verify_pairs(space, max_word, max_pair_sum, checks)
+    records = [
+        ComponentRecord(xi, eta, case, k, l, *r[0], *r[1]) for k, l, xi, eta, case, r in rows
+    ]
     return ComponentReport(records, worst)
 
 
@@ -554,19 +607,6 @@ def tensor_shift(dim: int) -> sp.csr_matrix:
     return sp.diags(np.ones(dim - 1, dtype=complex), -1).tocsr()
 
 
-def _tensor_window(space: FockSpace, tensor_dim: int, n: int) -> sp.csr_matrix:
-    """The partial isometry pairing level m with tensor slot m - n."""
-    dim = space.dim * tensor_dim
-    rows, cols = [], []
-    for b in range(space.dim):
-        i = int(space.levels[b]) - n
-        if 0 <= i < tensor_dim:
-            rows.append(b * tensor_dim + i)
-            cols.append(b * tensor_dim)
-    data = np.ones(len(rows), dtype=complex)
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-
-
 def ucp_pi_apply(
     space: FockSpace, tensor_dim: int, variant: int, op: FockOperator
 ) -> sp.csr_matrix:
@@ -574,7 +614,8 @@ def ucp_pi_apply(
 
     Returns a sparse matrix on the product of the word space with C^d
     (word index major).  Requires tensor_dim >= max_len + 1 so that every
-    level has a tensor slot.
+    level has a tensor slot.  Layer n puts level m in tensor slot m - n; it
+    carries A for n <= 0 and deep[n] of variant 1 or 2 for n >= 1.
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
@@ -584,26 +625,18 @@ def ucp_pi_apply(
         )
     if op.space is not space and op.space.spec != space.spec:
         raise DimensionMismatch("operator lives on a different space")
-    mat = op.mat
-    deep1 = _phi_deep_variant1(space, mat)
-    deep2 = _phi_deep_variant2(space, mat) if variant == 2 else None
-    eye = sp.identity(tensor_dim, dtype=complex, format="csr")
-    dim = space.dim * tensor_dim
-    out = sp.csr_matrix((dim, dim), dtype=complex)
-    for n in range(-(tensor_dim - 1), space.max_len + 1):
-        u = _tensor_window(space, tensor_dim, n)
-        if u.nnz == 0:
-            continue
-        if n <= 0:
-            inner = mat
-        elif variant == 1:
-            inner = deep1[n]
-        else:
-            inner = deep2[n]
-        if inner is None or inner.nnz == 0:
-            continue
-        out = out + u @ sp.kron(inner, eye, format="csr") @ u.conjugate().transpose()
-    return out.tocsr()
+    a = _triplets(op.mat)
+    layers = [(n, *a) for n in range(1 - tensor_dim, 1)]
+    layers += _deep_chain(space, *a, compressed=variant == 2)
+    lv, d = space.levels, tensor_dim
+    parts = []
+    for n, row, col, data in layers:
+        # slots lv - n are never negative: layer n >= 1 sits at levels >= n
+        slot_r, slot_c = lv[row] - n, lv[col] - n
+        ok = (slot_r < d) & (slot_c < d)
+        parts.append((row[ok] * d + slot_r[ok], col[ok] * d + slot_c[ok], data[ok]))
+    row, col, data = _concat(parts)
+    return sp.csr_matrix((data, (row, col)), shape=(space.dim * d,) * 2)
 
 
 def verify_ucp_relations(
@@ -611,7 +644,6 @@ def verify_ucp_relations(
     tensor_dim: int,
     variant: int,
     max_word: int,
-    tol: float = 1e-10,
     max_pair_sum: int | None = None,
 ) -> TensorReport:
     """Check the tensor extension against its word-pair tensor form.
@@ -621,26 +653,14 @@ def verify_ucp_relations(
     variant 2.  Residuals are taken over safe columns (every tensor slot).
     """
     shift = tensor_shift(tensor_dim)
-    records: list[TensorRecord] = []
-    worst = 0.0
-    for k, l, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
-        a = word_operator(space, xi, eta)
-        case = classify_case(xi, eta)
-        lhs = ucp_pi_apply(space, tensor_dim, variant, a)
-        if variant == 2 and case == CASE_TWO:
-            t_op = (shift ** (k - 1)) @ (shift.conjugate().transpose() ** (l - 1))
-        else:
-            t_op = (shift**k) @ (shift.conjugate().transpose() ** l)
-        rhs = sp.kron(a.mat, t_op, format="csr")
-        diff = (lhs - rhs).tocsc()
-        fock_mask = _safe_columns(space, k, l, eta)
-        col_idx = [
-            b * tensor_dim + j
-            for b in np.flatnonzero(fock_mask)
-            for j in range(tensor_dim)
-        ]
-        sub = diff[:, col_idx]
-        resid = float(np.abs(sub.data).max()) if sub.nnz else 0.0
-        worst = max(worst, resid)
-        records.append(TensorRecord(xi, eta, case, resid))
+
+    def check(k, l, case, a):
+        drop = int(variant == 2 and case == CASE_TWO)
+        t_op = (shift ** (k - drop)) @ (shift.conjugate().transpose() ** (l - drop))
+        op = _from_triplets(space, a)
+        lhs = ucp_pi_apply(space, tensor_dim, variant, op)
+        return None, _triplets(lhs - sp.kron(op.mat, t_op, format="csr"))
+
+    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check], width=tensor_dim)
+    records = [TensorRecord(xi, eta, case, res[0][1]) for k, l, xi, eta, case, res in rows]
     return TensorReport(variant, records, worst)

@@ -126,6 +126,22 @@ def test_fock_verify_guard_no_safe_domain(capsys):
     assert "no safe pairs" in err
 
 
+def test_fock_verify_negative_max_word_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "fock-verify",
+        "-s",
+        "geometric:0.5",
+        "--space",
+        '{"factors":[1,1],"max_len":3}',
+        "--max-word",
+        "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:") and "max_word" in err
+
+
 def test_cs_bound(capsys):
     code, out, _ = run_cli(
         capsys,

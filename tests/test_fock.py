@@ -336,3 +336,17 @@ def test_right_word_appends(two_line):
     op = right_word(two_line, word)
     vac = two_line.index[()]
     assert dense(op)[two_line.index[word], vac] == 1
+
+
+def test_invalid_letters_rejected(two_line):
+    # factor 2 does not exist and factor 0 has one letter only
+    for bad in ((2, 0), (0, 1), (-1, 0)):
+        for make in (
+            lambda: creation(two_line, bad),
+            lambda: right_creation(two_line, bad),
+            lambda: left_word(two_line, ((0, 0), bad)),
+            lambda: right_word(two_line, (bad,)),
+            lambda: word_operator(two_line, ((1, 0),), (bad,)),
+        ):
+            with pytest.raises(ValueError, match="invalid letter"):
+                make()

@@ -252,15 +252,6 @@ def test_difference_sum_bounded_by_norms():
         assert total <= rep.trace_norm_h + rep.trace_norm_k + 1e-10
 
 
-def test_singular_values_csv_format():
-    rep = c_norm(Indicator(1))
-    text = hankel_mod.singular_values_csv(rep.singular_values_h)
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,sigma"
-    assert lines[1].startswith("0,")
-    assert len(lines) == 1 + len(rep.singular_values_h)
-
-
 def test_reports_record_route():
     rep = c_norm(Indicator(3)).to_obj()
     assert rep["route"] == "support" and rep["error_bound"] == 0.0

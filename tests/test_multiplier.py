@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial_mult import (
     CASE_ONE,
@@ -230,6 +232,22 @@ def test_rank_cap():
     assert len(plan.decomposition_k.terms) == 1
 
 
+def test_negative_rank_cap_rejected():
+    # a negative cap would slice terms from the end and drop them silently
+    with pytest.raises(ValueError, match="rank_cap"):
+        build_plan(Indicator(3), rank_cap=-1)
+
+
+def test_negative_max_word_rejected(line5):
+    plan = build_plan(Geometric(0.5))
+    with pytest.raises(ValueError, match="max_word"):
+        verify_eigenaction(plan, line5, -1)
+    with pytest.raises(ValueError, match="max_word"):
+        verify_component_eigenaction(plan, line5, -1)
+    with pytest.raises(ValueError, match="max_word"):
+        verify_ucp_relations(line5, line5.max_len + 1, 1, -1)
+
+
 def test_kraus_row_identity(pair4):
     rng = np.random.default_rng(42)
     for variant in (1, 2):
@@ -338,3 +356,61 @@ def test_eigen_report_serialization(line5):
     csv_text = report.to_csv()
     assert csv_text.startswith("xi,eta,case,k,l,expected_re,expected_im,residual")
     assert len(csv_text.strip().split("\n")) == 1 + len(report.records)
+
+
+# --- property: the kernel path equals the literal per-term sums -------------
+
+disk = st.builds(
+    lambda r, t: r * np.exp(1j * t),
+    st.floats(0.0, 0.9),
+    st.floats(0.0, 2 * np.pi),
+)
+small_complex = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+symbols = st.one_of(
+    st.builds(Geometric, disk),
+    st.builds(Indicator, st.integers(0, 6)),
+    st.builds(Finite, st.lists(small_complex, max_size=5).map(tuple), small_complex),
+    st.builds(
+        FromMeasure,
+        small_complex,
+        st.lists(st.tuples(disk.map(lambda s: 0.9 * s), small_complex), min_size=1, max_size=3)
+        .map(tuple)
+        .map(DiscreteMeasure),
+    ),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    factors = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    max_len = draw(st.integers(1, 4 if len(factors) < 3 else 3))
+    space = build_space(FockSpec(factors, max_len))
+    sym = draw(symbols)
+    cut = draw(st.sampled_from(["full", "rank_cap", "horizon"]))
+    if cut == "rank_cap":
+        plan = build_plan(sym, rank_cap=1)
+    elif cut == "horizon":
+        plan = build_plan(sym, horizon=max_len + draw(st.integers(0, 3)))
+    else:
+        plan = build_plan(sym)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nnz = draw(st.integers(1, 12))
+    data = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    rows, cols = rng.integers(0, space.dim, nnz), rng.integers(0, space.dim, nnz)
+    op = FockOperator(space, sp.csr_matrix((data, (rows, cols)), shape=(space.dim,) * 2))
+    return space, plan, op
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_kernel_path_matches_literal_sums(case):
+    space, plan, op = case
+    a = op.to_dense()
+    zero = np.zeros_like(a)
+    t1 = sum((phi1_apply(space, x, y, op).to_dense() for x, y in plan.decomposition_h.terms), zero)
+    t2 = sum((phi2_apply(space, z, w, op).to_dense() for z, w in plan.decomposition_k.terms), zero)
+    literal = {apply_T: plan.c * a + t1 + t2, apply_T1: t1, apply_T2: t2}
+    for fn, expected in literal.items():
+        scale = max(np.abs(expected).max(), np.abs(a).max())
+        err = np.abs(fn(plan, space, op).to_dense() - expected).max()
+        assert err <= 1e-12 * scale, (fn.__name__, err, scale)
