@@ -61,5 +61,6 @@ for sym, name in (
     rep = verify_doubling(sym)
     print(
         f"{name}: base norm {rep.base_total:.9f}, doubled two-step norm "
-        f"{rep.doubled_total:.9f}, constants ({rep.doubled.c1}, {rep.doubled.c2})"
+        f"{rep.doubled_total:.9f} ({rep.doubled.route} route), "
+        f"constants ({rep.doubled.c1}, {rep.doubled.c2})"
     )

@@ -88,6 +88,7 @@ from .multiplier import (
 )
 from .symbols import (
     DiscreteMeasure,
+    Doubled,
     Finite,
     FromMeasure,
     Geometric,

@@ -42,6 +42,7 @@ from .symbols import (
     measure_to_obj,
     symbol_from_obj,
     symbol_to_obj,
+    support_length,
 )
 
 SCHEMA = "radial-mult/1"
@@ -179,6 +180,19 @@ def cmd_fock_verify(args) -> int:
     return 0 if report.worst_residual <= args.tol else 2
 
 
+def eigenvalue_lower_bound(sym) -> float:
+    """max |phi(n)| over a window of indices, a lower bound for sup_n |phi(n)|.
+
+    A finite-support symbol is constant on the even and on the odd indices
+    from its support length on, so the window up to support + 2 covers both
+    parity tails and the bound is the sup itself.  Measure symbols never
+    settle; they scan n < 33, which still gives a valid lower bound.
+    """
+    length = support_length(sym)
+    window = 33 if length is None else length + 2
+    return max(abs(evaluate(sym, n)) for n in range(window))
+
+
 def cmd_cs_bound(args) -> int:
     sym = parse_symbol(args.symbol)
     spec = parse_space(args.space)
@@ -195,7 +209,7 @@ def cmd_cs_bound(args) -> int:
                 {"kind": kind, "index": i, "row": row, "col": col, "bound": bound}
             )
     bound_total = plan_cb_bound(plan)
-    lower = max(abs(evaluate(sym, n)) for n in range(33))
+    lower = eigenvalue_lower_bound(sym)
     obj = {
         "schema": SCHEMA,
         "command": "cs-bound",

@@ -4,17 +4,18 @@ Every symbol family has one exact, finite-dimensional route to the trace
 norms of its difference Hankel matrices:
 
 * support route: finite-support symbols (indicators, truncated geometrics,
-  finite data, parity tails) have differences that vanish beyond the
-  support, so one SVD at support + 2 holds the whole spectrum (heights
-  past SUPPORT_HEIGHT_CAP raise TooLarge).  Indicators skip the SVD: their
-  difference matrices are signed shifts with singular values and vectors
-  in closed form;
+  finite data, parity tails, and the Doubled form of any of these) have
+  differences that vanish beyond the support, so one SVD at support + 2
+  holds the whole spectrum (heights past SUPPORT_HEIGHT_CAP raise
+  TooLarge).  Indicators skip the SVD: their difference matrices are signed
+  shifts with singular values and vectors in closed form;
 * Vandermonde route: a measure symbol phi(n) = c + sum_a w_a s_a**n has
   H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
   theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
   below rounding, the nonzero singular values of H are those of the small
   matrix R diag(d) R^T, and the rows dropped past M move the trace norm by
-  at most the reported geometric-tail bound.
+  at most the reported geometric-tail bound.  The Doubled form of a
+  measure symbol is the measure with atoms +-sqrt(s) and weights w/2.
 
 The same factorization feeds the rank-one decompositions used to assemble
 multiplier maps.
@@ -123,8 +124,9 @@ class RankOneDecomposition:
 
     def reconstruct(self, dim: int) -> np.ndarray:
         out = np.zeros((dim, dim), dtype=complex)
-        for x, y in self.terms:
-            out += np.outer(x, y.conj())
+        if self.terms:
+            x, y = (np.array(v) for v in zip(*self.terms))
+            out[: x.shape[1], : y.shape[1]] = x.T @ y.conj()
         return out
 
 
@@ -347,7 +349,9 @@ def cprime_norm(sym: RadialSymbol, tol: float = 1e-10) -> CPrimeReport:
     c1 = (even + odd)/2 and c2 = (even - odd)/2.  The two-step differences
     of every parity-tail symbol vanish beyond its stored values, so it takes
     the support route; measure symbols take the Vandermonde route with
-    d = w(1-s^2).  ``tol`` is only checked to be positive.
+    d = w(1-s^2).  So does a Doubled measure symbol with a tail c: its
+    c (1 + (-1)**n)/2 part is annihilated by the two-step difference and
+    enters only as c1 = c2 = c/2.  ``tol`` is only checked to be positive.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -10,13 +10,11 @@ norm of the doubled symbol equals the original symbol norm).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from .errors import UnsupportedRepresentation
 from .hankel import CPrimeReport, HankelReport, c_norm, cprime_norm
 from .symbols import (
-    ATOM_BOUNDARY_MARGIN,
     DiscreteMeasure,
     Finite,
     FromMeasure,
@@ -25,10 +23,8 @@ from .symbols import (
     RadialSymbol,
     double,
     evaluate,
-    measure_atoms,
     measure_from_obj,
     measure_to_obj,
-    tail_constant,
 )
 
 __all__ = [
@@ -135,34 +131,16 @@ def representation_for(sym: RadialSymbol) -> tuple[complex, DiscreteMeasure]:
     )
 
 
-def _doubled(sym: RadialSymbol) -> RadialSymbol:
-    """The doubled symbol, as a measure symbol where one represents it.
-
-    Without a tail, sum_j w_j s_j**n doubles to sum_j (w_j/2) (r_j**m +
-    (-r_j)**m) with r_j**2 = s_j: the odd terms cancel and the even ones
-    are w_j s_j**(m/2).  Its two-step norm then takes the Vandermonde route,
-    whose cost hardly depends on |s|, instead of an SVD of double()'s
-    stored values, which grows with the cube of their horizon.  Symbols
-    with a tail, and roots within ATOM_BOUNDARY_MARGIN of the unit circle,
-    go through double().
-    """
-    if isinstance(sym, (Geometric, FromMeasure)) and tail_constant(sym) == 0:
-        roots = [(cmath.sqrt(s), w / 2) for s, w in measure_atoms(sym)]
-        if all(abs(r) < 1.0 - ATOM_BOUNDARY_MARGIN for r, _ in roots):
-            atoms = tuple(atom for r, w in roots for atom in ((r, w), (-r, w)))
-            return FromMeasure(0.0 + 0.0j, DiscreteMeasure(atoms))
-    return double(sym)
-
-
 def verify_doubling(sym: RadialSymbol, tol: float = 1e-8) -> DoublingReport:
     """Check that doubling preserves the norm within tol.
 
-    The doubled symbol is that of double(), except that measure symbols
-    without a tail double to the equivalent measure symbol (see _doubled).
+    The doubled side is the two-step-difference norm of double(sym), so a
+    measure symbol takes the Vandermonde route with atoms +-sqrt(s) on both
+    sides, tail or not.
     """
     inner_tol = min(tol, 1e-9)
     base = c_norm(sym, inner_tol)
-    doubled = cprime_norm(_doubled(sym), inner_tol)
+    doubled = cprime_norm(double(sym), inner_tol)
     return DoublingReport(
         base_total=base.total,
         doubled_total=doubled.total,

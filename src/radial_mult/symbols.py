@@ -3,8 +3,8 @@
 A symbol is given either by a closed-form family (geometric, indicator,
 truncated geometric) or by finite data plus explicit tail behaviour.  The
 module evaluates symbols, extracts their tail constants, sums the
-alternating difference series ``psi1``/``psi2``, and implements the
-index-doubling construction that interleaves a symbol with zeros.
+alternating difference series ``psi1``/``psi2``, and implements index
+doubling, phi~(2n) = phi(n) and phi~(2n+1) = 0, as the ``Doubled`` family.
 """
 
 from __future__ import annotations
@@ -13,23 +13,11 @@ import cmath
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NonConvergent, TooLarge, UnsupportedTail
+from .errors import NonConvergent, UnsupportedTail
 
 # Margin keeping measure atoms away from the unit circle, where the
 # weight |1-s|/(1-|s|) blows up.
 ATOM_BOUNDARY_MARGIN = 1e-6
-
-# Stored-value horizons for double(): entries are kept until the symbol is
-# within this distance of its tail, and never fewer than covers n <= 64.
-DOUBLE_DECAY_EPS = 1e-17
-DOUBLE_MIN_HALF_HORIZON = 66
-DOUBLE_HORIZON_CAP = 100_000
-
-
-def _as_complex(z) -> complex:
-    return complex(z)
 
 
 def _finite_complex(z, what: str) -> complex:
@@ -131,9 +119,7 @@ class FromMeasure:
 class ParityTail:
     """Explicit leading values, then separate constant tails on even/odd indices.
 
-    This is the natural output of double() applied to a symbol with a
-    non-zero tail: the doubled symbol is 2-periodic at infinity and has no
-    single tail constant.
+    Such a symbol is 2-periodic at infinity and has no single tail constant.
     """
 
     values: tuple[complex, ...]
@@ -148,8 +134,29 @@ class ParityTail:
         object.__setattr__(self, "tail_odd", _finite_complex(self.tail_odd, "odd tail"))
 
 
+@dataclass(frozen=True)
+class Doubled:
+    """The index doubling of ``base``: phi~(2n) = phi(n) and phi~(2n+1) = 0.
+
+    A base tail c makes the doubled symbol 2-periodic at infinity with
+    even/odd limits (c, 0), so its two-step-difference constants are
+    c1 = c2 = c/2.  A base whose even and odd tails differ is rejected with
+    UnsupportedTail: its doubling would be 4-periodic at infinity.
+    """
+
+    base: RadialSymbol
+
+    def __post_init__(self):
+        even, odd = parity_tails(self.base)
+        if even != odd:
+            raise UnsupportedTail(
+                "cannot double a symbol whose even/odd tails differ "
+                "(the result would be 4-periodic at infinity)"
+            )
+
+
 RadialSymbol = (
-    Geometric | Indicator | TruncatedGeometric | Finite | FromMeasure | ParityTail
+    Geometric | Indicator | TruncatedGeometric | Finite | FromMeasure | ParityTail | Doubled
 )
 
 
@@ -174,6 +181,8 @@ def evaluate(sym: RadialSymbol, n: int) -> complex:
         if n < len(sym.values):
             return sym.values[n]
         return sym.tail_even if n % 2 == 0 else sym.tail_odd
+    if isinstance(sym, Doubled):
+        return 0j if n % 2 else evaluate(sym.base, n // 2)
     raise TypeError(f"not a radial symbol: {sym!r}")
 
 
@@ -187,6 +196,8 @@ def parity_tails(sym: RadialSymbol) -> tuple[complex, complex]:
         return sym.c, sym.c
     if isinstance(sym, ParityTail):
         return sym.tail_even, sym.tail_odd
+    if isinstance(sym, Doubled):
+        return parity_tails(sym.base)[0], 0j
     raise TypeError(f"not a radial symbol: {sym!r}")
 
 
@@ -215,15 +226,27 @@ def support_length(sym: RadialSymbol) -> int | None:
         return 0
     if isinstance(sym, (Geometric, FromMeasure)):
         return None
+    if isinstance(sym, Doubled):
+        length = support_length(sym.base)
+        return None if length is None else 2 * length
     raise TypeError(f"not a radial symbol: {sym!r}")
 
 
 def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
-    """Atoms (s, w) with phi(n) = tail + sum w * s**n, for the measure families."""
+    """Atoms (s, w) with phi(n) = tail + sum w * s**n, for the measure families.
+
+    A doubled measure symbol has the atoms (+-sqrt(s), w/2): w s**(m/2) for
+    even m and 0 for odd m is (w/2) (r**m + (-r)**m) with r**2 = s.  Its
+    tail c doubles to c (1 + (-1)**m)/2, which the parity tails carry, not
+    the atoms.
+    """
     if isinstance(sym, Geometric):
         return ((sym.s, 1.0 + 0.0j),)
     if isinstance(sym, FromMeasure):
         return sym.measure.atoms
+    if isinstance(sym, Doubled):
+        roots = [(cmath.sqrt(s), w / 2) for s, w in measure_atoms(sym.base)]
+        return tuple(atom for r, w in roots for atom in ((r, w), (-r, w)))
     raise TypeError(f"{type(sym).__name__} has no measure representation")
 
 
@@ -241,15 +264,15 @@ def psi1(sym: RadialSymbol, n: int, tol: float = 1e-10) -> complex:
         raise ValueError("tolerance must be positive")
     if n < 0:
         raise ValueError("index must be non-negative")
-    length = support_length(sym)
-    if length is None:
-        return sum((w * s**n / (1.0 + s) for s, w in measure_atoms(sym)), 0.0 + 0.0j)
     even, odd = parity_tails(sym)
     if even != odd:
         raise NonConvergent(
             f"difference terms tend to +-{even - odd} (even/odd tails differ), "
             "so the series diverges"
         )
+    length = support_length(sym)
+    if length is None:
+        return sum((w * s**n / (1.0 + s) for s, w in measure_atoms(sym)), 0.0 + 0.0j)
     return sum(
         (evaluate(sym, i) - evaluate(sym, i + 1) for i in range(n, length, 2)),
         0.0 + 0.0j,
@@ -261,77 +284,16 @@ def psi2(sym: RadialSymbol, n: int, tol: float = 1e-10) -> complex:
     return psi1(sym, n + 1, tol)
 
 
-def _decay_half_horizon(sym: RadialSymbol) -> int:
-    """Smallest index beyond which |phi(n) - even tail| <= DOUBLE_DECAY_EPS."""
-    if isinstance(sym, Geometric):
-        radius = abs(sym.s)
-        scale = 1.0
-    elif isinstance(sym, FromMeasure):
-        if not sym.measure.atoms:
-            return 1
-        radius = max(abs(s) for s, _ in sym.measure.atoms)
-        scale = max(sum(abs(w) for _, w in sym.measure.atoms), 1.0)
-    else:
-        raise TypeError(f"no decay estimate for {type(sym).__name__}")
-    if radius == 0.0:
-        return 1
-    horizon = int(np.ceil(np.log(DOUBLE_DECAY_EPS / scale) / np.log(radius))) + 1
-    return max(horizon, 1)
-
-
-def _interleave(values) -> tuple[complex, ...]:
-    out = []
-    for v in values:
-        out.append(_as_complex(v))
-        out.append(0.0 + 0.0j)
-    return tuple(out)
-
-
-def double(sym: RadialSymbol, horizon: int | None = None) -> RadialSymbol:
+def double(sym: RadialSymbol) -> RadialSymbol:
     """The symbol with phi~(2n) = phi(n) and phi~(2n+1) = 0.
 
-    Families with finite support double exactly.  Decaying families are
-    stored as explicit values out to ``horizon`` original indices (default:
-    until the symbol is within DOUBLE_DECAY_EPS of its tail, at least 66).
-    A non-zero tail c makes the doubled symbol 2-periodic at infinity, so
-    the result is a ParityTail carrying the even/odd limits (c, 0); the
-    associated two-step-difference constants are then c1 = c2 = c/2.
+    Indicators keep their closed form, Indicator(2 n0); every other symbol
+    becomes Doubled(sym), which evaluates, and takes its exact norm route,
+    through its base.
     """
     if isinstance(sym, Indicator):
         return Indicator(2 * sym.n0)
-    if isinstance(sym, TruncatedGeometric):
-        vals = _interleave(evaluate(sym, k) for k in range(sym.n0 + 1))
-        return Finite(vals, 0.0 + 0.0j)
-    if isinstance(sym, Finite):
-        vals = _interleave(sym.values)
-        if sym.tail == 0:
-            return Finite(vals, 0.0 + 0.0j)
-        return ParityTail(vals, sym.tail, 0.0 + 0.0j)
-    if isinstance(sym, ParityTail):
-        if sym.tail_even != sym.tail_odd:
-            raise UnsupportedTail(
-                "cannot double a symbol whose even/odd tails differ "
-                "(the result would be 4-periodic at infinity)"
-            )
-        vals = _interleave(sym.values)
-        if sym.tail_even == 0:
-            return Finite(vals, 0.0 + 0.0j)
-        return ParityTail(vals, sym.tail_even, 0.0 + 0.0j)
-    if isinstance(sym, (Geometric, FromMeasure)):
-        half = horizon if horizon is not None else max(
-            _decay_half_horizon(sym), DOUBLE_MIN_HALF_HORIZON
-        )
-        if half > DOUBLE_HORIZON_CAP:
-            raise TooLarge(
-                f"doubling would require {half} stored values "
-                f"(cap {DOUBLE_HORIZON_CAP}); pass an explicit horizon"
-            )
-        vals = _interleave(evaluate(sym, k) for k in range(half))
-        c = tail_constant(sym)
-        if c == 0:
-            return Finite(vals, 0.0 + 0.0j)
-        return ParityTail(vals, c, 0.0 + 0.0j)
-    raise TypeError(f"not a radial symbol: {sym!r}")
+    return Doubled(sym)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +352,8 @@ def symbol_to_obj(sym: RadialSymbol) -> dict:
             "tail_even": _cplx_out(sym.tail_even),
             "tail_odd": _cplx_out(sym.tail_odd),
         }
+    if isinstance(sym, Doubled):
+        return {"family": "doubled", "base": symbol_to_obj(sym.base)}
     raise TypeError(f"not a radial symbol: {sym!r}")
 
 
@@ -411,6 +375,8 @@ def symbol_from_obj(obj: dict) -> RadialSymbol:
             _cplx_in(obj["tail_even"]),
             _cplx_in(obj["tail_odd"]),
         )
+    if family == "doubled":
+        return Doubled(symbol_from_obj(obj["base"]))
     raise ValueError(f"unknown symbol family {obj.get('family')!r}")
 
 

@@ -4,8 +4,15 @@ import sys
 
 import pytest
 
-from radial_mult.cli import main, parse_symbol
-from radial_mult.symbols import Finite, Geometric, Indicator, TruncatedGeometric
+from radial_mult.cli import eigenvalue_lower_bound, main, parse_symbol
+from radial_mult.symbols import (
+    Finite,
+    Geometric,
+    Indicator,
+    ParityTail,
+    TruncatedGeometric,
+    double,
+)
 
 
 def run_cli(capsys, *argv):
@@ -81,11 +88,7 @@ def test_non_finite_symbol_exits_1(capsys, spec):
     "argv",
     [
         ("norm", "-s", "indicator:100000"),
-        (
-            "integral-check",
-            "-s",
-            '{"family": "from_measure", "c": 1, "measure": [{"s": 0.999, "w": 1}]}',
-        ),
+        ("integral-check", "-s", "truncgeom:0.5,5000"),
     ],
 )
 def test_support_height_cap_exits_1(capsys, argv):
@@ -156,6 +159,17 @@ def test_cs_bound(capsys):
     assert abs(obj["plan_cb_bound"] - 3.0) < 1e-8
     assert abs(obj["eigenvalue_lower_bound"] - 1.0) < 1e-12
     assert obj["terms"]
+
+
+def test_eigenvalue_lower_bound_scans_the_whole_support():
+    # indices past 32 count for finite support, tails of both parities too
+    assert eigenvalue_lower_bound(Indicator(40)) == 1.0
+    assert eigenvalue_lower_bound(double(Indicator(40))) == 1.0
+    assert eigenvalue_lower_bound(double(TruncatedGeometric(0.5, 30))) == 1.0
+    assert eigenvalue_lower_bound(Finite((0.0,) * 50 + (-2.0,), 0.5)) == 2.0
+    assert eigenvalue_lower_bound(ParityTail((0.0,) * 40, 0.5, -3.0)) == 3.0
+    # measure symbols keep the n < 33 window, a valid lower bound
+    assert eigenvalue_lower_bound(Geometric(-0.5)) == 1.0
 
 
 def test_integral_check_measure_and_doubling(capsys):

@@ -1,25 +1,37 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial_mult import (
     DiscreteMeasure,
+    Doubled,
     Finite,
     FromMeasure,
     Geometric,
     Indicator,
-    TooLarge,
+    NonConvergent,
+    ParityTail,
     TruncatedGeometric,
     UnsupportedRepresentation,
     c_norm,
+    cprime_norm,
+    double,
     eval_measure,
     evaluate,
+    psi1,
     representation_for,
+    symbol_from_json,
+    symbol_to_json,
+    tail_constant,
     verify_doubling,
     verify_membership_bound,
     weight,
 )
+from radial_mult.symbols import support_length
 
 DELTA_HALF = DiscreteMeasure(((0.5, 1.0),))
 
@@ -156,11 +168,12 @@ def test_doubling_of_measure_without_tail_takes_vandermonde_route():
         assert abs(rep.doubled_total - rep.base_total) <= 1e-10 * rep.base_total
 
 
-def test_doubling_with_tail_near_unit_circle_too_large():
-    # double() stores about 39,000 half-values, so the doubled symbol's
-    # support route would need a matrix past the height cap
-    with pytest.raises(TooLarge):
-        verify_doubling(FromMeasure(1.0, DiscreteMeasure(((0.999, 1.0),))))
+def test_doubling_with_tail_near_unit_circle_holds():
+    # the tail moves to the parity constants, so the doubled symbol keeps
+    # the Vandermonde route of its atoms +-sqrt(s)
+    rep = verify_doubling(FromMeasure(1.0, DiscreteMeasure(((0.999, 1.0),))))
+    assert rep.holds and rep.doubled.route == "vandermonde"
+    assert abs(rep.doubled_total - rep.base_total) <= 1e-10
 
 
 def test_measure_json_roundtrip():
@@ -185,3 +198,49 @@ def test_doubling_across_families():
     for sym in samples:
         rep = verify_doubling(sym)
         assert rep.holds, type(sym).__name__
+
+
+disk = st.builds(cmath.rect, st.floats(0.0, 0.999), st.floats(0.0, 2 * np.pi))
+small_complex = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+tails = st.one_of(st.just(0j), small_complex)
+values = st.lists(small_complex, max_size=8).map(tuple)
+base_symbols = st.one_of(
+    st.builds(Geometric, disk),
+    st.builds(Indicator, st.integers(0, 300)),
+    st.builds(TruncatedGeometric, st.floats(0.01, 0.99), st.integers(0, 40)),
+    st.builds(Finite, values, tails),
+    st.builds(
+        FromMeasure,
+        tails,
+        st.lists(st.tuples(disk, small_complex), max_size=4).map(
+            lambda atoms: DiscreteMeasure(tuple(atoms))
+        ),
+    ),
+    st.builds(lambda vals, tail: ParityTail(vals, tail, tail), values, tails),
+)
+all_symbols = st.one_of(
+    base_symbols,
+    base_symbols.filter(lambda sym: tail_constant(sym) == 0).map(Doubled),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(all_symbols)
+def test_doubling_properties(sym):
+    doubled = double(sym)
+    for n in range(max(60, (support_length(sym) or 0) + 2)):
+        assert evaluate(doubled, 2 * n) == evaluate(sym, n)
+        assert evaluate(doubled, 2 * n + 1) == 0
+
+    base = c_norm(sym).total
+    assert abs(cprime_norm(doubled).total - base) <= 1e-9 * max(1.0, base)
+    # hhat = h + k, and equal tails give |c1| + |c2| = |c|
+    assert cprime_norm(sym).total <= base + 1e-9 * max(1.0, base)
+
+    if tail_constant(sym) == 0:
+        psi1(doubled, 0)
+    else:
+        with pytest.raises(NonConvergent):
+            psi1(doubled, 0)
+
+    assert symbol_from_json(symbol_to_json(doubled)) == doubled

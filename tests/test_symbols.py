@@ -5,6 +5,7 @@ import pytest
 
 from radial_mult import (
     DiscreteMeasure,
+    Doubled,
     Finite,
     FromMeasure,
     Geometric,
@@ -182,10 +183,18 @@ def test_double_special_forms():
 
 def test_double_nonzero_tail_gets_parity_constants():
     doubled = double(Finite((), 1.0))
-    assert isinstance(doubled, ParityTail)
+    assert isinstance(doubled, Doubled)
     assert parity_tails(doubled) == (1.0, 0.0)
     with pytest.raises(UnsupportedTail):
         tail_constant(doubled)
+
+
+def test_double_rejects_differing_parity_tails():
+    # the doubled symbol would be 4-periodic at infinity
+    with pytest.raises(UnsupportedTail):
+        double(ParityTail((), 1.0, 0.0))
+    with pytest.raises(UnsupportedTail):
+        Doubled(ParityTail((), 1.0, 0.0))
 
 
 def test_double_of_measure_with_constant():
