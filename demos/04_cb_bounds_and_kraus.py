@@ -15,7 +15,7 @@ from radial_mult import (
     build_space,
     c_norm,
     cs_bound,
-    evaluate,
+    eigenvalue_lower_bound,
     kraus_row_sum,
     plan_cb_bound,
 )
@@ -45,7 +45,7 @@ for s in (0.5, -0.5):
     plan = build_plan(sym)
     bound = plan_cb_bound(plan)
     total = c_norm(sym).total
-    lower = max(abs(evaluate(sym, n)) for n in range(33))
+    lower = eigenvalue_lower_bound(sym)
     print(
         f"s = {s:+.1f}: sup |phi| = {lower:.3f} <= plan bound {bound:.6f} "
         f"= symbol norm {total:.6f}"

@@ -97,6 +97,7 @@ from .symbols import (
     RadialSymbol,
     TruncatedGeometric,
     double,
+    eigenvalue_lower_bound,
     evaluate,
     parity_tails,
     psi1,

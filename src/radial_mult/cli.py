@@ -37,12 +37,11 @@ from .symbols import (
     Indicator,
     TruncatedGeometric,
     _cplx_in,
-    evaluate,
+    eigenvalue_lower_bound,
     measure_from_obj,
     measure_to_obj,
     symbol_from_obj,
     symbol_to_obj,
-    support_length,
 )
 
 SCHEMA = "radial-mult/1"
@@ -72,14 +71,22 @@ def _load_json_arg(text: str):
     return json.loads(text)
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive ``--tol``; anything else is a usage error."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive: {text!r}")
+    return value
+
+
 def parse_symbol(text: str):
     """Symbol shorthand: family:args, inline JSON, or @file with JSON."""
     text = text.strip()
-    if text.startswith("@") or text.startswith("{"):
-        return symbol_from_obj(_load_json_arg(text))
     family, _, arg = text.partition(":")
     fam = family.lower().replace("-", "_")
     try:
+        if text.startswith("@") or text.startswith("{"):
+            return symbol_from_obj(_load_json_arg(text))
         if fam == "geometric":
             return Geometric(_parse_complex(arg))
         if fam == "indicator":
@@ -90,12 +97,10 @@ def parse_symbol(text: str):
         if fam == "constant":
             return Finite((), _parse_complex(arg))
         if fam in ("finite", "from_measure", "parity_tail"):
-            obj = _load_json_arg(arg)
-            obj.setdefault("family", fam)
-            return symbol_from_obj(obj)
+            return symbol_from_obj({"family": fam, **_load_json_arg(arg)})
     except CliError:
         raise
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         raise CliError(f"bad symbol spec {text!r}: {exc}") from exc
     raise CliError(f"unknown symbol family {family!r}")
 
@@ -166,7 +171,7 @@ def cmd_fock_verify(args) -> int:
             f"{spec.max_len}: no safe pairs to verify"
         )
     space = build_space(spec)
-    plan = build_plan(sym, args.tol)
+    plan = build_plan(sym)
     report = verify_eigenaction(plan, space, args.max_word)
     obj = {
         "schema": SCHEMA,
@@ -180,24 +185,11 @@ def cmd_fock_verify(args) -> int:
     return 0 if report.worst_residual <= args.tol else 2
 
 
-def eigenvalue_lower_bound(sym) -> float:
-    """max |phi(n)| over a window of indices, a lower bound for sup_n |phi(n)|.
-
-    A finite-support symbol is constant on the even and on the odd indices
-    from its support length on, so the window up to support + 2 covers both
-    parity tails and the bound is the sup itself.  Measure symbols never
-    settle; they scan n < 33, which still gives a valid lower bound.
-    """
-    length = support_length(sym)
-    window = 33 if length is None else length + 2
-    return max(abs(evaluate(sym, n)) for n in range(window))
-
-
 def cmd_cs_bound(args) -> int:
     sym = parse_symbol(args.symbol)
     spec = parse_space(args.space)
     space = build_space(spec)
-    plan = build_plan(sym, args.tol)
+    plan = build_plan(sym)
     terms = []
     for kind, dec, variant in (
         ("h", plan.decomposition_h, 1),
@@ -296,7 +288,9 @@ def cmd_integral_check(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="radial-mult", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10, help="tolerance (default 1e-10)")
+    common.add_argument(
+        "--tol", type=_tolerance, default=1e-10, help="tolerance (default 1e-10)"
+    )
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")

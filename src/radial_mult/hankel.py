@@ -229,8 +229,13 @@ H, K, HHAT = (0, 1), (1, 1), (0, 2)
 
 
 def _diagonal(s: np.ndarray, w: np.ndarray, offset: int, step: int) -> np.ndarray:
-    """d(s, w) with V diag(d) V^T equal to the (offset, step) difference matrix."""
-    return w * s**offset * (1 - s**step)
+    """d(s, w) with V diag(d) V^T equal to the (offset, step) difference matrix.
+
+    1 - s**2 is formed as (1 - s)(1 + s): the difference cancels for s near
+    1, the product keeps full relative accuracy.
+    """
+    factor = (1 - s) * (1 + s) if step == 2 else 1 - s**step
+    return w * s**offset * factor
 
 
 def _chain_angles(n: int) -> np.ndarray:

@@ -8,6 +8,9 @@ difference Hankel matrices plus the tail constant c.  The induced map
 acts on operators over a truncated word space and rescales each
 word-pair operator L_xi L_eta^* by the symbol value at the pair's
 combined length (shifted by one when the last letters share a factor).
+A plan is the symbol's exact decomposition: its vectors end at the height
+of the symbol's exact route, past which the differences vanish or lie
+below rounding, so one plan serves word spaces of every length.
 ``apply_T`` and the verifiers sum each decomposition once into level
 kernels, so their cost does not depend on the plan's rank;
 ``phi1_apply``/``phi2_apply`` keep the per-term formula as the reference.
@@ -47,9 +50,6 @@ from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
 
 DENSE_EIG_LIMIT = 512
 
-# Plan vectors hold at least this many entries, so a plan built without an
-# explicit horizon covers every space with max_len up to 32.
-MIN_VECTOR_HORIZON = 32
 # Longest plan vectors built; atoms with |s| above about 1 - 3.4e-5 would
 # need more.
 VECTOR_HORIZON_CAP = 1 << 20
@@ -63,9 +63,6 @@ class MultiplierPlan:
     decomposition_h: RankOneDecomposition
     decomposition_k: RankOneDecomposition
     c: complex
-    rank_cap: int | None
-    vector_horizon: int
-    beyond_horizon_mass: float
 
 
 @dataclass
@@ -152,57 +149,24 @@ class TensorReport:
 # ---------------------------------------------------------------------------
 
 
-def build_plan(
-    sym: RadialSymbol,
-    tol: float = 1e-10,
-    horizon: int | None = None,
-    rank_cap: int | None = None,
-) -> MultiplierPlan:
+def build_plan(sym: RadialSymbol) -> MultiplierPlan:
     """Decompose both difference Hankel matrices into rank-one terms.
 
-    The vectors are as long as the symbol's exact route needs (support + 2,
-    or the Vandermonde horizon of a measure symbol), at least
-    MIN_VECTOR_HORIZON, and enlarged to ``horizon`` when that is bigger.
-    When ``horizon`` is smaller, the stored vectors are cut to that many
-    entries and the discarded correlation mass is reported in
-    ``beyond_horizon_mass`` so callers can tell whether eigenvalue sums
-    were affected.  ``tol`` is only checked to be positive.
+    The vectors are as long as the symbol's exact route needs: support + 2,
+    or the Vandermonde horizon M of a measure symbol.  Past that height the
+    differences vanish, or lie below rounding, so the plan applies on a
+    space of any length.  Raises TooLarge when the vectors would need more
+    than VECTOR_HORIZON_CAP entries.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     c = tail_constant(sym)
-    m = max(exact_route(sym)[1], MIN_VECTOR_HORIZON)
+    m = exact_route(sym)[1]
     if m > VECTOR_HORIZON_CAP:
         raise TooLarge(
             f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
             "atoms too close to the unit circle"
         )
-    if horizon is not None:
-        if horizon < 1:
-            raise ValueError("horizon must be positive")
-        m = max(m, horizon)
-    if rank_cap is not None and rank_cap < 0:
-        raise ValueError("rank_cap must be non-negative")
     dec_h, dec_k = difference_decompositions(sym, m)
-    if rank_cap is not None:
-        dec_h, dec_k = (
-            RankOneDecomposition(d.terms[:rank_cap], _nuclear(d.terms[:rank_cap]))
-            for d in (dec_h, dec_k)
-        )
-    beyond = 0.0
-    if horizon is not None and horizon < m:
-        dec_h, lost_h = _truncate_terms(dec_h, horizon)
-        dec_k, lost_k = _truncate_terms(dec_k, horizon)
-        beyond = lost_h + lost_k
-    return MultiplierPlan(
-        symbol=sym,
-        decomposition_h=dec_h,
-        decomposition_k=dec_k,
-        c=c,
-        rank_cap=rank_cap,
-        vector_horizon=horizon if horizon is not None else m,
-        beyond_horizon_mass=beyond,
-    )
+    return MultiplierPlan(symbol=sym, decomposition_h=dec_h, decomposition_k=dec_k, c=c)
 
 
 def _stack(terms) -> tuple[np.ndarray, np.ndarray]:
@@ -211,30 +175,13 @@ def _stack(terms) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
-def _nuclear(terms) -> float:
-    """sum_i ||x_i|| ||y_i||."""
-    if not terms:
-        return 0.0
-    x, y = _stack(terms)
-    return float(np.sum(np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)))
-
-
-def _truncate_terms(dec: RankOneDecomposition, horizon: int):
-    if not dec.terms:
-        return dec, 0.0
-    x, y = _stack(dec.terms)
-    lost = np.sum(
-        np.linalg.norm(x[:, horizon:], axis=1) * np.linalg.norm(y, axis=1)
-        + np.linalg.norm(x[:, :horizon], axis=1) * np.linalg.norm(y[:, horizon:], axis=1)
-    )
-    terms = list(zip(x[:, :horizon], y[:, :horizon]))
-    return RankOneDecomposition(terms, _nuclear(terms)), float(lost)
-
-
 def plan_cb_bound(plan: MultiplierPlan) -> float:
-    """Upper bound sum_i ||x_i|| ||y_i|| + sum_i ||z_i|| ||w_i|| + |c|."""
-    terms = plan.decomposition_h.terms, plan.decomposition_k.terms
-    return abs(plan.c) + _nuclear(terms[0]) + _nuclear(terms[1])
+    """Upper bound sum_i ||x_i|| ||y_i|| + sum_i ||z_i|| ||w_i|| + |c|.
+
+    Each term carries sqrt(sigma_i) on both sides, so the sums are the
+    decompositions' nuclear_sum.
+    """
+    return abs(plan.c) + plan.decomposition_h.nuclear_sum + plan.decomposition_k.nuclear_sum
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +278,6 @@ def _kernels(plan: MultiplierPlan, space: FockSpace, c=0.0, h=False, k=False):
     """(c, W, [(G, compressed)]) of the map c A + the chosen decompositions:
     T(A) = c A + A o W[lv_r, lv_c] + sum_n G[lv_r - n, lv_c - n] deep[n],
     with deep[n] = rho^n(A), or rho^(n-1)(eps(A)) for the compressed k part."""
-    if plan.vector_horizon < space.max_len:
-        raise DimensionMismatch(
-            f"plan horizon {plan.vector_horizon} does not cover max_len {space.max_len}"
-        )
     first = np.zeros((space.max_len + 1,) * 2, dtype=complex)
     deep = []
     parts = ((plan.decomposition_h, False, h), (plan.decomposition_k, True, k))

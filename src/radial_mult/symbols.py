@@ -2,9 +2,10 @@
 
 A symbol is given either by a closed-form family (geometric, indicator,
 truncated geometric) or by finite data plus explicit tail behaviour.  The
-module evaluates symbols, extracts their tail constants, sums the
-alternating difference series ``psi1``/``psi2``, and implements index
-doubling, phi~(2n) = phi(n) and phi~(2n+1) = 0, as the ``Doubled`` family.
+module evaluates symbols, extracts their tail constants, bounds sup |phi|
+from below, sums the alternating difference series ``psi1``/``psi2``, and
+implements index doubling, phi~(2n) = phi(n) and phi~(2n+1) = 0, as the
+``Doubled`` family.
 """
 
 from __future__ import annotations
@@ -230,6 +231,19 @@ def support_length(sym: RadialSymbol) -> int | None:
         length = support_length(sym.base)
         return None if length is None else 2 * length
     raise TypeError(f"not a radial symbol: {sym!r}")
+
+
+def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
+    """max |phi(n)| over a window of indices, a lower bound for sup_n |phi(n)|.
+
+    A finite-support symbol is constant on the even and on the odd indices
+    from its support length on, so the window up to support + 2 covers both
+    parity tails and the bound is the sup itself.  Measure symbols never
+    settle; they scan n < 33, which still gives a valid lower bound.
+    """
+    length = support_length(sym)
+    window = 33 if length is None else length + 2
+    return max(abs(evaluate(sym, n)) for n in range(window))
 
 
 def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:

@@ -23,6 +23,7 @@ from radial_mult import (
     classify_case,
     cprime_norm,
     double,
+    eigenvalue_lower_bound,
     eps,
     eval_measure,
     evaluate,
@@ -158,7 +159,7 @@ def test_criterion_07_cb_bound_chain():
         plan = build_plan(sym)
         bound = plan_cb_bound(plan)
         total = c_norm(sym).total
-        lower = max(abs(evaluate(sym, n)) for n in range(33))
+        lower = eigenvalue_lower_bound(sym)
         ok = ok and abs(bound - total) <= 1e-8 and lower <= bound + 1e-8
     check(7, "plan bound equals the symbol norm and dominates sup |phi|", ok)
 

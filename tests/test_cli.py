@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from radial_mult.cli import eigenvalue_lower_bound, main, parse_symbol
+from radial_mult.cli import main, parse_symbol
 from radial_mult.symbols import (
     Finite,
     Geometric,
@@ -12,6 +12,7 @@ from radial_mult.symbols import (
     ParityTail,
     TruncatedGeometric,
     double,
+    eigenvalue_lower_bound,
 )
 
 
@@ -85,6 +86,48 @@ def test_non_finite_symbol_exits_1(capsys, spec):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        '{"family":"doubled"}',
+        '{"n0":3}',
+        '{"family":"indicator","n0":null}',
+        '{"family":"doubled","base":3}',
+        "finite:[1]",
+    ],
+)
+def test_malformed_json_symbol_exits_1(capsys, spec):
+    code, out, err = run_cli(capsys, "norm", "-s", spec)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:")
+
+
+SPACE = '{"factors":[1,1],"max_len":3}'
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("norm", "-s", "geometric:0.5"),
+        ("fock-verify", "-s", "geometric:0.5", "--space", SPACE),
+        ("cs-bound", "-s", "geometric:0.5", "--space", SPACE),
+        ("integral-check", "--random-atoms", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "tol",
+    [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol=-inf",)],
+    ids=" ".join,
+)
+def test_bad_tolerance_exits_1(capsys, command, tol):
+    code, out, err = run_cli(capsys, *command, *tol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:") and "tol" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("norm", "-s", "indicator:100000"),
@@ -112,6 +155,22 @@ def test_fock_verify(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["report"]["worst_residual"] < 1e-10
+
+
+def test_fock_verify_past_the_plan_vectors(capsys):
+    # Indicator(2)'s plan stores 4 entries; the space reaches length 40
+    code, out, _ = run_cli(
+        capsys,
+        "fock-verify",
+        "-s",
+        "indicator:2",
+        "--space",
+        '{"factors":[1,1],"max_len":40}',
+        "--max-word",
+        "2",
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["worst_residual"] <= 1e-12
 
 
 def test_fock_verify_guard_no_safe_domain(capsys):

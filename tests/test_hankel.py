@@ -151,6 +151,13 @@ def test_c_norm_geometric_near_unit_circle():
     assert rep.route == "vandermonde" and rep.error_bound <= 1e-20
 
 
+def test_cprime_norm_near_unit_circle():
+    # 1 - s**2 cancels for s near 1; (1 - s)(1 + s) does not
+    sym = Geometric(0.999998)
+    assert abs(cprime_norm(sym).total - 1.0) <= 1e-14
+    assert abs(cprime_norm(double(sym)).total - c_norm(sym).total) <= 1e-14
+
+
 def test_support_route_height_cap():
     cap = hankel_mod.SUPPORT_HEIGHT_CAP
     assert hankel_mod.exact_route(Indicator(cap - 3)) == ("support", cap)
@@ -264,7 +271,7 @@ def test_measure_plan_terms_reconstruct_truncation():
     atoms = ((0.6, 1.0), (-0.4 + 0.3j, 0.5j), (0.6 + 1e-7, -1.0))
     sym = FromMeasure(0.25, DiscreteMeasure(atoms))
     plan = build_plan(sym)
-    m = plan.vector_horizon
+    m = hankel_mod.exact_route(sym)[1]
     for dec, dense in (
         (plan.decomposition_h, hankel_h(sym, m)),
         (plan.decomposition_k, hankel_k(sym, m)),

@@ -12,6 +12,8 @@ from radial_mult import (
     FromMeasure,
     Geometric,
     Indicator,
+    MultiplierPlan,
+    RankOneDecomposition,
     TooLarge,
     apply_T,
     apply_T1,
@@ -203,21 +205,6 @@ def test_component_values_by_hand(pair4):
             assert np.abs(t2[:, j] - lam2 * a.to_dense()[:, j]).max() < 1e-10
 
 
-def test_plan_requires_covering_horizon(line5):
-    plan = build_plan(Geometric(0.5), horizon=3)
-    with pytest.raises(DimensionMismatch):
-        apply_T(plan, line5, identity(line5))
-
-
-def test_horizon_truncation_reports_mass(line5):
-    full = build_plan(Geometric(0.5))
-    cut = build_plan(Geometric(0.5), horizon=line5.max_len + 8)
-    assert full.beyond_horizon_mass == 0.0
-    assert cut.beyond_horizon_mass > 0.0
-    report = verify_eigenaction(cut, line5, max_word=2)
-    assert report.worst_residual <= 10 * 1e-10 + cut.beyond_horizon_mass
-
-
 def test_plan_vector_cap():
     # |s| = 1 - 1e-5 needs a Vandermonde horizon of 2**22 rows
     with pytest.raises(TooLarge):
@@ -226,16 +213,14 @@ def test_plan_vector_cap():
         build_plan(Indicator(100_000))
 
 
-def test_rank_cap():
-    plan = build_plan(Indicator(2), rank_cap=1)
-    assert len(plan.decomposition_h.terms) == 1
-    assert len(plan.decomposition_k.terms) == 1
-
-
-def test_negative_rank_cap_rejected():
-    # a negative cap would slice terms from the end and drop them silently
-    with pytest.raises(ValueError, match="rank_cap"):
-        build_plan(Indicator(3), rank_cap=-1)
+def test_plan_applies_past_its_vectors():
+    # Indicator(2) stores 4 entries and Geometric(0.3) 32; the space reaches 40
+    space = build_space(FockSpec((1, 1), 40))
+    for sym in (Indicator(2), Geometric(0.3)):
+        plan = build_plan(sym)
+        assert len(plan.decomposition_h.terms[0][0]) <= space.max_len
+        report = verify_eigenaction(plan, space, max_word=2)
+        assert report.worst_residual <= 1e-12, sym
 
 
 def test_negative_max_word_rejected(line5):
@@ -386,14 +371,19 @@ def kernel_cases(draw):
     max_len = draw(st.integers(1, 4 if len(factors) < 3 else 3))
     space = build_space(FockSpec(factors, max_len))
     sym = draw(symbols)
-    cut = draw(st.sampled_from(["full", "rank_cap", "horizon"]))
-    if cut == "rank_cap":
-        plan = build_plan(sym, rank_cap=1)
-    elif cut == "horizon":
-        plan = build_plan(sym, horizon=max_len + draw(st.integers(0, 3)))
-    else:
-        plan = build_plan(sym)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        plan = build_plan(sym)
+    else:
+        # random terms with vectors shorter and longer than max_len + 1
+        def random_terms():
+            rank, length = draw(st.integers(1, 3)), draw(st.integers(1, max_len + 4))
+            shape = (rank, 2, length)
+            pairs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return RankOneDecomposition(list(map(tuple, pairs)), 0.0)
+
+        c = complex(rng.standard_normal())
+        plan = MultiplierPlan(sym, random_terms(), random_terms(), c)
     nnz = draw(st.integers(1, 12))
     data = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
     rows, cols = rng.integers(0, space.dim, nnz), rng.integers(0, space.dim, nnz)
