@@ -32,8 +32,7 @@ print("sample words:", [word_label(w) for w in space.basis[:9]])
 # --- creations are partial isometries -----------------------------------------
 
 L = creation(space, (0, 0))
-m = L.mat
-print("L L* L = L deviation:", abs((m @ m.getH() @ m - m).toarray()).max())
+print("L L* L = L deviation:", np.abs((L @ L.H @ L - L).to_dense()).max())
 
 # --- projections ---------------------------------------------------------------
 

@@ -110,6 +110,8 @@ def parse_measure(text: str) -> tuple[complex, DiscreteMeasure]:
     try:
         if isinstance(obj, list):
             return 0.0 + 0.0j, measure_from_obj(obj)
+        if not isinstance(obj, dict):
+            raise TypeError("expected an atom list or an object")
         return _cplx_in(obj.get("c", 0.0)), measure_from_obj(obj["measure"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad measure spec: {exc}") from exc
@@ -196,7 +198,9 @@ def cmd_cs_bound(args) -> int:
         ("k", plan.decomposition_k, 2),
     ):
         for i, (x, y) in enumerate(dec.terms):
-            row, col, bound = cs_bound(space, x, y, variant)
+            # the Cauchy-Schwarz bound is sqrt(row * col) = ||x|| ||y||
+            row, col, product = cs_bound(space, x, y, variant)
+            bound = float(np.sqrt(product))
             terms.append(
                 {"kind": kind, "index": i, "row": row, "col": col, "bound": bound}
             )

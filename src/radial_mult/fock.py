@@ -3,9 +3,9 @@
 Basis vectors are words: sequences of letters, each letter belonging to one
 of finitely many factors, with consecutive letters from distinct factors.
 Words of length up to ``max_len`` are kept; any creation that would exceed
-the cap yields zero.  All operators are sparse complex matrices in the
-graded-lexicographic word basis, so sparsity patterns and dumps are
-deterministic.
+the cap yields zero.  Every operator is a sparse complex matrix in the
+graded-lexicographic word basis, held as row-major COO triplets with one
+entry per position, so sparsity patterns and dumps are deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, TooLarge
 
@@ -123,65 +122,93 @@ def build_space(spec: FockSpec, cap: int = BASIS_CAP) -> FockSpace:
     return FockSpace(spec, basis, level_offsets)
 
 
+def _summed(row, col, data, ncols: int):
+    """Row-major triplets with one entry per position: the data of the
+    triplets sharing a position summed, zero sums dropped."""
+    keys, at = np.unique(row.astype(np.int64) * ncols + col, return_inverse=True)
+    summed = np.bincount(at, data.real, len(keys)) + 1j * np.bincount(at, data.imag, len(keys))
+    nz = summed != 0
+    return keys[nz] // ncols, keys[nz] % ncols, summed[nz]
+
+
 class FockOperator:
-    """A sparse complex matrix tied to one word space."""
+    """A sparse complex matrix tied to one word space.
 
-    __slots__ = ("space", "mat")
+    Built from COO triplets (row, col, data) whose positions may repeat;
+    it stores them summed and row-major, one non-zero entry per position.
+    """
 
-    def __init__(self, space: FockSpace, mat):
-        mat = sp.csr_matrix(mat, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise DimensionMismatch(
-                f"matrix shape {mat.shape} does not fit space of dim {space.dim}"
-            )
+    __slots__ = ("space", "row", "col", "data")
+
+    def __init__(self, space: FockSpace, triplets):
+        row, col, data = triplets
+        row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+        data = np.asarray(data, dtype=complex)
+        if not ((row >= 0) & (row < space.dim) & (col >= 0) & (col < space.dim)).all():
+            raise DimensionMismatch(f"triplet indices do not fit space of dim {space.dim}")
         self.space = space
-        self.mat = mat
+        self.row, self.col, self.data = _summed(row, col, data, space.dim)
 
     def _check(self, other: "FockOperator"):
         if self.space is not other.space and self.space.spec != other.space.spec:
             raise DimensionMismatch("operators live on different spaces")
 
     @property
-    def nnz(self) -> int:
-        return self.mat.nnz
+    def triplets(self):
+        return self.row, self.col, self.data
 
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.space, self.mat.conjugate().transpose())
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
 
     @property
     def H(self) -> "FockOperator":
-        return self.adjoint()
+        return FockOperator(self.space, (self.col, self.row, self.data.conj()))
 
     def to_dense(self) -> np.ndarray:
-        return self.mat.toarray()
+        out = np.zeros((self.space.dim,) * 2, dtype=complex)
+        out[self.row, self.col] = self.data
+        return out
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
+        """Index join of each entry (i, k) with the entries (k, j) of other's row k."""
         self._check(other)
-        return FockOperator(self.space, self.mat @ other.mat)
+        start = np.searchsorted(other.row, self.col, "left")
+        count = np.searchsorted(other.row, self.col, "right") - start
+        left = np.repeat(np.arange(len(self.data)), count)
+        right = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return FockOperator(
+            self.space, (self.row[left], other.col[right], self.data[left] * other.data[right])
+        )
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._check(other)
-        return FockOperator(self.space, self.mat + other.mat)
+        return FockOperator(self.space, _concat([self.triplets, other.triplets]))
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
-        return FockOperator(self.space, self.mat - other.mat)
+        return self + (-other)
 
     def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.space, self.mat * complex(scalar))
+        return FockOperator(self.space, (self.row, self.col, self.data * complex(scalar)))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FockOperator":
-        return FockOperator(self.space, -self.mat)
+        return FockOperator(self.space, (self.row, self.col, -self.data))
+
+
+def _diagonal(space: FockSpace, values) -> FockOperator:
+    """The diagonal operator with the given value at every basis index."""
+    index = np.arange(space.dim)
+    return FockOperator(space, (index, index, values))
 
 
 def identity(space: FockSpace) -> FockOperator:
-    return FockOperator(space, sp.identity(space.dim, dtype=complex, format="csr"))
+    return _diagonal(space, np.ones(space.dim))
 
 
 def zero(space: FockSpace) -> FockOperator:
-    return FockOperator(space, sp.csr_matrix((space.dim, space.dim), dtype=complex))
+    return _diagonal(space, np.zeros(space.dim))
 
 
 def _prepend_targets(space: FockSpace, word: Word) -> np.ndarray:
@@ -200,7 +227,7 @@ def _append_targets(space: FockSpace, word: Word) -> np.ndarray:
 def _partial_isometry(space: FockSpace, targets: np.ndarray) -> FockOperator:
     """e_j -> e_targets[j], zero where targets[j] is -1."""
     ok = targets >= 0
-    return _from_triplets(space, (targets[ok], np.flatnonzero(ok), np.ones(int(ok.sum()))))
+    return FockOperator(space, (targets[ok], np.flatnonzero(ok), np.ones(int(ok.sum()))))
 
 
 def _checked(space: FockSpace, word: Word) -> Word:
@@ -244,7 +271,7 @@ def _word_triplets(space: FockSpace, xi: Word, eta: Word):
 
 def word_operator(space: FockSpace, xi: Word, eta: Word) -> FockOperator:
     """The rank-style operator L_xi L_eta^*."""
-    return _from_triplets(space, _word_triplets(space, _checked(space, xi), _checked(space, eta)))
+    return FockOperator(space, _word_triplets(space, _checked(space, xi), _checked(space, eta)))
 
 
 def diagonal(space: FockSpace, a) -> FockOperator:
@@ -252,33 +279,28 @@ def diagonal(space: FockSpace, a) -> FockOperator:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or len(a) < space.max_len + 1:
         raise ValueError(f"need at least {space.max_len + 1} diagonal values")
-    return FockOperator(space, sp.diags(a[space.levels]).tocsr())
+    return _diagonal(space, a[space.levels])
 
 
 def level_projection(space: FockSpace, n: int) -> FockOperator:
     """Orthogonal projection onto words of length exactly n."""
     if not 0 <= n <= space.max_len:
         raise ValueError(f"level must lie in [0, {space.max_len}]")
-    return FockOperator(
-        space, sp.diags((space.levels == n).astype(complex)).tocsr()
-    )
+    return _diagonal(space, space.levels == n)
 
 
 def tail_projection(space: FockSpace, n: int) -> FockOperator:
     """Projection onto words of length >= n (empty sum, i.e. zero, beyond the cap)."""
     if n < 0:
         raise ValueError("level must be non-negative")
-    return FockOperator(
-        space, sp.diags((space.levels >= n).astype(complex)).tocsr()
-    )
+    return _diagonal(space, space.levels >= n)
 
 
 def factor_end_projection(space: FockSpace, factor: int) -> FockOperator:
     """Projection onto non-vacuum words whose last letter lies in the factor."""
     if not 0 <= factor < len(space.spec.factor_dims):
         raise ValueError(f"invalid factor {factor}")
-    mask = (space.last_factor == factor).astype(complex)
-    return FockOperator(space, sp.diags(mask).tocsr())
+    return _diagonal(space, space.last_factor == factor)
 
 
 def _cached_factor_projs(space: FockSpace) -> list[FockOperator]:
@@ -319,11 +341,6 @@ def _eps_triplets(space: FockSpace, row, col, data):
     return row[ok], col[ok], data[ok]
 
 
-def _from_triplets(space: FockSpace, triplets) -> FockOperator:
-    row, col, data = triplets
-    return FockOperator(space, sp.csr_matrix((data, (row, col)), shape=(space.dim,) * 2))
-
-
 def rho(space: FockSpace, op: FockOperator) -> FockOperator:
     """Sum of R_gamma A R_gamma^* over all single letters.
 
@@ -331,8 +348,7 @@ def rho(space: FockSpace, op: FockOperator) -> FockOperator:
     when both appends are legal, so the sum is assembled directly from
     remapped triplets.
     """
-    coo = op.mat.tocoo()
-    return _from_triplets(space, _rho_triplets(space, coo.row, coo.col, coo.data))
+    return FockOperator(space, _rho_triplets(space, *op.triplets))
 
 
 def rho_power(space: FockSpace, op: FockOperator, n: int) -> FockOperator:
@@ -351,8 +367,7 @@ def eps(space: FockSpace, op: FockOperator) -> FockOperator:
     Keeps exactly the entries whose row and column words end in the same
     factor (the vacuum belongs to none of the blocks).
     """
-    coo = op.mat.tocoo()
-    return _from_triplets(space, _eps_triplets(space, coo.row, coo.col, coo.data))
+    return FockOperator(space, _eps_triplets(space, *op.triplets))
 
 
 def classify_case(xi: Word, eta: Word) -> int:
@@ -383,10 +398,7 @@ def fock_spec_from_json(text: str) -> FockSpec:
 
 def operator_to_csv(op: FockOperator) -> str:
     """Triplet dump (row, col, re, im), row-major, for inspection."""
-    coo = op.mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     lines = ["row,col,re,im"]
-    for i in order:
-        v = coo.data[i]
-        lines.append(f"{coo.row[i]},{coo.col[i]},{v.real!r},{v.imag!r}")
+    for r, c, v in zip(*(t.tolist() for t in op.triplets)):
+        lines.append(f"{r},{c},{v.real!r},{v.imag!r}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ below rounding, so one plan serves word spaces of every length.
 kernels, so their cost does not depend on the plan's rank;
 ``phi1_apply``/``phi2_apply`` keep the per-term formula as the reference.
 The module also bounds the map through explicit Kraus families and
-realizes the unital completely positive tensor extensions.
+realizes the unital completely positive tensor extensions, whose images
+on the word space times C^d are returned as COO triplets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NumericalFailure, TooLarge
 from .fock import (
@@ -33,17 +33,19 @@ from .fock import (
     FockSpace,
     Word,
     _cached_factor_projs,
-    _prepend_targets,
     _concat,
+    _diagonal,
     _eps_triplets,
-    _from_triplets,
+    _prepend_targets,
     _rho_triplets,
+    _summed,
     _word_triplets,
     classify_case,
     eps,
     rho,
     right_word,
     word_label,
+    zero,
 )
 from .hankel import RankOneDecomposition, difference_decompositions, exact_route
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
@@ -209,33 +211,30 @@ def _correlation_weights(x: np.ndarray, y: np.ndarray, max_level: int) -> np.nda
     return w
 
 
-def _first_sum(space: FockSpace, x, y, mat) -> sp.csr_matrix:
+def _first_sum(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
     """sum_n D_{(S*)^n x} A D*_{(S*)^n y}, collapsed to entrywise level weights."""
-    coo = mat.tocoo()
     w = _correlation_weights(x, y, space.max_len)
     lv = space.levels
-    data = coo.data * w[lv[coo.row], lv[coo.col]]
-    return sp.csr_matrix((data, (coo.row, coo.col)), shape=mat.shape)
+    return FockOperator(space, (op.row, op.col, op.data * w[lv[op.row], lv[op.col]]))
 
 
-def _deep_sum(space: FockSpace, x, y, deep: list) -> sp.csr_matrix:
-    """sum_{n>=1} D_{S^n x} deep[n] D*_{S^n y} with deep[n] a sparse matrix."""
-    total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+def _deep_sum(space: FockSpace, x, y, deep: list) -> FockOperator:
+    """sum_{n>=1} D_{S^n x} deep[n] D*_{S^n y}."""
+    total = zero(space)
     for n in range(1, len(deep)):
-        dx = sp.diags(_shift_values(x, space.levels, -n))
-        dy = sp.diags(_shift_values(y, space.levels, -n).conj())
+        dx = _diagonal(space, _shift_values(x, space.levels, -n))
+        dy = _diagonal(space, _shift_values(y, space.levels, -n).conj())
         total = total + dx @ deep[n] @ dy
     return total
 
 
-def _rho_chain(space: FockSpace, mat, count: int) -> list:
-    """[A, rho(A), ..., rho^count(A)] as sparse matrices."""
-    chain = [mat]
-    cur = mat
+def _rho_chain(space: FockSpace, op: FockOperator, count: int) -> list:
+    """[A, rho(A), ..., rho^count(A)]."""
+    chain = [op]
     for _ in range(count):
-        if cur.nnz:
-            cur = rho(space, FockOperator(space, cur)).mat
-        chain.append(cur)
+        if op.nnz:
+            op = rho(space, op)
+        chain.append(op)
     return chain
 
 
@@ -243,8 +242,8 @@ def phi1_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
     """Apply the first elementary transformation for vectors x, y."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    deep = _rho_chain(space, op.mat, space.max_len)  # deep[n] = rho^n(A)
-    return FockOperator(space, _first_sum(space, x, y, op.mat) + _deep_sum(space, x, y, deep))
+    deep = _rho_chain(space, op, space.max_len)  # deep[n] = rho^n(A)
+    return _first_sum(space, x, y, op) + _deep_sum(space, x, y, deep)
 
 
 def phi2_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
@@ -252,8 +251,8 @@ def phi2_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     # deep[n] = rho^(n-1)(eps(A))
-    deep = [None] + _rho_chain(space, eps(space, op).mat, space.max_len - 1)
-    return FockOperator(space, _first_sum(space, x, y, op.mat) + _deep_sum(space, x, y, deep))
+    deep = [None] + _rho_chain(space, eps(space, op), space.max_len - 1)
+    return _first_sum(space, x, y, op) + _deep_sum(space, x, y, deep)
 
 
 def _level_kernels(dec: RankOneDecomposition, max_len: int):
@@ -289,11 +288,6 @@ def _kernels(plan: MultiplierPlan, space: FockSpace, c=0.0, h=False, k=False):
     return c, first, deep
 
 
-def _triplets(mat):
-    coo = mat.tocoo()
-    return coo.row, coo.col, coo.data
-
-
 def _deep_chain(space: FockSpace, row, col, data, compressed: bool):
     """Yield (n, triplets of deep[n]) for n = 1..max_len: rho^n(A), or
     rho^(n-1)(eps(A)) when compressed.  deep[n] sits at levels >= n."""
@@ -322,7 +316,7 @@ def _apply(space: FockSpace, kernels, row, col, data) -> list:
 def _apply_map(space: FockSpace, op: FockOperator, kernels) -> FockOperator:
     if op.space is not space and op.space.spec != space.spec:
         raise DimensionMismatch("operator lives on a different space")
-    return _from_triplets(space, _concat(_apply(space, kernels, *_triplets(op.mat))))
+    return FockOperator(space, _concat(_apply(space, kernels, *op.triplets)))
 
 
 def apply_T(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
@@ -367,9 +361,7 @@ def _safe_columns(space: FockSpace, k: int, l: int, eta: Word) -> np.ndarray:
 
 def _max_abs_summed(row, col, data, ncols: int) -> float:
     """Largest |entry| once the triplets sharing a position are summed."""
-    _, at = np.unique(row.astype(np.int64) * ncols + col, return_inverse=True)
-    summed = np.bincount(at, data.real) + 1j * np.bincount(at, data.imag)
-    return float(np.abs(summed).max(initial=0.0))
+    return float(np.abs(_summed(row, col, data, ncols)[2]).max(initial=0.0))
 
 
 def _verify_pairs(space: FockSpace, max_word: int, max_pair_sum, checks, width: int = 1):
@@ -462,17 +454,16 @@ def verify_component_eigenaction(
 # ---------------------------------------------------------------------------
 
 
-def spectral_norm(op, tol: float = 1e-12, max_iter: int = 5000) -> float:
+def spectral_norm(op: FockOperator, tol: float = 1e-12, max_iter: int = 5000) -> float:
     """Largest absolute eigenvalue of a Hermitian operator.
 
-    Dense eigendecomposition below DENSE_EIG_LIMIT; power iteration above,
+    Dense eigendecomposition up to DENSE_EIG_LIMIT; power iteration above,
     raising NumericalFailure when the iteration stalls.
     """
-    mat = op.mat if isinstance(op, FockOperator) else sp.csr_matrix(op, dtype=complex)
-    dim = mat.shape[0]
+    dim = op.space.dim
     if dim <= DENSE_EIG_LIMIT:
         try:
-            vals = np.linalg.eigvalsh(mat.toarray())
+            vals = np.linalg.eigvalsh(op.to_dense())
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
         return float(np.abs(vals).max()) if vals.size else 0.0
@@ -481,7 +472,8 @@ def spectral_norm(op, tol: float = 1e-12, max_iter: int = 5000) -> float:
     v /= np.linalg.norm(v)
     prev = 0.0
     for _ in range(max_iter):
-        w = mat @ v
+        w = np.zeros(dim, dtype=complex)
+        np.add.at(w, op.row, op.data * v[op.col])
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
@@ -504,29 +496,22 @@ def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
         raise ValueError("variant must be 1 or 2")
     vec = np.asarray(vec, dtype=complex)
     lv = space.levels
-    total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for n in range(len(vec)):
-        d = _shift_values(vec, lv, n)
-        if not d.any():
-            continue
-        u = sp.diags(d).tocsr()
-        total = total + u @ u.conjugate().transpose()
+    shifted = (_shift_values(vec, lv, n) for n in range(len(vec)))
+    kraus = [_diagonal(space, d) for d in shifted if d.any()]
     for n in range(1, space.max_len + 1):
         d = _shift_values(vec, lv, -n)
         if not d.any():
             continue
-        dn = sp.diags(d).tocsr()
+        dn = _diagonal(space, d)
         if variant == 1:
-            for zeta in space.words_of_length(n):
-                u = dn @ right_word(space, zeta).mat
-                total = total + u @ u.conjugate().transpose()
+            kraus += [dn @ right_word(space, zeta) for zeta in space.words_of_length(n)]
         else:
             for zeta in space.words_of_length(n - 1):
-                rz = dn @ right_word(space, zeta).mat
-                for q in _cached_factor_projs(space):
-                    u = rz @ q.mat
-                    total = total + u @ u.conjugate().transpose()
-    return FockOperator(space, total)
+                rz = dn @ right_word(space, zeta)
+                kraus += [rz @ q for q in _cached_factor_projs(space)]
+    if not kraus:
+        return zero(space)
+    return FockOperator(space, _concat([(u @ u.H).triplets for u in kraus]))
 
 
 def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]:
@@ -545,20 +530,20 @@ def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]
 # ---------------------------------------------------------------------------
 
 
-def tensor_shift(dim: int) -> sp.csr_matrix:
-    """Truncated coordinate shift e_i -> e_{i+1} on C^dim."""
-    return sp.diags(np.ones(dim - 1, dtype=complex), -1).tocsr()
+def tensor_shift(dim: int) -> np.ndarray:
+    """Truncated coordinate shift e_i -> e_{i+1} on C^dim, as a dense matrix."""
+    return np.eye(dim, k=-1, dtype=complex)
 
 
-def ucp_pi_apply(
-    space: FockSpace, tensor_dim: int, variant: int, op: FockOperator
-) -> sp.csr_matrix:
+def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperator):
     """Apply the unital completely positive tensor extension to an operator.
 
-    Returns a sparse matrix on the product of the word space with C^d
-    (word index major).  Requires tensor_dim >= max_len + 1 so that every
-    level has a tensor slot.  Layer n puts level m in tensor slot m - n; it
-    carries A for n <= 0 and deep[n] of variant 1 or 2 for n >= 1.
+    Returns the triplets (row, col, data) of the image on the product of
+    the word space with C^d (index word * d + slot), one per position.
+    Requires tensor_dim >= max_len + 1 so that every level has a tensor
+    slot.  Layer n puts level m in tensor slot m - n; it carries A for
+    n <= 0 and deep[n] of variant 1 or 2 for n >= 1, so the layers fill
+    distinct slots.
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
@@ -568,9 +553,8 @@ def ucp_pi_apply(
         )
     if op.space is not space and op.space.spec != space.spec:
         raise DimensionMismatch("operator lives on a different space")
-    a = _triplets(op.mat)
-    layers = [(n, *a) for n in range(1 - tensor_dim, 1)]
-    layers += _deep_chain(space, *a, compressed=variant == 2)
+    layers = [(n, *op.triplets) for n in range(1 - tensor_dim, 1)]
+    layers += _deep_chain(space, *op.triplets, compressed=variant == 2)
     lv, d = space.levels, tensor_dim
     parts = []
     for n, row, col, data in layers:
@@ -578,8 +562,7 @@ def ucp_pi_apply(
         slot_r, slot_c = lv[row] - n, lv[col] - n
         ok = (slot_r < d) & (slot_c < d)
         parts.append((row[ok] * d + slot_r[ok], col[ok] * d + slot_c[ok], data[ok]))
-    row, col, data = _concat(parts)
-    return sp.csr_matrix((data, (row, col)), shape=(space.dim * d,) * 2)
+    return _concat(parts)
 
 
 def verify_ucp_relations(
@@ -595,15 +578,18 @@ def verify_ucp_relations(
     with both exponents lowered by one in the shared-last-factor case of
     variant 2.  Residuals are taken over safe columns (every tensor slot).
     """
-    shift = tensor_shift(tensor_dim)
+    d = tensor_dim
 
     def check(k, l, case, a):
         drop = int(variant == 2 and case == CASE_TWO)
-        t_op = (shift ** (k - drop)) @ (shift.conjugate().transpose() ** (l - drop))
-        op = _from_triplets(space, a)
-        lhs = ucp_pi_apply(space, tensor_dim, variant, op)
-        return None, _triplets(lhs - sp.kron(op.mat, t_op, format="csr"))
+        k, l = k - drop, l - drop
+        # S^k S*^l has a 1 at (j + k, j + l) for j < d - max(k, l)
+        j = np.arange(max(d - max(k, l), 0))
+        row, col, data = (np.repeat(t, len(j)) for t in a)
+        target = (row * d + np.tile(j + k, len(a[0])), col * d + np.tile(j + l, len(a[0])), -data)
+        lhs = ucp_pi_apply(space, d, variant, FockOperator(space, a))
+        return None, _concat([lhs, target])
 
-    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check], width=tensor_dim)
+    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check], width=d)
     records = [TensorRecord(xi, eta, case, res[0][1]) for k, l, xi, eta, case, res in rows]
     return TensorReport(variant, records, worst)

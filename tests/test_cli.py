@@ -13,6 +13,7 @@ from radial_mult.symbols import (
     TruncatedGeometric,
     double,
     eigenvalue_lower_bound,
+    tail_constant,
 )
 
 
@@ -220,6 +221,27 @@ def test_cs_bound(capsys):
     assert obj["terms"]
 
 
+@pytest.mark.parametrize(
+    "symbol, space",
+    [
+        ("geometric:-0.5", '{"factors":[1,1],"max_len":4}'),
+        ("indicator:6", '{"factors":[2,2],"max_len":3}'),
+    ],
+)
+def test_cs_bound_terms_sum_to_plan_bound(capsys, symbol, space):
+    # each term's bound is ||x|| ||y||, so with |c| they add up to plan_cb_bound
+    code, out, _ = run_cli(capsys, "cs-bound", "-s", symbol, "--space", space)
+    assert code == 0
+    obj = json.loads(out)
+    c = abs(tail_constant(parse_symbol(symbol)))
+    assert abs(sum(t["bound"] for t in obj["terms"]) + c - obj["plan_cb_bound"]) < 1e-10
+    _, csv_text, _ = run_cli(
+        capsys, "cs-bound", "-s", symbol, "--space", space, "--format", "csv"
+    )
+    bounds = [float(line.split(",")[4]) for line in csv_text.strip().split("\n")[1:]]
+    assert bounds == [t["bound"] for t in obj["terms"]]
+
+
 def test_eigenvalue_lower_bound_scans_the_whole_support():
     # indices past 32 count for finite support, tails of both parities too
     assert eigenvalue_lower_bound(Indicator(40)) == 1.0
@@ -245,6 +267,14 @@ def test_integral_check_measure_and_doubling(capsys):
     names = {c["check"] for c in obj["checks"]}
     assert {"membership", "doubling", "headroom"} <= names
     assert all(c["holds"] for c in obj["checks"])
+
+
+@pytest.mark.parametrize("measure", ["5", '"x"', "null", "true"])
+def test_integral_check_non_object_measure_exits_1(capsys, measure):
+    code, out, err = run_cli(capsys, "integral-check", "--measure", measure)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error: bad measure spec")
 
 
 def test_integral_check_random_atoms(capsys):
@@ -305,6 +335,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["total"] == pytest.approx(1.0)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, radial_mult.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_symbol_file_roundtrip(tmp_path, capsys):

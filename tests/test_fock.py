@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial_mult import (
     CASE_ONE,
@@ -43,6 +45,16 @@ def triple():
 
 def dense(op):
     return op.to_dense()
+
+
+def from_dense(space, a):
+    rows, cols = np.nonzero(a)
+    return FockOperator(space, (rows, cols, a[rows, cols]))
+
+
+def csr(op):
+    """The operator as a scipy matrix, an oracle independent of FockOperator."""
+    return sp.csr_matrix((op.data, (op.row, op.col)), shape=(op.space.dim,) * 2)
 
 
 def test_basis_counts(two_line, triple):
@@ -118,8 +130,8 @@ def test_right_creation_mirror(two_line):
 def test_partial_isometries_and_grading(triple):
     for g in triple.letters():
         for op in (creation(triple, g), right_creation(triple, g)):
-            m = op.mat
-            assert abs((m @ m.getH() @ m - m).toarray()).max() == 0
+            m = dense(op)
+            assert abs(m @ m.conj().T @ m - m).max() == 0
         L = dense(creation(triple, g))
         for n in range(triple.max_len):
             block = L[:, triple.levels == n]
@@ -193,16 +205,16 @@ def rho_reference(space, op):
     # dual route: explicit operator products
     total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for g in space.letters():
-        r = right_creation(space, g).mat
-        total = total + r @ op.mat @ r.getH()
+        r = csr(right_creation(space, g))
+        total = total + r @ csr(op) @ r.getH()
     return total.toarray()
 
 
 def eps_reference(space, op):
     total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for i in range(len(space.spec.factor_dims)):
-        q = factor_end_projection(space, i).mat
-        total = total + q @ op.mat @ q
+        q = csr(factor_end_projection(space, i))
+        total = total + q @ csr(op) @ q
     return total.toarray()
 
 
@@ -211,10 +223,10 @@ def test_rho_against_reference(triple):
     a = sp.random(
         triple.dim, triple.dim, density=0.1, random_state=np.random.RandomState(5)
     ).astype(complex)
-    a = a + 1j * sp.random(
+    a = (a + 1j * sp.random(
         triple.dim, triple.dim, density=0.1, random_state=np.random.RandomState(6)
-    )
-    op = FockOperator(triple, a)
+    )).tocoo()
+    op = FockOperator(triple, (a.row, a.col, a.data))
     assert np.abs(dense(rho(triple, op)) - rho_reference(triple, op)).max() < 1e-14
     assert np.abs(dense(eps(triple, op)) - eps_reference(triple, op)).max() < 1e-14
 
@@ -254,7 +266,7 @@ def test_eps_is_contractive_compression(triple):
     a = rng.standard_normal((triple.dim, triple.dim)) + 1j * rng.standard_normal(
         (triple.dim, triple.dim)
     )
-    op = FockOperator(triple, sp.csr_matrix(a))
+    op = from_dense(triple, a)
     compressed = eps(triple, op)
     twice = eps(triple, compressed)
     assert np.abs(dense(twice) - dense(compressed)).max() < 1e-14
@@ -329,6 +341,13 @@ def test_spec_serialization_and_csv(two_line):
     lines = text.strip().split("\n")
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 1 + creation(two_line, (0, 0)).nnz
+    # every row reads as int,int,float,float and the rows rebuild the matrix
+    op = creation(two_line, (0, 0)) + (0.1 - 1j / 3) * identity(two_line)
+    rebuilt = np.zeros((two_line.dim,) * 2, dtype=complex)
+    for line in operator_to_csv(op).strip().split("\n")[1:]:
+        r, c, re, im = line.split(",")
+        rebuilt[int(r), int(c)] += complex(float(re), float(im))
+    assert np.array_equal(rebuilt, dense(op))
 
 
 def test_right_word_appends(two_line):
@@ -350,3 +369,60 @@ def test_invalid_letters_rejected(two_line):
         ):
             with pytest.raises(ValueError, match="invalid letter"):
                 make()
+
+
+# --- property: the triplet operator against scipy.sparse -------------------
+
+SPACES = [build_space(FockSpec((1, 1), 3)), build_space(FockSpec((2, 1), 2))]
+# Gaussian integers keep every sum and product exact, so cancellations are exact zeros.
+small_gaussian = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def triplets(draw, dim):
+    """Triplets with repeated positions, and a cancelling copy of some entries."""
+    entries = draw(
+        st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), small_gaussian))
+    )
+    entries += [(r, c, -v) for r, c, v in entries if draw(st.booleans())]
+    row, col, data = np.array(entries, dtype=complex).reshape(-1, 3).T
+    return row.real.astype(int), col.real.astype(int), data
+
+
+@st.composite
+def operator_cases(draw):
+    space = draw(st.sampled_from(SPACES))
+    a, b = draw(triplets(space.dim)), draw(triplets(space.dim))
+    return space, a, b, draw(small_gaussian)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator_cases())
+def test_operator_matches_scipy(case):
+    space, a, b, z = case
+    A, B = FockOperator(space, a), FockOperator(space, b)
+    shape = (space.dim,) * 2
+    sa = sp.coo_matrix((a[2], (a[0], a[1])), shape=shape).tocsr()
+    sb = sp.coo_matrix((b[2], (b[0], b[1])), shape=shape).tocsr()
+    # canonical: row-major, one entry per position, no zeros
+    keys = A.row * space.dim + A.col
+    assert np.all(np.diff(keys) > 0) and np.all(A.data != 0)
+    assert np.array_equal(dense(A), sa.toarray())
+    assert A.nnz == np.count_nonzero(sa.toarray())
+    for got, want in (
+        (A @ B, sa @ sb),
+        (A + B, sa + sb),
+        (A - B, sa - sb),
+        (A.H, sa.conj().T),
+        (z * A, sa * z),
+        (A * z, sa * z),
+        (-A, -sa),
+    ):
+        assert np.array_equal(dense(got), want.toarray())
+        assert got.nnz == np.count_nonzero(want.toarray())
+
+
+@pytest.mark.parametrize("bad", [([7], [0]), ([0], [7]), ([-1], [0]), ([0], [-1])])
+def test_operator_rejects_out_of_range_indices(two_line, bad):
+    with pytest.raises(DimensionMismatch):
+        FockOperator(two_line, (*bad, [1.0]))

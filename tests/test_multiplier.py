@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +22,7 @@ from radial_mult import (
     c_norm,
     classify_case,
     cs_bound,
+    diagonal,
     evaluate,
     FockSpec,
     FockOperator,
@@ -58,6 +58,14 @@ def line5():
 @pytest.fixture(scope="module")
 def pair4():
     return build_space(FockSpec((2, 1), 4))
+
+
+def dense_from(size, triplets):
+    """Dense matrix of triplets, summing the ones that share a position."""
+    row, col, data = triplets
+    out = np.zeros((size, size), dtype=complex)
+    np.add.at(out, (row, col), data)
+    return out
 
 
 def unit(n, length):
@@ -275,32 +283,34 @@ def test_eigenvalues_below_cb_bound(line5):
 
 
 def test_spectral_norm_power_iteration_branch():
-    diag = np.linspace(-3.0, 2.0, 600)
-    big = sp.diags(diag.astype(complex)).tocsr()
+    space = build_space(FockSpec((1, 1), 300))
+    assert space.dim > 512
+    big = diagonal(space, np.linspace(-3.0, 2.0, 301))
     assert abs(spectral_norm(big) - 3.0) < 1e-9
 
 
 def test_ucp_identity_and_examples(line5):
     d = line5.max_len + 1
-    pi1 = ucp_pi_apply(line5, d, 1, identity(line5))
-    target = sp.identity(line5.dim * d, dtype=complex)
-    assert np.abs((pi1 - target).toarray()).max() < 1e-14
+    row, col, data = ucp_pi_apply(line5, d, 1, identity(line5))
+    assert len(np.unique(row * line5.dim * d + col)) == len(data)  # distinct positions
+    pi1 = dense_from(line5.dim * d, (row, col, data))
+    assert np.abs(pi1 - np.eye(line5.dim * d)).max() < 1e-14
 
     gamma = ((0, 0),)
     a = word_operator(line5, gamma, ())
-    out = ucp_pi_apply(line5, d, 1, a)
-    expected = sp.kron(a.mat, tensor_shift(d), format="csr")
-    assert np.abs((out - expected).toarray()).max() < 1e-14
+    out = dense_from(line5.dim * d, ucp_pi_apply(line5, d, 1, a))
+    expected = np.kron(a.to_dense(), tensor_shift(d))
+    assert np.abs(out - expected).max() < 1e-14
 
 
 def test_ucp_case2_drops_one_shift(pair4):
     d = pair4.max_len + 2
     xi, eta = ((0, 0),), ((0, 1),)
     a = word_operator(pair4, xi, eta)
-    out = ucp_pi_apply(pair4, d, 2, a)
-    expected = sp.kron(a.mat, sp.identity(d, dtype=complex), format="csr")
+    out = dense_from(pair4.dim * d, ucp_pi_apply(pair4, d, 2, a))
+    expected = np.kron(a.to_dense(), np.eye(d))
     # compare on safe columns (every tensor slot)
-    diff = (out - expected).toarray()
+    diff = out - expected
     for j, w in enumerate(pair4.basis):
         if len(w) >= 1 and w[:1] == eta and len(w) <= pair4.max_len:
             block = diff[:, j * d : (j + 1) * d]
@@ -321,10 +331,11 @@ def test_ucp_positivity_spot_check(pair4):
     a = rng.standard_normal((pair4.dim, pair4.dim)) + 1j * rng.standard_normal(
         (pair4.dim, pair4.dim)
     )
-    op = FockOperator(pair4, sp.csr_matrix(a))
-    gram = (op.H @ op).mat
+    rows, cols = np.indices(a.shape).reshape(2, -1)
+    op = FockOperator(pair4, (rows, cols, a.ravel()))
+    gram = op.H @ op
     for variant in (1, 2):
-        out = ucp_pi_apply(pair4, d, variant, FockOperator(pair4, gram))
+        out = dense_from(pair4.dim * d, ucp_pi_apply(pair4, d, variant, gram))
         for _ in range(5):
             v = rng.standard_normal(pair4.dim * d) + 1j * rng.standard_normal(
                 pair4.dim * d
@@ -387,7 +398,7 @@ def kernel_cases(draw):
     nnz = draw(st.integers(1, 12))
     data = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
     rows, cols = rng.integers(0, space.dim, nnz), rng.integers(0, space.dim, nnz)
-    op = FockOperator(space, sp.csr_matrix((data, (rows, cols)), shape=(space.dim,) * 2))
+    op = FockOperator(space, (rows, cols, data))
     return space, plan, op
 
 
