@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
+from .symbols import _int_in
 
 Letter = tuple[int, int]  # (factor index, letter index within the factor)
 Word = tuple[Letter, ...]
@@ -44,26 +45,26 @@ class FockSpec:
             raise ValueError("max_len must be at least 1")
 
 
-def _level_counts(spec: FockSpec) -> list[int]:
-    # words of length n ending in factor f, accumulated over the
-    # alternation constraint
+def _word_count(spec: FockSpec, cap: int) -> int:
+    """Number of words of length <= max_len, counted level by level until
+    the running total passes the cap."""
     dims = spec.factor_dims
-    counts = [1]
-    ending = [dims[f] for f in range(len(dims))]
-    counts.append(sum(ending))
+    ending = list(dims)  # words of the current length ending in factor f
+    total = 1 + sum(ending)
     for _ in range(2, spec.max_len + 1):
-        total = sum(ending)
-        ending = [(total - ending[f]) * dims[f] for f in range(len(dims))]
-        counts.append(sum(ending))
-    return counts[: spec.max_len + 1]
+        if total > cap:
+            break
+        level = sum(ending)
+        ending = [(level - e) * d for e, d in zip(ending, dims)]
+        total += sum(ending)
+    return total
 
 
 class FockSpace:
     """Enumerated word basis of a truncated product space.
 
-    The basis and index are fixed after construction; derived operators
-    (letter creations, append maps, projections) are memoized lazily, so
-    concurrent readers at worst duplicate work.
+    The basis and index are fixed after construction; letter maps and word
+    targets are memoized lazily, so concurrent readers at worst duplicate work.
     """
 
     def __init__(self, spec: FockSpec, basis: list[Word], level_offsets: list[int]):
@@ -74,9 +75,8 @@ class FockSpace:
         self.dim = len(basis)
         self.levels = np.array([len(w) for w in basis], dtype=int)
         self.last_factor = np.array([w[-1][0] if w else -1 for w in basis], dtype=int)
+        self._letter_maps: dict[Letter, tuple[np.ndarray, np.ndarray]] | None = None
         self._prepend_targets: dict[Word, np.ndarray] = {}
-        self._factor_projs: list[FockOperator] | None = None
-        self._append_maps: list[np.ndarray] | None = None
 
     @property
     def max_len(self) -> int:
@@ -99,9 +99,8 @@ class FockSpace:
 
 def build_space(spec: FockSpec, cap: int = BASIS_CAP) -> FockSpace:
     """Enumerate all words of length <= max_len in graded-lexicographic order."""
-    counts = _level_counts(spec)
-    if sum(counts) > cap:
-        raise TooLarge(f"basis would hold {sum(counts)} words (cap {cap})")
+    if _word_count(spec, cap) > cap:
+        raise TooLarge(f"basis would hold more than {cap} words")
     letters = [
         (f, a) for f, d in enumerate(spec.factor_dims) for a in range(d)
     ]
@@ -211,17 +210,38 @@ def zero(space: FockSpace) -> FockOperator:
     return _diagonal(space, np.zeros(space.dim))
 
 
+def _letter_maps(space: FockSpace) -> dict[Letter, tuple[np.ndarray, np.ndarray]]:
+    """Per letter g, the index of (g,) + w and of w + (g,) for every basis word w:
+    -1 where that is no word of the space, and -1 in one extra trailing slot,
+    so that a map sends -1 to -1 and maps compose by indexing."""
+    if space._letter_maps is None:
+        def targets(words):
+            return np.array([*(space.index.get(v, -1) for v in words), -1])
+
+        space._letter_maps = {
+            g: (targets((g,) + w for w in space.basis), targets(w + (g,) for w in space.basis))
+            for g in space.letters()
+        }
+    return space._letter_maps
+
+
 def _prepend_targets(space: FockSpace, word: Word) -> np.ndarray:
     """Index of word + w for every basis word w (-1 where that is no word of the space)."""
     cached = space._prepend_targets
     if word not in cached:
-        cached[word] = np.array([space.index.get(word + w, -1) for w in space.basis])
+        maps, out = _letter_maps(space), np.arange(space.dim)
+        for letter in reversed(word):
+            out = maps[letter][0][out]
+        cached[word] = out
     return cached[word]
 
 
 def _append_targets(space: FockSpace, word: Word) -> np.ndarray:
     """Index of w + word for every basis word w (-1 where that is no word of the space)."""
-    return np.array([space.index.get(w + word, -1) for w in space.basis])
+    maps, out = _letter_maps(space), np.arange(space.dim)
+    for letter in word:
+        out = maps[letter][1][out]
+    return out
 
 
 def _partial_isometry(space: FockSpace, targets: np.ndarray) -> FockOperator:
@@ -303,23 +323,6 @@ def factor_end_projection(space: FockSpace, factor: int) -> FockOperator:
     return _diagonal(space, space.last_factor == factor)
 
 
-def _cached_factor_projs(space: FockSpace) -> list[FockOperator]:
-    if space._factor_projs is None:
-        space._factor_projs = [
-            factor_end_projection(space, f)
-            for f in range(len(space.spec.factor_dims))
-        ]
-    return space._factor_projs
-
-
-def _cached_append_maps(space: FockSpace) -> list[np.ndarray]:
-    """Per letter, the map j -> index of basis[j] with the letter appended
-    (-1 where the appending partial isometry kills the word)."""
-    if space._append_maps is None:
-        space._append_maps = [_append_targets(space, (letter,)) for letter in space.letters()]
-    return space._append_maps
-
-
 def _concat(parts):
     """One COO triplet (row, col, data) from a list of them."""
     return tuple(np.concatenate(column) for column in zip(*parts))
@@ -328,7 +331,7 @@ def _concat(parts):
 def _rho_triplets(space: FockSpace, row, col, data):
     """rho on COO triplets; distinct entries have distinct images."""
     parts = []
-    for t in _cached_append_maps(space):
+    for _, t in _letter_maps(space).values():
         ok = (t[row] >= 0) & (t[col] >= 0)
         parts.append((t[row[ok]], t[col[ok]], data[ok]))
     return _concat(parts)
@@ -389,7 +392,7 @@ def fock_spec_to_obj(spec: FockSpec) -> dict:
 
 
 def fock_spec_from_obj(obj: dict) -> FockSpec:
-    return FockSpec(tuple(int(d) for d in obj["factors"]), int(obj["max_len"]))
+    return FockSpec(tuple(_int_in(d) for d in obj["factors"]), _int_in(obj["max_len"]))
 
 
 def fock_spec_from_json(text: str) -> FockSpec:

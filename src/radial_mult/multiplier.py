@@ -32,7 +32,7 @@ from .fock import (
     FockOperator,
     FockSpace,
     Word,
-    _cached_factor_projs,
+    _append_targets,
     _concat,
     _diagonal,
     _eps_triplets,
@@ -43,7 +43,6 @@ from .fock import (
     classify_case,
     eps,
     rho,
-    right_word,
     word_label,
     zero,
 )
@@ -485,33 +484,32 @@ def spectral_norm(op: FockOperator, tol: float = 1e-12, max_iter: int = 5000) ->
 
 
 def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
-    """Materialize the row Kraus family for one vector and sum u u^*.
+    """Sum u u^* over the row Kraus family of one vector.
 
     Variant 1 pairs the shifted diagonals with whole-word right creations;
     variant 2 shortens the appended word by one and compresses by the
-    last-letter factor projections.  For any vector the sum telescopes to
-    ||vec||^2 times the identity on the truncated space.
+    last-letter factor projections.  Every member is a weighted partial
+    isometry u e_j = d(t_j) e_{t_j} with an injective target map t, so
+    u u^* is diagonal with |d|^2 at the targets, and the sum is assembled
+    from those diagonals.  For any vector it telescopes to ||vec||^2 times
+    the identity on the truncated space.
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     vec = np.asarray(vec, dtype=complex)
-    lv = space.levels
-    shifted = (_shift_values(vec, lv, n) for n in range(len(vec)))
-    kraus = [_diagonal(space, d) for d in shifted if d.any()]
+    # variant 2 appends one letter less and compresses by each factor-end projection
+    factors = range(len(space.spec.factor_dims))
+    masks = [True] if variant == 1 else [space.last_factor == f for f in factors]
+    members = [(np.arange(space.dim), n) for n in range(len(vec))]  # (targets t, shift)
     for n in range(1, space.max_len + 1):
-        d = _shift_values(vec, lv, -n)
-        if not d.any():
-            continue
-        dn = _diagonal(space, d)
-        if variant == 1:
-            kraus += [dn @ right_word(space, zeta) for zeta in space.words_of_length(n)]
-        else:
-            for zeta in space.words_of_length(n - 1):
-                rz = dn @ right_word(space, zeta)
-                kraus += [rz @ q for q in _cached_factor_projs(space)]
-    if not kraus:
-        return zero(space)
-    return FockOperator(space, _concat([(u @ u.H).triplets for u in kraus]))
+        appended = (_append_targets(space, z) for z in space.words_of_length(n + 1 - variant))
+        members += [(np.where(m, t, -1), -n) for t in appended for m in masks]
+    blocks = []
+    for t, shift in members:
+        t = t[t >= 0]
+        d = _shift_values(vec, space.levels[t], shift)
+        blocks.append((t, t, d * d.conj()))
+    return FockOperator(space, _concat(blocks))
 
 
 def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]:

@@ -321,6 +321,13 @@ def _cplx_out(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _int_in(obj) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not truncated."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    raise ValueError(f"expected an integer, got {obj!r}")
+
+
 def _cplx_in(obj) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
@@ -376,9 +383,9 @@ def symbol_from_obj(obj: dict) -> RadialSymbol:
     if family == "geometric":
         return Geometric(_cplx_in(obj["s"]))
     if family == "indicator":
-        return Indicator(int(obj["n0"]))
+        return Indicator(_int_in(obj["n0"]))
     if family == "truncated_geometric":
-        return TruncatedGeometric(float(obj["r"]), int(obj["n0"]))
+        return TruncatedGeometric(float(obj["r"]), _int_in(obj["n0"]))
     if family == "finite":
         return Finite(tuple(_cplx_in(v) for v in obj["values"]), _cplx_in(obj["tail"]))
     if family == "from_measure":

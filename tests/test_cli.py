@@ -94,10 +94,38 @@ def test_non_finite_symbol_exits_1(capsys, spec):
         '{"family":"indicator","n0":null}',
         '{"family":"doubled","base":3}',
         "finite:[1]",
+        '{"family":"indicator","n0":2.5}',
+        '{"family":"indicator","n0":true}',
+        '{"family":"indicator","n0":"2"}',
+        '{"family":"indicator","n0":Infinity}',
+        '{"family":"indicator","n0":1e400}',
+        '{"family":"truncated_geometric","r":0.5,"n0":2.5}',
+        '{"family":"truncated_geometric","r":0.5,"n0":false}',
+        '{"family":"truncated_geometric","r":0.5,"n0":-Infinity}',
     ],
 )
 def test_malformed_json_symbol_exits_1(capsys, spec):
     code, out, err = run_cli(capsys, "norm", "-s", spec)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:")
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        '{"factors":[2.5,2],"max_len":3}',
+        '{"factors":[true,2],"max_len":3}',
+        '{"factors":"22","max_len":3}',
+        '{"factors":[Infinity],"max_len":3}',
+        '{"factors":[2,2],"max_len":2.5}',
+        '{"factors":[2,2],"max_len":true}',
+        '{"factors":[2,2],"max_len":Infinity}',
+        '{"factors":[2,2],"max_len":1e400}',
+    ],
+)
+def test_malformed_json_space_exits_1(capsys, space):
+    code, out, err = run_cli(capsys, "cs-bound", "-s", "geometric:0.5", "--space", space)
     assert code == 1
     assert out == ""
     assert err.startswith("radial-mult: error:")

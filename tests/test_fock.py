@@ -83,6 +83,9 @@ def test_alternation_constraint(triple):
 def test_build_space_cap():
     with pytest.raises(TooLarge):
         build_space(FockSpec((2, 2), 4), cap=10)
+    # counting stops at the cap, long before the 6000-digit count of 20000 levels
+    with pytest.raises(TooLarge, match="more than 200000 words"):
+        build_space(FockSpec((2, 2), 20000))
 
 
 def test_creation_action(two_line):
@@ -426,3 +429,44 @@ def test_operator_matches_scipy(case):
 def test_operator_rejects_out_of_range_indices(two_line, bad):
     with pytest.raises(DimensionMismatch):
         FockOperator(two_line, (*bad, [1.0]))
+
+
+# --- property: word targets against the literal tuple lookup ----------------
+
+
+@st.composite
+def word_cases(draw):
+    """A fresh small space and two words of its letters, adjacent letters from
+    one factor and lengths past max_len allowed."""
+    factors = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    space = build_space(FockSpec(factors, draw(st.integers(1, 3))))
+    words = st.lists(st.sampled_from(space.letters()), max_size=space.max_len + 2).map(tuple)
+    return space, draw(words), draw(words)
+
+
+def literal_targets(space, join):
+    return [space.index.get(join(w), -1) for w in space.basis]
+
+
+def units(space, rows, cols):
+    """Dense 0/1 matrix with a 1 at every (row, col) pair with both indices >= 0."""
+    out = np.zeros((space.dim, space.dim))
+    for r, c in zip(rows, cols):
+        if r >= 0 and c >= 0:
+            out[r, c] = 1
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_cases())
+def test_word_targets_match_literal_lookup(case):
+    space, xi, eta = case
+    every = range(space.dim)
+    prepended = literal_targets(space, lambda w: xi + w)
+    appended = literal_targets(space, lambda w: w + xi)
+    eta_prepended = literal_targets(space, lambda w: eta + w)
+    assert np.array_equal(dense(left_word(space, xi)), units(space, prepended, every))
+    assert np.array_equal(dense(right_word(space, xi)), units(space, appended, every))
+    assert np.array_equal(
+        dense(word_operator(space, xi, eta)), units(space, prepended, eta_prepended)
+    )

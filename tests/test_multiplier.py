@@ -7,10 +7,13 @@ from radial_mult import (
     CASE_ONE,
     DimensionMismatch,
     DiscreteMeasure,
+    Doubled,
     Finite,
     FromMeasure,
     Geometric,
     Indicator,
+    ParityTail,
+    TruncatedGeometric,
     MultiplierPlan,
     RankOneDecomposition,
     TooLarge,
@@ -24,8 +27,11 @@ from radial_mult import (
     cs_bound,
     diagonal,
     evaluate,
+    factor_end_projection,
     FockSpec,
     FockOperator,
+    hankel_h,
+    hankel_k,
     identity,
     kraus_row_sum,
     phi1_apply,
@@ -33,6 +39,7 @@ from radial_mult import (
     plan_cb_bound,
     psi1,
     psi2,
+    right_word,
     spectral_norm,
     tensor_shift,
     ucp_pi_apply,
@@ -41,6 +48,8 @@ from radial_mult import (
     verify_ucp_relations,
     word_operator,
 )
+from radial_mult.fock import zero
+from radial_mult.multiplier import _level_kernels
 
 SYMBOLS = [
     Geometric(0.5),
@@ -415,3 +424,84 @@ def test_kernel_path_matches_literal_sums(case):
         scale = max(np.abs(expected).max(), np.abs(a).max())
         err = np.abs(fn(plan, space, op).to_dense() - expected).max()
         assert err <= 1e-12 * scale, (fn.__name__, err, scale)
+
+
+# --- the Kraus row sum against the product of its Kraus operators -----------
+
+
+def kraus_row_sum_from_products(space, vec, variant):
+    """sum u u^* over the row Kraus family, each u built as an operator product."""
+    vec = np.asarray(vec, dtype=complex)
+
+    def shifted(shift):
+        values = [vec[m + shift] if 0 <= m + shift < len(vec) else 0 for m in space.levels]
+        return FockOperator(space, (np.arange(space.dim), np.arange(space.dim), values))
+
+    kraus = [shifted(n) for n in range(len(vec))]
+    for n in range(1, space.max_len + 1):
+        if variant == 1:
+            kraus += [shifted(-n) @ right_word(space, z) for z in space.words_of_length(n)]
+        else:
+            kraus += [
+                shifted(-n) @ right_word(space, z) @ factor_end_projection(space, f)
+                for z in space.words_of_length(n - 1)
+                for f in range(len(space.spec.factor_dims))
+            ]
+    total = zero(space)
+    for u in kraus:
+        total = total + u @ u.H
+    return total
+
+
+@st.composite
+def kraus_cases(draw):
+    factors = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    space = build_space(FockSpec(factors, draw(st.integers(1, 3))))
+    length = draw(st.integers(1, space.max_len + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    return space, vec * draw(st.sampled_from([0.0, 1.0])), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kraus_cases())
+def test_kraus_row_sum_matches_operator_products(case):
+    space, vec, variant = case
+    expected = kraus_row_sum_from_products(space, vec, variant).to_dense()
+    got = kraus_row_sum(space, vec, variant).to_dense()
+    assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.linalg.norm(vec) ** 2)
+
+
+# --- full plans: the level kernels are the symbol's Hankel data -------------
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        Geometric(0.5),
+        Geometric(-0.6 + 0.3j),
+        Indicator(3),
+        TruncatedGeometric(0.8, 4),
+        Finite((1.0, 0.5, -0.2), 0.3),
+        FromMeasure(0.1, DiscreteMeasure(((0.5, 1.0), (-0.3 + 0.2j, 0.5j)))),
+        ParityTail((1.0, 0.2, 0.4), 0.3, 0.3),
+        Doubled(Geometric(0.5)),
+        Doubled(Indicator(3)),
+    ],
+    ids=repr,
+)
+def test_level_kernels_are_the_symbol(sym):
+    """G = the h or k truncation and W[a, b] = psi1 or psi2 at a + b: the
+    telescoping of T's eigenvalues as a scalar identity."""
+    plan, max_len = build_plan(sym), 5
+    size = max_len + 1
+    for dec, hankel, psi in (
+        (plan.decomposition_h, hankel_h, psi1),
+        (plan.decomposition_k, hankel_k, psi2),
+    ):
+        g, w = _level_kernels(dec, max_len)
+        expected_g = hankel(sym, size)
+        expected_w = np.array([[psi(sym, a + b) for b in range(size)] for a in range(size)])
+        scale = max(1.0, np.abs(expected_g).max(), np.abs(expected_w).max())
+        assert np.abs(g - expected_g).max() <= 1e-12 * scale
+        assert np.abs(w - expected_w).max() <= 1e-12 * scale
