@@ -125,13 +125,13 @@ def parse_space(text: str):
 
 
 def _emit(args, obj: dict, csv_text: str | None):
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         if csv_text is None:
             raise CliError("this command has no CSV representation")
         payload = csv_text
     else:
         payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
@@ -333,13 +333,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"radial-mult: error: {exc}", file=sys.stderr)
-        return 1
-    except TooLarge as exc:
-        print(f"radial-mult: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CliError, TooLarge, OSError, ValueError) as exc:
         print(f"radial-mult: error: {exc}", file=sys.stderr)
         return 1
     except (NonConvergent, UnsupportedTail, NumericalFailure) as exc:

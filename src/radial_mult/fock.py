@@ -83,11 +83,7 @@ class FockSpace:
         return self.spec.max_len
 
     def letters(self) -> list[Letter]:
-        return [
-            (f, a)
-            for f, d in enumerate(self.spec.factor_dims)
-            for a in range(d)
-        ]
+        return _letters(self.spec)
 
     def words_of_length(self, n: int) -> list[Word]:
         if n < 0 or n > self.max_len:
@@ -97,13 +93,17 @@ class FockSpace:
         return self.basis[start:end]
 
 
+def _letters(spec: FockSpec) -> list[Letter]:
+    """Every letter, sorted by factor and then by index within the factor."""
+    return [(f, a) for f, d in enumerate(spec.factor_dims) for a in range(d)]
+
+
 def build_space(spec: FockSpec, cap: int = BASIS_CAP) -> FockSpace:
-    """Enumerate all words of length <= max_len in graded-lexicographic order."""
+    """Enumerate all words of length <= max_len in graded-lexicographic order:
+    each level extends the sorted level below by the sorted letters."""
     if _word_count(spec, cap) > cap:
         raise TooLarge(f"basis would hold more than {cap} words")
-    letters = [
-        (f, a) for f, d in enumerate(spec.factor_dims) for a in range(d)
-    ]
+    letters = _letters(spec)
     basis: list[Word] = [VACUUM]
     level_offsets = [0]
     previous: list[Word] = [VACUUM]
@@ -115,7 +115,6 @@ def build_space(spec: FockSpec, cap: int = BASIS_CAP) -> FockSpace:
                 if w and w[-1][0] == letter[0]:
                     continue
                 current.append(w + (letter,))
-        current.sort()
         basis.extend(current)
         previous = current
     return FockSpace(spec, basis, level_offsets)

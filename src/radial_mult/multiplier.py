@@ -26,16 +26,16 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure, TooLarge
+from .errors import DimensionMismatch, TooLarge
 from .fock import (
     CASE_TWO,
     FockOperator,
     FockSpace,
     Word,
-    _append_targets,
     _concat,
     _diagonal,
     _eps_triplets,
+    _letter_maps,
     _prepend_targets,
     _rho_triplets,
     _summed,
@@ -48,8 +48,6 @@ from .fock import (
 )
 from .hankel import RankOneDecomposition, difference_decompositions, exact_route
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
-
-DENSE_EIG_LIMIT = 512
 
 # Longest plan vectors built; atoms with |s| above about 1 - 3.4e-5 would
 # need more.
@@ -193,7 +191,7 @@ def plan_cb_bound(plan: MultiplierPlan) -> float:
 def _shift_values(vec: np.ndarray, levels: np.ndarray, shift: int) -> np.ndarray:
     """Diagonal values vec[level + shift], zero outside the vector's support."""
     idx = levels + shift
-    out = np.zeros(len(levels), dtype=complex)
+    out = np.zeros(len(levels), dtype=vec.dtype)
     ok = (idx >= 0) & (idx < len(vec))
     out[ok] = vec[idx[ok]]
     return out
@@ -453,70 +451,67 @@ def verify_component_eigenaction(
 # ---------------------------------------------------------------------------
 
 
-def spectral_norm(op: FockOperator, tol: float = 1e-12, max_iter: int = 5000) -> float:
-    """Largest absolute eigenvalue of a Hermitian operator.
+def spectral_norm(op: FockOperator) -> float:
+    """Spectral norm of a diagonal operator: its largest |entry|.
 
-    Dense eigendecomposition up to DENSE_EIG_LIMIT; power iteration above,
-    raising NumericalFailure when the iteration stalls.
+    The Kraus sums bounded here are diagonal by construction.  Raises
+    ValueError on an off-diagonal entry, so a general matrix never gets a
+    wrong answer.
     """
-    dim = op.space.dim
-    if dim <= DENSE_EIG_LIMIT:
-        try:
-            vals = np.linalg.eigvalsh(op.to_dense())
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-        return float(np.abs(vals).max()) if vals.size else 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = np.zeros(dim, dtype=complex)
-        np.add.at(w, op.row, op.data * v[op.col])
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) < tol * max(1.0, norm):
-            return float(norm)
-        prev = norm
-    raise NumericalFailure("power iteration did not converge")
+    if (op.row != op.col).any():
+        raise ValueError("spectral_norm needs a diagonal operator")
+    return float(np.abs(op.data).max(initial=0.0))
+
+
+def _append_levels(space: FockSpace):
+    """Yield, for lengths m = 0, 1, ..., max_len, the targets w + z of every
+    basis word w and every word z of length m that lie in the space, as one
+    index array.  Each level is the one below under the append map of each
+    letter; a target t fixes z as its last m letters, so it appears once."""
+    maps = _letter_maps(space)
+    t = np.arange(space.dim)
+    while len(t):
+        yield t
+        t = np.concatenate([append[t] for _, append in maps.values()])
+        t = t[t >= 0]
 
 
 def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
-    """Sum u u^* over the row Kraus family of one vector.
+    """Sum u u^* over the row Kraus family of one vector, as a diagonal operator.
 
     Variant 1 pairs the shifted diagonals with whole-word right creations;
     variant 2 shortens the appended word by one and compresses by the
     last-letter factor projections.  Every member is a weighted partial
     isometry u e_j = d(t_j) e_{t_j} with an injective target map t, so
-    u u^* is diagonal with |d|^2 at the targets, and the sum is assembled
-    from those diagonals.  For any vector it telescopes to ||vec||^2 times
-    the identity on the truncated space.
+    u u^* is diagonal with |d|^2 at the targets, and the sum is one real
+    diagonal accumulated member by member, the appended words' targets
+    composed level by level.  For any vector the sum telescopes to
+    ||vec||^2 times the identity on the truncated space.
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     vec = np.asarray(vec, dtype=complex)
-    # variant 2 appends one letter less and compresses by each factor-end projection
-    factors = range(len(space.spec.factor_dims))
-    masks = [True] if variant == 1 else [space.last_factor == f for f in factors]
-    members = [(np.arange(space.dim), n) for n in range(len(vec))]  # (targets t, shift)
-    for n in range(1, space.max_len + 1):
-        appended = (_append_targets(space, z) for z in space.words_of_length(n + 1 - variant))
-        members += [(np.where(m, t, -1), -n) for t in appended for m in masks]
-    blocks = []
-    for t, shift in members:
-        t = t[t >= 0]
-        d = _shift_values(vec, space.levels[t], shift)
-        blocks.append((t, t, d * d.conj()))
-    return FockOperator(space, _concat(blocks))
+    weight = (vec * vec.conj()).real
+    lv = space.levels
+    diag = np.zeros(space.dim)
+    for n in range(len(weight)):  # the shifted diagonals D_{(S*)^n vec}
+        diag += _shift_values(weight, lv, n)
+    appended = _append_levels(space)
+    if variant == 1:
+        next(appended)  # the empty word's member is the shift-0 diagonal above
+    # Level n appends the words of length n + 1 - variant and shifts vec by -n.
+    # The vacuum, which variant 2's projections drop, would carry vec[-1] = 0.
+    for n, t in enumerate(appended, start=1):
+        diag += np.bincount(t, _shift_values(weight, lv[t], -n), space.dim)
+    return _diagonal(space, diag)
 
 
 def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]:
     """Spectral norms of the row/column Kraus sums and their product.
 
     The column family's Gram sum has the same form as the row sum built
-    from y, so both sides reduce to one materialization each.
+    from y, so both sides reduce to one diagonal each, and each norm is the
+    largest entry of its diagonal.
     """
     row = spectral_norm(kraus_row_sum(space, x, variant))
     col = spectral_norm(kraus_row_sum(space, y, variant))

@@ -328,14 +328,22 @@ def _int_in(obj) -> int:
     raise ValueError(f"expected an integer, got {obj!r}")
 
 
+def _real_in(obj) -> float:
+    """A JSON real: an integer or a float; booleans and strings are rejected."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        try:
+            return float(obj)
+        except OverflowError as exc:
+            raise ValueError(f"real number out of range: {obj!r}") from exc
+    raise ValueError(f"expected a real number, got {obj!r}")
+
+
 def _cplx_in(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        return complex(_real_in(obj[0]), _real_in(obj[1]))
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    raise ValueError(f"cannot parse complex number from {obj!r}")
+        return complex(_real_in(obj.get("re", 0.0)), _real_in(obj.get("im", 0.0)))
+    return complex(_real_in(obj))
 
 
 def measure_to_obj(measure: DiscreteMeasure) -> list:
@@ -385,7 +393,7 @@ def symbol_from_obj(obj: dict) -> RadialSymbol:
     if family == "indicator":
         return Indicator(_int_in(obj["n0"]))
     if family == "truncated_geometric":
-        return TruncatedGeometric(float(obj["r"]), _int_in(obj["n0"]))
+        return TruncatedGeometric(_real_in(obj["r"]), _int_in(obj["n0"]))
     if family == "finite":
         return Finite(tuple(_cplx_in(v) for v in obj["values"]), _cplx_in(obj["tail"]))
     if family == "from_measure":

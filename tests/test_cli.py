@@ -102,6 +102,11 @@ def test_non_finite_symbol_exits_1(capsys, spec):
         '{"family":"truncated_geometric","r":0.5,"n0":2.5}',
         '{"family":"truncated_geometric","r":0.5,"n0":false}',
         '{"family":"truncated_geometric","r":0.5,"n0":-Infinity}',
+        '{"family":"truncated_geometric","r":"0.5","n0":3}',
+        '{"family":"finite","values":[true],"tail":0}',
+        '{"family":"geometric","s":["0.5",0]}',
+        '{"family":"finite","values":[{"re":"1"}],"tail":false}',
+        '{"family":"geometric","s":1' + "0" * 400 + "}",
     ],
 )
 def test_malformed_json_symbol_exits_1(capsys, spec):

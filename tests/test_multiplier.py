@@ -291,6 +291,12 @@ def test_eigenvalues_below_cb_bound(line5):
         assert measured <= bound + 1e-10
 
 
+def test_spectral_norm_rejects_off_diagonal_operator(pair4):
+    hermitian = FockOperator(pair4, ([0, 1], [1, 0], [1.0, 1.0]))
+    with pytest.raises(ValueError, match="diagonal"):
+        spectral_norm(hermitian)
+
+
 def test_spectral_norm_power_iteration_branch():
     space = build_space(FockSpec((1, 1), 300))
     assert space.dim > 512
@@ -469,7 +475,11 @@ def test_kraus_row_sum_matches_operator_products(case):
     space, vec, variant = case
     expected = kraus_row_sum_from_products(space, vec, variant).to_dense()
     got = kraus_row_sum(space, vec, variant).to_dense()
-    assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.linalg.norm(vec) ** 2)
+    sq = np.linalg.norm(vec) ** 2
+    scale = max(1.0, sq)
+    assert np.abs(got - expected).max() <= 1e-12 * scale
+    err = np.abs(np.subtract(cs_bound(space, vec, vec, variant), (sq, sq, sq**2)))
+    assert (err <= 1e-12 * np.array([scale, scale, scale**2])).all(), err
 
 
 # --- full plans: the level kernels are the symbol's Hankel data -------------
