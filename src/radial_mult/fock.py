@@ -3,15 +3,17 @@
 Basis vectors are words: sequences of letters, each letter belonging to one
 of finitely many factors, with consecutive letters from distinct factors.
 Words of length up to ``max_len`` are kept; any creation that would exceed
-the cap yields zero.  Every operator is a sparse complex matrix in the
-graded-lexicographic word basis, held as row-major COO triplets with one
-entry per position, so sparsity patterns and dumps are deterministic.
+the cap yields zero.  A space holds its words as index arrays, with tuples
+as lazy labels.  Every operator is a sparse complex matrix in the graded-lex
+word basis, held as row-major COO triplets with one entry per position.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +25,7 @@ Word = tuple[Letter, ...]
 VACUUM: Word = ()
 
 BASIS_CAP = 200_000
+_NONE = np.array([-1])  # the vacuum's parent, letter and last factor
 
 CASE_ONE = 1
 CASE_TWO = 2
@@ -36,7 +39,11 @@ class FockSpec:
     max_len: int
 
     def __post_init__(self):
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
+        try:
+            object.__setattr__(self, "factor_dims", tuple(map(operator.index, self.factor_dims)))
+            object.__setattr__(self, "max_len", operator.index(self.max_len))
+        except TypeError as exc:
+            raise ValueError(f"factor dimensions and max_len must be integers: {exc}") from None
         if not self.factor_dims:
             raise ValueError("at least one factor is required")
         if any(d < 1 for d in self.factor_dims):
@@ -61,21 +68,21 @@ def _word_count(spec: FockSpec, cap: int) -> int:
 
 
 class FockSpace:
-    """Enumerated word basis of a truncated product space.
+    """Word basis of a truncated product space, as index arrays: word i > 0 is
+    word parent[i] plus letter letters()[letter[i]], of length levels[i] and last
+    factor last_factor[i] (-1 for the vacuum, word 0).  The tuple labels basis,
+    index and words_of_length, the letter maps and the word targets are built on
+    first use and memoized, so concurrent readers at worst duplicate work."""
 
-    The basis and index are fixed after construction; letter maps and word
-    targets are memoized lazily, so concurrent readers at worst duplicate work.
-    """
-
-    def __init__(self, spec: FockSpec, basis: list[Word], level_offsets: list[int]):
+    def __init__(self, spec: FockSpec, parent, letter, last_factor, level_offsets: list[int]):
         self.spec = spec
-        self.basis = basis
-        self.index = {w: i for i, w in enumerate(basis)}
+        self.parent = parent
+        self.letter = letter
+        self.last_factor = last_factor
         self.level_offsets = level_offsets
-        self.dim = len(basis)
-        self.levels = np.array([len(w) for w in basis], dtype=int)
-        self.last_factor = np.array([w[-1][0] if w else -1 for w in basis], dtype=int)
-        self._letter_maps: dict[Letter, tuple[np.ndarray, np.ndarray]] | None = None
+        self.dim = len(parent)
+        self.levels = np.repeat(np.arange(spec.max_len + 1), np.diff([*level_offsets, self.dim]))
+        self._letter_maps: tuple[np.ndarray, np.ndarray] | None = None
         self._prepend_targets: dict[Word, np.ndarray] = {}
 
     @property
@@ -83,41 +90,49 @@ class FockSpace:
         return self.spec.max_len
 
     def letters(self) -> list[Letter]:
-        return _letters(self.spec)
+        """Every letter, sorted by factor and then by index within the factor."""
+        return [(f, a) for f, d in enumerate(self.spec.factor_dims) for a in range(d)]
 
     def words_of_length(self, n: int) -> list[Word]:
         if n < 0 or n > self.max_len:
             return []
-        start = self.level_offsets[n]
-        end = self.level_offsets[n + 1] if n + 1 < len(self.level_offsets) else self.dim
+        start, end = [*self.level_offsets, self.dim][n : n + 2]
         return self.basis[start:end]
 
+    @cached_property
+    def basis(self) -> list[Word]:
+        letters, basis = self.letters(), [VACUUM]
+        for p, g in zip(self.parent[1:].tolist(), self.letter[1:].tolist()):
+            basis.append(basis[p] + (letters[g],))
+        return basis
 
-def _letters(spec: FockSpec) -> list[Letter]:
-    """Every letter, sorted by factor and then by index within the factor."""
-    return [(f, a) for f, d in enumerate(spec.factor_dims) for a in range(d)]
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.basis)}
 
 
 def build_space(spec: FockSpec, cap: int = BASIS_CAP) -> FockSpace:
     """Enumerate all words of length <= max_len in graded-lexicographic order:
-    each level extends the sorted level below by the sorted letters."""
+    level m + 1 is the children of level m in order, one per letter outside
+    the parent's last factor, so one np.nonzero of letter masks gives a level."""
     if _word_count(spec, cap) > cap:
         raise TooLarge(f"basis would hold more than {cap} words")
-    letters = _letters(spec)
-    basis: list[Word] = [VACUUM]
-    level_offsets = [0]
-    previous: list[Word] = [VACUUM]
+    dims = spec.factor_dims
+    # the factor of each letter column, and -1 at index -1 for the vacuum
+    factors = np.repeat([*range(len(dims)), -1], [*dims, 1])
+    # row f marks the letters outside factor f; the last row, which the
+    # vacuum's factor -1 picks, marks every letter
+    allowed = np.arange(len(dims) + 1)[:, None] != factors[:-1]
+    parents, letters, level_offsets = [_NONE], [_NONE], [0]
+    last = _NONE  # the last factor of each word of the level
     for _ in range(spec.max_len):
-        level_offsets.append(len(basis))
-        current: list[Word] = []
-        for w in previous:
-            for letter in letters:
-                if w and w[-1][0] == letter[0]:
-                    continue
-                current.append(w + (letter,))
-        basis.extend(current)
-        previous = current
-    return FockSpace(spec, basis, level_offsets)
+        level_offsets.append(level_offsets[-1] + len(last))
+        parent, letter = allowed.take(last, axis=0).nonzero()
+        parents.append(parent + level_offsets[-2])
+        letters.append(letter)
+        last = factors.take(letter)
+    letter = np.concatenate(letters)
+    return FockSpace(spec, np.concatenate(parents), letter, factors[letter], level_offsets)
 
 
 def _summed(row, col, data, ncols: int):
@@ -209,18 +224,19 @@ def zero(space: FockSpace) -> FockOperator:
     return _diagonal(space, np.zeros(space.dim))
 
 
-def _letter_maps(space: FockSpace) -> dict[Letter, tuple[np.ndarray, np.ndarray]]:
-    """Per letter g, the index of (g,) + w and of w + (g,) for every basis word w:
-    -1 where that is no word of the space, and -1 in one extra trailing slot,
-    so that a map sends -1 to -1 and maps compose by indexing."""
+def _letter_maps(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Prepend and append tables: the index of (g,) + w and of w + (g,) at row
+    w and letter column g, -1 off the space and in a trailing row, so that maps
+    compose by indexing.  (g,) + w + (h,) appends h to (g,) + w, level by level."""
     if space._letter_maps is None:
-        def targets(words):
-            return np.array([*(space.index.get(v, -1) for v in words), -1])
-
-        space._letter_maps = {
-            g: (targets((g,) + w for w in space.basis), targets(w + (g,) for w in space.basis))
-            for g in space.letters()
-        }
+        parent, letter = space.parent, space.letter
+        append = np.full((space.dim + 1, sum(space.spec.factor_dims)), -1)
+        append[parent[1:], letter[1:]] = np.arange(1, space.dim)
+        prepend = np.full_like(append, -1)
+        prepend[0] = append[0]
+        for start, end in zip(space.level_offsets[1:], [*space.level_offsets[2:], space.dim]):
+            prepend[start:end] = append[prepend[parent[start:end]], letter[start:end, None]]
+        space._letter_maps = prepend, append
     return space._letter_maps
 
 
@@ -228,18 +244,18 @@ def _prepend_targets(space: FockSpace, word: Word) -> np.ndarray:
     """Index of word + w for every basis word w (-1 where that is no word of the space)."""
     cached = space._prepend_targets
     if word not in cached:
-        maps, out = _letter_maps(space), np.arange(space.dim)
+        prepend, columns, out = _letter_maps(space)[0], space.letters(), np.arange(space.dim)
         for letter in reversed(word):
-            out = maps[letter][0][out]
+            out = prepend[out, columns.index(letter)]
         cached[word] = out
     return cached[word]
 
 
 def _append_targets(space: FockSpace, word: Word) -> np.ndarray:
     """Index of w + word for every basis word w (-1 where that is no word of the space)."""
-    maps, out = _letter_maps(space), np.arange(space.dim)
+    append, columns, out = _letter_maps(space)[1], space.letters(), np.arange(space.dim)
     for letter in word:
-        out = maps[letter][1][out]
+        out = append[out, columns.index(letter)]
     return out
 
 
@@ -328,12 +344,11 @@ def _concat(parts):
 
 
 def _rho_triplets(space: FockSpace, row, col, data):
-    """rho on COO triplets; distinct entries have distinct images."""
-    parts = []
-    for _, t in _letter_maps(space).values():
-        ok = (t[row] >= 0) & (t[col] >= 0)
-        parts.append((t[row[ok]], t[col[ok]], data[ok]))
-    return _concat(parts)
+    """rho on COO triplets, letter by letter; distinct entries have distinct images."""
+    append = _letter_maps(space)[1]
+    rows, cols = append[row].T, append[col].T
+    ok = (rows >= 0) & (cols >= 0)
+    return rows[ok], cols[ok], np.broadcast_to(data, rows.shape)[ok]
 
 
 def _eps_triplets(space: FockSpace, row, col, data):

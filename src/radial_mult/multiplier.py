@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .fock import (
     _concat,
     _diagonal,
     _eps_triplets,
-    _letter_maps,
     _prepend_targets,
     _rho_triplets,
     _summed,
@@ -338,13 +338,10 @@ def apply_T2(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOp
 
 def _iter_pairs(space: FockSpace, max_word: int, max_pair_sum: int | None):
     top = min(max_word, space.max_len)
-    for k in range(top + 1):
-        for l in range(top + 1):
-            if max_pair_sum is not None and k + l > max_pair_sum:
-                continue
-            for xi in space.words_of_length(k):
-                for eta in space.words_of_length(l):
-                    yield k, l, xi, eta
+    for k, l in product(range(top + 1), repeat=2):
+        if max_pair_sum is None or k + l <= max_pair_sum:
+            for xi, eta in product(space.words_of_length(k), space.words_of_length(l)):
+                yield k, l, xi, eta
 
 
 def _safe_columns(space: FockSpace, k: int, l: int, eta: Word) -> np.ndarray:
@@ -463,19 +460,6 @@ def spectral_norm(op: FockOperator) -> float:
     return float(np.abs(op.data).max(initial=0.0))
 
 
-def _append_levels(space: FockSpace):
-    """Yield, for lengths m = 0, 1, ..., max_len, the targets w + z of every
-    basis word w and every word z of length m that lie in the space, as one
-    index array.  Each level is the one below under the append map of each
-    letter; a target t fixes z as its last m letters, so it appears once."""
-    maps = _letter_maps(space)
-    t = np.arange(space.dim)
-    while len(t):
-        yield t
-        t = np.concatenate([append[t] for _, append in maps.values()])
-        t = t[t >= 0]
-
-
 def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
     """Sum u u^* over the row Kraus family of one vector, as a diagonal operator.
 
@@ -484,26 +468,24 @@ def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
     last-letter factor projections.  Every member is a weighted partial
     isometry u e_j = d(t_j) e_{t_j} with an injective target map t, so
     u u^* is diagonal with |d|^2 at the targets, and the sum is one real
-    diagonal accumulated member by member, the appended words' targets
-    composed level by level.  For any vector the sum telescopes to
-    ||vec||^2 times the identity on the truncated space.
+    diagonal.  Appending the words of length m hits each word of length >= m
+    once, with a weight set by its length, so the sum is one value per length.
+    For any vector the sum telescopes to ||vec||^2 times the identity on the
+    truncated space.
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     vec = np.asarray(vec, dtype=complex)
     weight = (vec * vec.conj()).real
-    lv = space.levels
-    diag = np.zeros(space.dim)
+    lv = np.arange(space.max_len + 1)
+    diag = np.zeros(space.max_len + 1)
     for n in range(len(weight)):  # the shifted diagonals D_{(S*)^n vec}
         diag += _shift_values(weight, lv, n)
-    appended = _append_levels(space)
-    if variant == 1:
-        next(appended)  # the empty word's member is the shift-0 diagonal above
-    # Level n appends the words of length n + 1 - variant and shifts vec by -n.
-    # The vacuum, which variant 2's projections drop, would carry vec[-1] = 0.
-    for n, t in enumerate(appended, start=1):
-        diag += np.bincount(t, _shift_values(weight, lv[t], -n), space.dim)
-    return _diagonal(space, diag)
+    # Level n appends the words of length n + 1 - variant and shifts vec by -n;
+    # the vacuum, which variant 2's projections drop, would carry vec[-1] = 0.
+    for n in range(1, space.max_len + variant):
+        diag[n + 1 - variant :] += _shift_values(weight, lv[n + 1 - variant :], -n)
+    return _diagonal(space, diag[space.levels])
 
 
 def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -78,6 +80,21 @@ def test_alternation_constraint(triple):
     for w in triple.basis:
         for a, b in zip(w, w[1:]):
             assert a[0] != b[0]
+
+
+@pytest.mark.parametrize(
+    "dims, max_len",
+    [((2.5,), 3), ((2,), 2.5), ((2, "2"), 3), ((2,), None), (3, 2), ((), 2), ((0,), 2), ((1,), 0)],
+)
+def test_spec_rejects_malformed_fields(dims, max_len):
+    with pytest.raises(ValueError):
+        FockSpec(dims, max_len)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = FockSpec((np.int64(2), np.int32(1)), np.int64(3))
+    assert spec == FockSpec((2, 1), 3)
+    assert all(type(d) is int for d in spec.factor_dims) and type(spec.max_len) is int
 
 
 def test_build_space_cap():
@@ -431,6 +448,44 @@ def test_operator_rejects_out_of_range_indices(two_line, bad):
         FockOperator(two_line, (*bad, [1.0]))
 
 
+# --- property: the index arrays against an itertools enumeration -----------
+
+
+def enumerate_words(factors, max_len):
+    """Every alternating word of length <= max_len, sorted by (length, word),
+    enumerated over all letter strings independently of build_space."""
+    letters = [(f, a) for f, d in enumerate(factors) for a in range(d)]
+    words = [
+        w
+        for n in range(max_len + 1)
+        for w in product(letters, repeat=n)
+        if all(x[0] != y[0] for x, y in zip(w, w[1:]))
+    ]
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+small_specs = st.builds(
+    FockSpec, st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple), st.integers(1, 4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs)
+def test_basis_matches_enumeration(spec):
+    space = build_space(spec)
+    words = enumerate_words(spec.factor_dims, spec.max_len)
+    lengths = [len(w) for w in words]
+    assert space.dim == len(words)
+    assert space.basis == words
+    assert space.index == {w: i for i, w in enumerate(words)}
+    starts = [sum(m < n for m in lengths) for n in range(spec.max_len + 1)]
+    assert space.level_offsets == starts
+    assert space.levels.tolist() == lengths
+    assert space.last_factor.tolist() == [w[-1][0] if w else -1 for w in words]
+    for n in range(spec.max_len + 1):
+        assert space.words_of_length(n) == [w for w in words if len(w) == n]
+
+
 # --- property: word targets against the literal tuple lookup ----------------
 
 
@@ -445,7 +500,10 @@ def word_cases(draw):
 
 
 def literal_targets(space, join):
-    return [space.index.get(join(w), -1) for w in space.basis]
+    """Per enumerated word w, the enumeration index of join(w), -1 off the space."""
+    words = enumerate_words(space.spec.factor_dims, space.max_len)
+    index = {w: i for i, w in enumerate(words)}
+    return [index.get(join(w), -1) for w in words]
 
 
 def units(space, rows, cols):

@@ -297,7 +297,7 @@ def test_spectral_norm_rejects_off_diagonal_operator(pair4):
         spectral_norm(hermitian)
 
 
-def test_spectral_norm_power_iteration_branch():
+def test_spectral_norm_of_a_601_dim_diagonal():
     space = build_space(FockSpec((1, 1), 300))
     assert space.dim > 512
     big = diagonal(space, np.linspace(-3.0, 2.0, 301))
