@@ -43,7 +43,7 @@ print("measure sym: ", [round(evaluate(measured, n).real, 4) for n in range(6)])
 for sym, name in ((geo, "geometric"), (chi2, "indicator")):
     c = tail_constant(sym)
     worst = max(
-        abs(psi1(sym, n, 1e-12) + psi2(sym, n, 1e-12) + c - evaluate(sym, n))
+        abs(psi1(sym, n) + psi2(sym, n) + c - evaluate(sym, n))
         for n in range(40)
     )
     print(f"psi decomposition residual for {name}: {worst:.2e}")

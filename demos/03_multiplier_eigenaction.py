@@ -1,9 +1,10 @@
 """Assembling the multiplier map and checking its eigen-action.
 
-The plan decomposes both difference Hankel matrices into rank-one terms;
-the induced map T rescales every word-pair operator L_xi L_eta^* by the
-symbol value at the combined length (shifted by one when the last letters
-share a factor).
+The plan decomposes both difference Hankel matrices into rank-one terms,
+the certificate that T is completely bounded; T itself is read off the
+symbol and rescales every word-pair operator L_xi L_eta^* by the symbol
+value at the combined length (shifted by one when the last letters share
+a factor).
 """
 
 from radial_mult import (
@@ -63,5 +64,5 @@ sample = comp.records[7]
 print(
     f"sample pair ({word_label(sample.xi)}, {word_label(sample.eta)}): "
     f"T1 eigenvalue {sample.expected_t1.real:+.3f} = psi1({sample.k + sample.l}) "
-    f"= {psi1(chi, sample.k + sample.l, 1e-12).real:+.3f}"
+    f"= {psi1(chi, sample.k + sample.l).real:+.3f}"
 )

@@ -148,7 +148,7 @@ def _sv_csv(sections: dict[str, np.ndarray]) -> str:
 
 def cmd_norm(args) -> int:
     sym = parse_symbol(args.symbol)
-    report = c_norm(sym, args.tol)
+    report = c_norm(sym)
     obj = {
         "schema": SCHEMA,
         "command": "norm",
@@ -157,7 +157,7 @@ def cmd_norm(args) -> int:
     }
     sections = {"h": report.singular_values_h, "k": report.singular_values_k}
     if args.cprime:
-        creport = cprime_norm(sym, args.tol)
+        creport = cprime_norm(sym)
         obj["cprime_report"] = creport.to_obj()
         sections["hhat"] = creport.singular_values_hhat
     _emit(args, obj, _sv_csv(sections))
@@ -274,7 +274,7 @@ def cmd_integral_check(args) -> int:
         try:
             c, measure = representation_for(sym)
             mass = abs(c) + weight(measure)
-            base = c_norm(sym, min(args.tol, 1e-9)).total
+            base = c_norm(sym).total
             record("headroom", mass, HEADROOM * base, mass <= HEADROOM * base + args.tol)
         except UnsupportedRepresentation:
             checks.append({"check": "representation", "holds": True, "note": "unsupported"})

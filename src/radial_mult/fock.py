@@ -25,6 +25,10 @@ Word = tuple[Letter, ...]
 VACUUM: Word = ()
 
 BASIS_CAP = 200_000
+# Entries of each (dim + 1) x letters int64 letter-map table; two tables at
+# this cap take 64 MB.  BASIS_CAP bounds words, not letters, so a space of
+# many letters passes it with tables far larger than this.
+LETTER_MAP_CAP = 1 << 22
 _NONE = np.array([-1])  # the vacuum's parent, letter and last factor
 
 CASE_ONE = 1
@@ -227,8 +231,12 @@ def zero(space: FockSpace) -> FockOperator:
 def _letter_maps(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     """Prepend and append tables: the index of (g,) + w and of w + (g,) at row
     w and letter column g, -1 off the space and in a trailing row, so that maps
-    compose by indexing.  (g,) + w + (h,) appends h to (g,) + w, level by level."""
+    compose by indexing.  (g,) + w + (h,) appends h to (g,) + w, level by level.
+    Raises TooLarge before allocating when a table would pass LETTER_MAP_CAP."""
     if space._letter_maps is None:
+        entries = (space.dim + 1) * sum(space.spec.factor_dims)
+        if entries > LETTER_MAP_CAP:
+            raise TooLarge(f"letter maps would need {entries} entries (cap {LETTER_MAP_CAP})")
         parent, letter = space.parent, space.letter
         append = np.full((space.dim + 1, sum(space.spec.factor_dims)), -1)
         append[parent[1:], letter[1:]] = np.arange(1, space.dim)

@@ -17,8 +17,9 @@ norms of its difference Hankel matrices:
   at most the reported geometric-tail bound.  The Doubled form of a
   measure symbol is the measure with atoms +-sqrt(s) and weights w/2.
 
-The same factorization feeds the rank-one decompositions used to assemble
-multiplier maps.
+The same factorization feeds the rank-one decompositions that certify the
+multiplier map completely bounded.  The map itself is read off the symbol
+through ``hankel_h``/``hankel_k``, not through these terms.
 """
 
 from __future__ import annotations
@@ -318,17 +319,14 @@ def _exact_spectra(sym: RadialSymbol, matrices):
     return route, m, spectra, bound
 
 
-def c_norm(sym: RadialSymbol, tol: float = 1e-10) -> HankelReport:
+def c_norm(sym: RadialSymbol) -> HankelReport:
     """Symbol norm: trace norms of both difference Hankel matrices plus |tail|.
 
     Finite-support symbols take one SVD per matrix at support + 2 (TooLarge
     past SUPPORT_HEIGHT_CAP; indicators use the closed form); measure
     symbols take the Vandermonde route with d = w(1-s) for h and w s(1-s)
-    for k.  Both are exact, so ``tol`` is only checked to be positive.  A
-    symbol whose even and odd tails differ raises UnsupportedTail.
+    for k.  A symbol whose even and odd tails differ raises UnsupportedTail.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     tail_abs = abs(tail_constant(sym))
     route, m, (sv_h, sv_k), bound = _exact_spectra(sym, ((hankel_h, *H), (hankel_k, *K)))
     tn_h = float(sv_h.sum())
@@ -347,7 +345,7 @@ def c_norm(sym: RadialSymbol, tol: float = 1e-10) -> HankelReport:
     )
 
 
-def cprime_norm(sym: RadialSymbol, tol: float = 1e-10) -> CPrimeReport:
+def cprime_norm(sym: RadialSymbol) -> CPrimeReport:
     """Two-step-difference norm: |c1| + |c2| + trace norm of hhat.
 
     The parity constants come from the even/odd tail limits:
@@ -356,10 +354,8 @@ def cprime_norm(sym: RadialSymbol, tol: float = 1e-10) -> CPrimeReport:
     the support route; measure symbols take the Vandermonde route with
     d = w(1-s^2).  So does a Doubled measure symbol with a tail c: its
     c (1 + (-1)**n)/2 part is annihilated by the two-step difference and
-    enters only as c1 = c2 = c/2.  ``tol`` is only checked to be positive.
+    enters only as c1 = c2 = c/2.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     even, odd = parity_tails(sym)
     c1 = (even + odd) / 2
     c2 = (even - odd) / 2

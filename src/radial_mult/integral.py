@@ -95,7 +95,7 @@ def verify_membership_bound(
     c: complex, measure: DiscreteMeasure, tol: float = 1e-8
 ) -> MembershipReport:
     """Check trace_norm_h + trace_norm_k <= weight(measure) + tol numerically."""
-    report = c_norm(FromMeasure(c, measure), min(tol, 1e-9))
+    report = c_norm(FromMeasure(c, measure))
     left = report.trace_norm_h + report.trace_norm_k
     right = weight(measure)
     return MembershipReport(
@@ -138,9 +138,8 @@ def verify_doubling(sym: RadialSymbol, tol: float = 1e-8) -> DoublingReport:
     measure symbol takes the Vandermonde route with atoms +-sqrt(s) on both
     sides, tail or not.
     """
-    inner_tol = min(tol, 1e-9)
-    base = c_norm(sym, inner_tol)
-    doubled = cprime_norm(double(sym), inner_tol)
+    base = c_norm(sym)
+    doubled = cprime_norm(double(sym))
     return DoublingReport(
         base_total=base.total,
         doubled_total=doubled.total,

@@ -1,21 +1,24 @@
-"""Multiplier maps assembled from rank-one Hankel decompositions.
+"""Multiplier maps of radial symbols on truncated word spaces.
 
-A plan stores rank-one terms (x_i, y_i) and (z_i, w_i) for the two
-difference Hankel matrices plus the tail constant c.  The induced map
+The map T = T1 + T2 + c Id rescales each word-pair operator L_xi L_eta^*
+by the symbol value at the pair's combined length (shifted by one when the
+last letters share a factor).  ``apply_T`` and the verifiers read T off the
+symbol: T1 and T2 act through level kernels, the h and k Hankel truncations
+G and W[a, b] = psi1(a + b) and psi2(a + b), at O(max_len^2) scalar
+evaluations whatever the symbol's rank.
+
+A plan is the certificate that T is completely bounded: rank-one terms
+(x_i, y_i) and (z_i, w_i) of the two difference Hankel matrices plus the
+tail constant c, with
 
     T(A) = sum_i Phi1_{x_i, y_i}(A) + sum_i Phi2_{z_i, w_i}(A) + c * A
 
-acts on operators over a truncated word space and rescales each
-word-pair operator L_xi L_eta^* by the symbol value at the pair's
-combined length (shifted by one when the last letters share a factor).
-A plan is the symbol's exact decomposition: its vectors end at the height
-of the symbol's exact route, past which the differences vanish or lie
-below rounding, so one plan serves word spaces of every length.
-``apply_T`` and the verifiers sum each decomposition once into level
-kernels, so their cost does not depend on the plan's rank;
-``phi1_apply``/``phi2_apply`` keep the per-term formula as the reference.
-The module also bounds the map through explicit Kraus families and
-realizes the unital completely positive tensor extensions, whose images
+and ||T||_cb at most sum_i ||x_i|| ||y_i|| + sum_i ||z_i|| ||w_i|| + |c|.
+Its vectors end at the height of the symbol's exact route, past which the
+differences vanish or lie below rounding.  ``phi1_apply``/``phi2_apply``
+keep the per-term formula as the reference that ties the certificate to
+the map.  The module also bounds the map through explicit Kraus families
+and realizes the unital completely positive tensor extensions, whose images
 on the word space times C^d are returned as COO triplets.
 """
 
@@ -46,7 +49,13 @@ from .fock import (
     word_label,
     zero,
 )
-from .hankel import RankOneDecomposition, difference_decompositions, exact_route
+from .hankel import (
+    RankOneDecomposition,
+    difference_decompositions,
+    exact_route,
+    hankel_h,
+    hankel_k,
+)
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
 
 # Longest plan vectors built; atoms with |s| above about 1 - 3.4e-5 would
@@ -56,7 +65,7 @@ VECTOR_HORIZON_CAP = 1 << 20
 
 @dataclass
 class MultiplierPlan:
-    """Rank-one data driving the multiplier map for one symbol."""
+    """A symbol with its rank-one certificate that the multiplier is cb."""
 
     symbol: RadialSymbol
     decomposition_h: RankOneDecomposition
@@ -168,12 +177,6 @@ def build_plan(sym: RadialSymbol) -> MultiplierPlan:
     return MultiplierPlan(symbol=sym, decomposition_h=dec_h, decomposition_k=dec_k, c=c)
 
 
-def _stack(terms) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors x_i and y_i of a non-empty term list as rank x length arrays."""
-    pairs = np.asarray(terms, dtype=complex)
-    return pairs[:, 0], pairs[:, 1]
-
-
 def plan_cb_bound(plan: MultiplierPlan) -> float:
     """Upper bound sum_i ||x_i|| ||y_i|| + sum_i ||z_i|| ||w_i|| + |c|.
 
@@ -252,36 +255,26 @@ def phi2_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
     return _first_sum(space, x, y, op) + _deep_sum(space, x, y, deep)
 
 
-def _level_kernels(dec: RankOneDecomposition, max_len: int):
-    """G[a, b] = sum_i x_i[a] conj(y_i[b]) and W[a, b] = sum_t G[a+t, b+t]
-    for a, b <= max_len, W summing each diagonal to the end of the vectors."""
-    size = max_len + 1
-    x, y = _stack(dec.terms)
-    if x.shape[1] < size:
-        x, y = (np.pad(v, ((0, 0), (0, size - v.shape[1]))) for v in (x, y))
-    length = x.shape[1]
-    g, w = np.zeros((2, size, size), dtype=complex)
-    for d in range(-max_len, max_len + 1):
-        a, b = max(d, 0), max(-d, 0)
-        diag = np.einsum("it,it->t", x[:, a : length - b], y[:, b : length - a].conj())
-        t = np.arange(size - abs(d))
-        g[a + t, b + t] = diag[t]
-        w[a + t, b + t] = np.cumsum(diag[::-1])[::-1][t]
-    return g, w
-
-
 def _kernels(plan: MultiplierPlan, space: FockSpace, c=0.0, h=False, k=False):
-    """(c, W, [(G, compressed)]) of the map c A + the chosen decompositions:
+    """(c, W, [(G, compressed)]) of the map c A + the chosen parts of T:
     T(A) = c A + A o W[lv_r, lv_c] + sum_n G[lv_r - n, lv_c - n] deep[n],
-    with deep[n] = rho^n(A), or rho^(n-1)(eps(A)) for the compressed k part."""
-    first = np.zeros((space.max_len + 1,) * 2, dtype=complex)
+    with deep[n] = rho^n(A), or rho^(n-1)(eps(A)) for the compressed k part.
+
+    The kernels are read off ``plan.symbol``: G is the h or k truncation at
+    max_len + 1, and W sums G along each diagonal, which telescopes to
+    W[a, b] = psi1(a + b) for h and psi2(a + b) = psi1(a + b + 1) for k.
+    A part whose G vanishes on the space has no deep terms."""
+    sym, size = plan.symbol, space.max_len + 1
+    psi = np.array([psi1(sym, n) for n in range(2 * size)])
+    sums = np.add.outer(np.arange(size), np.arange(size))
+    first = np.zeros((size, size), dtype=complex)
     deep = []
-    parts = ((plan.decomposition_h, False, h), (plan.decomposition_k, True, k))
-    for dec, compressed, chosen in parts:
-        if chosen and dec.terms:
-            g, w = _level_kernels(dec, space.max_len)
-            first += w
-            deep.append((g, compressed))
+    for hankel, shift, compressed, chosen in ((hankel_h, 0, False, h), (hankel_k, 1, True, k)):
+        if chosen:
+            first += psi[sums + shift]
+            g = hankel(sym, size)
+            if g.any():
+                deep.append((g, compressed))
     return c, first, deep
 
 
@@ -322,12 +315,12 @@ def apply_T(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOpe
 
 
 def apply_T1(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
-    """The rank-term sum over the first-difference decomposition alone."""
+    """T1(A), the first-difference part of T."""
     return _apply_map(space, op, _kernels(plan, space, h=True))
 
 
 def apply_T2(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
-    """The rank-term sum over the shifted-difference decomposition alone."""
+    """T2(A), the shifted-difference part of T."""
     return _apply_map(space, op, _kernels(plan, space, k=True))
 
 

@@ -264,18 +264,15 @@ def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
     raise TypeError(f"{type(sym).__name__} has no measure representation")
 
 
-def psi1(sym: RadialSymbol, n: int, tol: float = 1e-10) -> complex:
+def psi1(sym: RadialSymbol, n: int) -> complex:
     """Sum of the alternating difference series starting at index n.
 
     psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)), in closed form: a measure
     symbol gives sum_j w_j s_j**n / (1 + s_j), and a finite-support symbol a
     finite sum up to its support length.  When the even and odd tails differ
     the terms tend to +-(even - odd), so the series diverges and
-    NonConvergent is raised.  Both forms are exact; ``tol`` is only checked
-    to be positive.
+    NonConvergent is raised.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     if n < 0:
         raise ValueError("index must be non-negative")
     even, odd = parity_tails(sym)
@@ -293,9 +290,9 @@ def psi1(sym: RadialSymbol, n: int, tol: float = 1e-10) -> complex:
     )
 
 
-def psi2(sym: RadialSymbol, n: int, tol: float = 1e-10) -> complex:
+def psi2(sym: RadialSymbol, n: int) -> complex:
     """psi2(n) = psi1(n+1)."""
-    return psi1(sym, n + 1, tol)
+    return psi1(sym, n + 1)
 
 
 def double(sym: RadialSymbol) -> RadialSymbol:

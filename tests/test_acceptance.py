@@ -77,7 +77,7 @@ def test_criterion_02_psi_decomposition():
     for sym in FAMILIES:
         c = tail_constant(sym)
         for n in range(65):
-            lhs = psi1(sym, n, 1e-12) + psi2(sym, n, 1e-12) + c
+            lhs = psi1(sym, n) + psi2(sym, n) + c
             ok = ok and abs(lhs - evaluate(sym, n)) <= 1e-10
     check(2, "psi1 + psi2 + c reproduces the symbol to 1e-10 for n <= 64", ok)
 
@@ -215,7 +215,7 @@ def test_criterion_09_integral_representation():
                 for r, t, wr, wt in zip(radii, angles, w_r, w_a)
             )
         )
-        rep = c_norm(FromMeasure(0.0, measure), 1e-9)
+        rep = c_norm(FromMeasure(0.0, measure))
         left = rep.trace_norm_h + rep.trace_norm_k
         right = sum(abs(w) * abs(1 - s) / (1 - abs(s)) for s, w in measure.atoms)
         ok = ok and left <= right + 1e-8
@@ -225,8 +225,8 @@ def test_criterion_09_integral_representation():
 def test_criterion_10_doubling_identity():
     ok = True
     for sym in FAMILIES:
-        base = c_norm(sym, 1e-9).total
-        doubled = cprime_norm(double(sym), 1e-9).total
+        base = c_norm(sym).total
+        doubled = cprime_norm(double(sym)).total
         ok = ok and abs(base - doubled) <= 1e-8
     check(10, "two-step norm of the doubled symbol equals the symbol norm", ok)
 
@@ -254,7 +254,7 @@ def test_criterion_11_truncated_geometric_convergence():
     for n in range(31):
         vals = [0.0] * (n + 1) + [r**k for k in range(n + 1, horizon)]
         tail_sym = Finite(tuple(vals), 0.0)
-        total = c_norm(tail_sym, 1e-9).total
+        total = c_norm(tail_sym).total
         bound = 4.0 * r ** (n + 1) * ((n + 1) * (1 - r) + r) / (1 - r) ** 2
         tail_margin = min(tail_margin, bound + 1e-8 - total)
         lower_margin = min(lower_margin, total - (2 * n + 1) * r ** (n + 1))

@@ -222,6 +222,21 @@ def test_fock_verify_guard_no_safe_domain(capsys):
     assert "no safe pairs" in err
 
 
+def test_fock_verify_letter_map_cap_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "fock-verify",
+        "-s",
+        "geometric:0.5",
+        "--space",
+        '{"factors":[100000],"max_len":1}',
+        "--max-word",
+        "1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("radial-mult: error:") and "letter maps" in err
+
+
 def test_fock_verify_negative_max_word_exits_1(capsys):
     code, out, err = run_cli(
         capsys,

@@ -105,6 +105,19 @@ def test_build_space_cap():
         build_space(FockSpec((2, 2), 20000))
 
 
+def test_letter_map_cap():
+    # 100001 words pass BASIS_CAP, but each letter-map table would hold 1e10
+    # entries; the cap refuses before allocating anything of that size
+    wide = build_space(FockSpec((100_000,), 1))
+    with pytest.raises(TooLarge, match="letter maps would need 10000200000 entries"):
+        word_operator(wide, (), ())
+    # (2, 2, 2) at length 8, dim 131071, needs 786432 entries and stays under it
+    deep = build_space(FockSpec((2, 2, 2), 8))
+    # L_(0,0) takes the vacuum and the two thirds of the 2 (4^7 - 1) words of
+    # lengths 1 to 7 that start outside factor 0
+    assert word_operator(deep, ((0, 0),), ()).nnz == 1 + 2 * (4**7 - 1) * 2 // 3
+
+
 def test_creation_action(two_line):
     gamma = (0, 0)
     L = creation(two_line, gamma)

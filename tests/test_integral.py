@@ -107,7 +107,7 @@ def test_induced_symbol_total_bounded():
     for _ in range(5):
         measure = random_measure(rng, 4)
         c = complex(rng.standard_normal(), rng.standard_normal())
-        total = c_norm(FromMeasure(c, measure), 1e-9).total
+        total = c_norm(FromMeasure(c, measure)).total
         assert total <= abs(c) + weight(measure) + 1e-8
 
 
@@ -137,7 +137,7 @@ def test_headroom_for_representable_symbols():
     ):
         c, measure = representation_for(sym)
         mass = abs(c) + weight(measure)
-        assert mass <= headroom * c_norm(sym, 1e-9).total + 1e-8
+        assert mass <= headroom * c_norm(sym).total + 1e-8
 
 
 def test_doubling_examples():

@@ -14,8 +14,6 @@ from radial_mult import (
     Indicator,
     ParityTail,
     TruncatedGeometric,
-    MultiplierPlan,
-    RankOneDecomposition,
     TooLarge,
     apply_T,
     apply_T1,
@@ -49,7 +47,6 @@ from radial_mult import (
     word_operator,
 )
 from radial_mult.fock import zero
-from radial_mult.multiplier import _level_kernels
 
 SYMBOLS = [
     Geometric(0.5),
@@ -195,9 +192,7 @@ def test_eigenvalue_consistency_with_series(line5):
     report = verify_eigenaction(plan, line5, max_word=2)
     for rec in report.records:
         if rec.case == CASE_ONE:
-            via_series = psi1(sym, rec.k + rec.l, 1e-12) + psi2(
-                sym, rec.k + rec.l, 1e-12
-            )
+            via_series = psi1(sym, rec.k + rec.l) + psi2(sym, rec.k + rec.l)
             assert abs(rec.expected - via_series) < 1e-10
 
 
@@ -214,8 +209,8 @@ def test_component_values_by_hand(pair4):
     a = word_operator(pair4, xi, eta)
     t1 = apply_T1(plan, pair4, a).to_dense()
     t2 = apply_T2(plan, pair4, a).to_dense()
-    lam1 = psi1(sym, 2, 1e-12)
-    lam2 = psi2(sym, 0, 1e-12)
+    lam1 = psi1(sym, 2)
+    lam2 = psi2(sym, 0)
     for j, w in enumerate(pair4.basis):
         if len(w) >= 1 and w[:1] == eta and len(w) <= pair4.max_len:
             assert np.abs(t1[:, j] - lam1 * a.to_dense()[:, j]).max() < 1e-10
@@ -369,7 +364,7 @@ def test_eigen_report_serialization(line5):
     assert len(csv_text.strip().split("\n")) == 1 + len(report.records)
 
 
-# --- property: the kernel path equals the literal per-term sums -------------
+# --- property: T read off the symbol equals the plan's literal per-term sums -
 
 disk = st.builds(
     lambda r, t: r * np.exp(1j * t),
@@ -398,18 +393,7 @@ def kernel_cases(draw):
     space = build_space(FockSpec(factors, max_len))
     sym = draw(symbols)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        plan = build_plan(sym)
-    else:
-        # random terms with vectors shorter and longer than max_len + 1
-        def random_terms():
-            rank, length = draw(st.integers(1, 3)), draw(st.integers(1, max_len + 4))
-            shape = (rank, 2, length)
-            pairs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return RankOneDecomposition(list(map(tuple, pairs)), 0.0)
-
-        c = complex(rng.standard_normal())
-        plan = MultiplierPlan(sym, random_terms(), random_terms(), c)
+    plan = build_plan(sym)
     nnz = draw(st.integers(1, 12))
     data = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
     rows, cols = rng.integers(0, space.dim, nnz), rng.integers(0, space.dim, nnz)
@@ -509,9 +493,23 @@ def test_level_kernels_are_the_symbol(sym):
         (plan.decomposition_h, hankel_h, psi1),
         (plan.decomposition_k, hankel_k, psi2),
     ):
-        g, w = _level_kernels(dec, max_len)
+        g, w = kernels_from_terms(dec, size)
         expected_g = hankel(sym, size)
         expected_w = np.array([[psi(sym, a + b) for b in range(size)] for a in range(size)])
         scale = max(1.0, np.abs(expected_g).max(), np.abs(expected_w).max())
         assert np.abs(g - expected_g).max() <= 1e-12 * scale
         assert np.abs(w - expected_w).max() <= 1e-12 * scale
+
+
+def kernels_from_terms(dec, size):
+    """G[a, b] = sum_i x_i[a] conj(y_i[b]) and W[a, b] = sum_t G[a+t, b+t] for
+    a, b < size, each diagonal of every term summed to the end of its vectors."""
+    g, w = np.zeros((2, size, size), dtype=complex)
+    for x, y in dec.terms:
+        for a, b in np.ndindex(size, size):
+            t = min(len(x) - a, len(y) - b)
+            if t > 0:
+                diagonal = x[a : a + t] * y[b : b + t].conj()
+                g[a, b] += diagonal[0]
+                w[a, b] += diagonal.sum()
+    return g, w

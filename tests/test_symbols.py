@@ -100,7 +100,7 @@ def test_psi2_examples():
     assert psi2(Indicator(1), 0) == 1
     for sym in FAMILIES:
         for n in (0, 3, 7):
-            assert psi2(sym, n, 1e-12) == psi1(sym, n + 1, 1e-12)
+            assert psi2(sym, n) == psi1(sym, n + 1)
 
 
 @pytest.mark.parametrize("sym", FAMILIES, ids=lambda s: type(s).__name__)
@@ -108,7 +108,7 @@ def test_psi_decomposition(sym):
     tol = 1e-12
     c = tail_constant(sym)
     for n in range(65):
-        total = psi1(sym, n, tol) + psi2(sym, n, tol) + c
+        total = psi1(sym, n) + psi2(sym, n) + c
         assert abs(total - evaluate(sym, n)) <= 10 * tol
 
 
@@ -116,20 +116,20 @@ def test_psi_decomposition(sym):
 def test_psi_difference_identity(sym):
     tol = 1e-12
     for n in range(20):
-        lhs = psi1(sym, n, tol) - psi1(sym, n + 2, tol)
+        lhs = psi1(sym, n) - psi1(sym, n + 2)
         rhs = evaluate(sym, n) - evaluate(sym, n + 1)
         assert abs(lhs - rhs) <= 10 * tol
 
 
 def test_psi_decays_to_zero():
-    assert abs(psi1(Geometric(0.5), 80, 1e-12)) < 1e-12
-    assert psi1(Indicator(3), 10, 1e-12) == 0
+    assert abs(psi1(Geometric(0.5), 80)) < 1e-12
+    assert psi1(Indicator(3), 10) == 0
 
 
 def test_psi_nonconvergent_outside_class():
     # unequal even/odd tails keep the difference terms at +-1
     with pytest.raises(NonConvergent):
-        psi1(ParityTail((), 1.0, 0.0), 0, 1e-10)
+        psi1(ParityTail((), 1.0, 0.0), 0)
 
 
 def test_psi1_late_indicator():
@@ -224,8 +224,3 @@ def test_serialization_accepts_re_im_objects():
 def test_finite_requires_explicit_tail():
     with pytest.raises(TypeError):
         Finite((1.0, 2.0))  # no tail given
-
-
-def test_psi1_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        psi1(Geometric(0.5), 0, 0.0)
