@@ -292,12 +292,13 @@ def cmd_integral_check(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="radial-mult", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol", type=_tolerance, default=1e-10, help="tolerance (default 1e-10)"
-    )
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    # only the commands that judge a result (exit 2 past it) take a tolerance
+    judged = argparse.ArgumentParser(add_help=False, parents=[common])
+    judged.add_argument(
+        "--tol", type=_tolerance, default=1e-10, help="tolerance (default 1e-10)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_norm = sub.add_parser("norm", parents=[common], help="symbol norm report")
@@ -306,24 +307,25 @@ def build_parser() -> _Parser:
     p_norm.set_defaults(func=cmd_norm)
 
     p_fock = sub.add_parser(
-        "fock-verify", parents=[common], help="word-pair eigenvalue verification"
+        "fock-verify", parents=[judged], help="word-pair eigenvalue verification"
     )
     p_fock.add_argument("-s", "--symbol", required=True)
     p_fock.add_argument("--space", required=True, help='JSON like {"factors":[1,1],"max_len":5}')
     p_fock.add_argument("--max-word", type=int, default=2)
     p_fock.set_defaults(func=cmd_fock_verify)
 
-    p_cs = sub.add_parser("cs-bound", parents=[common], help="Kraus-family norm bounds")
+    p_cs = sub.add_parser("cs-bound", parents=[judged], help="Kraus-family norm bounds")
     p_cs.add_argument("-s", "--symbol", required=True)
     p_cs.add_argument("--space", required=True)
     p_cs.set_defaults(func=cmd_cs_bound)
 
     p_int = sub.add_parser(
-        "integral-check", parents=[common], help="measure representation checks"
+        "integral-check", parents=[judged], help="measure representation checks"
     )
     p_int.add_argument("-s", "--symbol")
     p_int.add_argument("--measure", help="JSON atom list or {c, measure}, or @file")
     p_int.add_argument("--random-atoms", type=int, help="check one seeded random measure")
+    p_int.add_argument("--seed", type=int, default=0, help="seed for --random-atoms")
     p_int.set_defaults(func=cmd_integral_check)
     return parser
 

@@ -56,14 +56,14 @@ class FockSpec:
             raise ValueError("max_len must be at least 1")
 
 
-def _word_count(spec: FockSpec, cap: int) -> int:
+def _word_count(spec: FockSpec) -> int:
     """Number of words of length <= max_len, counted level by level until
-    the running total passes the cap."""
+    the running total passes BASIS_CAP."""
     dims = spec.factor_dims
     ending = list(dims)  # words of the current length ending in factor f
     total = 1 + sum(ending)
     for _ in range(2, spec.max_len + 1):
-        if total > cap:
+        if total > BASIS_CAP:
             break
         level = sum(ending)
         ending = [(level - e) * d for e, d in zip(ending, dims)]
@@ -115,12 +115,12 @@ class FockSpace:
         return {w: i for i, w in enumerate(self.basis)}
 
 
-def build_space(spec: FockSpec, cap: int = BASIS_CAP) -> FockSpace:
+def build_space(spec: FockSpec) -> FockSpace:
     """Enumerate all words of length <= max_len in graded-lexicographic order:
     level m + 1 is the children of level m in order, one per letter outside
     the parent's last factor, so one np.nonzero of letter masks gives a level."""
-    if _word_count(spec, cap) > cap:
-        raise TooLarge(f"basis would hold more than {cap} words")
+    if _word_count(spec) > BASIS_CAP:
+        raise TooLarge(f"basis would hold more than {BASIS_CAP} words")
     dims = spec.factor_dims
     # the factor of each letter column, and -1 at index -1 for the vacuum
     factors = np.repeat([*range(len(dims)), -1], [*dims, 1])

@@ -46,6 +46,9 @@ RANK_CUTOFF = 1e-14
 # height already takes 268 MB, so taller ones raise TooLarge.
 SUPPORT_HEIGHT_CAP = 4096
 
+# Longest rank-one vectors built; atoms with |s| above about 1 - 3.4e-5 need more.
+VECTOR_HORIZON_CAP = 1 << 20
+
 # The Vandermonde horizon M is the first power of two with max|s|**M at or
 # below this level, so the rows past M carry nothing a double can hold.
 ROUNDING = float(np.finfo(float).eps)
@@ -374,13 +377,13 @@ def cprime_norm(sym: RadialSymbol) -> CPrimeReport:
     )
 
 
-def rank_one_decompose(a: np.ndarray, tol: float = RANK_CUTOFF) -> RankOneDecomposition:
+def rank_one_decompose(a: np.ndarray) -> RankOneDecomposition:
     """Split a matrix into rank-one terms via SVD.
 
     Each retained singular triple (sigma, u, v) becomes the pair
     x = sqrt(sigma) u, y = sqrt(sigma) v, so that the two vectors carry
     equal norms and sum_i ||x_i|| ||y_i|| equals the retained trace norm.
-    Singular values below ``tol`` times the largest are dropped.
+    Singular values below RANK_CUTOFF times the largest are dropped.
     """
     a = np.asarray(a, dtype=complex)
     try:
@@ -389,7 +392,7 @@ def rank_one_decompose(a: np.ndarray, tol: float = RANK_CUTOFF) -> RankOneDecomp
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     if not (s.size and s[0] > 0.0):
         return RankOneDecomposition(terms=[], nuclear_sum=0.0)
-    kept = s[: int(np.count_nonzero(s >= tol * s[0]))]
+    kept = s[: int(np.count_nonzero(s >= RANK_CUTOFF * s[0]))]
     root = np.sqrt(kept)
     x = np.ascontiguousarray((u[:, : kept.size] * root).T)
     y = root[:, None] * vh[: kept.size].conj()
@@ -397,19 +400,25 @@ def rank_one_decompose(a: np.ndarray, tol: float = RANK_CUTOFF) -> RankOneDecomp
 
 
 def difference_decompositions(
-    sym: RadialSymbol, m: int
+    sym: RadialSymbol,
 ) -> tuple[RankOneDecomposition, RankOneDecomposition]:
-    """Rank-one terms of the m x m truncations of h and k.
+    """Rank-one terms of h and k with vectors as long as exact_route(sym)'s
+    height m, which carry the whole operators (TooLarge past VECTOR_HORIZON_CAP).
 
-    Finite-support symbols decompose the truncations themselves, indicators
-    in closed form.  Measure symbols reuse the Vandermonde factorization:
+    Finite-support symbols decompose the m x m truncations, indicators in
+    closed form.  Measure symbols reuse the Vandermonde factorization:
     with V_m = QR and R diag(d) R^T = U Sigma W^*, the truncation is
     (QU) Sigma (conj(Q) W)^*, so x_i = sqrt(sigma_i) Q u_i and
-    y_i = sqrt(sigma_i) conj(Q) w_i.  The terms carry the whole operator
-    once m reaches the height of exact_route(sym).
+    y_i = sqrt(sigma_i) conj(Q) w_i.
     """
-    if exact_route(sym)[0] == "support":
-        if isinstance(sym, Indicator) and m > sym.n0:
+    route, m = exact_route(sym)
+    if m > VECTOR_HORIZON_CAP:
+        raise TooLarge(
+            f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
+            "atoms too close to the unit circle"
+        )
+    if route == "support":
+        if isinstance(sym, Indicator):
             return _indicator_decomposition(sym.n0, 0, m), _indicator_decomposition(sym.n0, 1, m)
         return rank_one_decompose(hankel_h(sym, m)), rank_one_decompose(hankel_k(sym, m))
     s, w = _atom_arrays(sym)

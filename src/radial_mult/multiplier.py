@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch
 from .fock import (
     CASE_TWO,
     FockOperator,
@@ -49,18 +49,8 @@ from .fock import (
     word_label,
     zero,
 )
-from .hankel import (
-    RankOneDecomposition,
-    difference_decompositions,
-    exact_route,
-    hankel_h,
-    hankel_k,
-)
+from .hankel import RankOneDecomposition, _difference_row, difference_decompositions
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
-
-# Longest plan vectors built; atoms with |s| above about 1 - 3.4e-5 would
-# need more.
-VECTOR_HORIZON_CAP = 1 << 20
 
 
 @dataclass
@@ -164,16 +154,10 @@ def build_plan(sym: RadialSymbol) -> MultiplierPlan:
     or the Vandermonde horizon M of a measure symbol.  Past that height the
     differences vanish, or lie below rounding, so the plan applies on a
     space of any length.  Raises TooLarge when the vectors would need more
-    than VECTOR_HORIZON_CAP entries.
+    than hankel.VECTOR_HORIZON_CAP entries.
     """
     c = tail_constant(sym)
-    m = exact_route(sym)[1]
-    if m > VECTOR_HORIZON_CAP:
-        raise TooLarge(
-            f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
-            "atoms too close to the unit circle"
-        )
-    dec_h, dec_k = difference_decompositions(sym, m)
+    dec_h, dec_k = difference_decompositions(sym)
     return MultiplierPlan(symbol=sym, decomposition_h=dec_h, decomposition_k=dec_k, c=c)
 
 
@@ -260,19 +244,25 @@ def _kernels(plan: MultiplierPlan, space: FockSpace, c=0.0, h=False, k=False):
     T(A) = c A + A o W[lv_r, lv_c] + sum_n G[lv_r - n, lv_c - n] deep[n],
     with deep[n] = rho^n(A), or rho^(n-1)(eps(A)) for the compressed k part.
 
-    The kernels are read off ``plan.symbol``: G is the h or k truncation at
-    max_len + 1, and W sums G along each diagonal, which telescopes to
-    W[a, b] = psi1(a + b) for h and psi2(a + b) = psi1(a + b + 1) for k.
-    A part whose G vanishes on the space has no deep terms."""
+    The kernels are read off ``plan.symbol`` through d(n) = phi(n) - phi(n+1):
+    G[a, b] = d(a + b) for h and d(a + b + 1) for k, and W sums G along each
+    diagonal, which telescopes to W[a, b] = psi1(a + b) for h and
+    psi2(a + b) = psi1(a + b + 1) for k.  As psi1(n) = d(n) + psi1(n + 2),
+    each parity class of psi1 is a reversed cumulative sum of d.  A part
+    whose G vanishes on the space has no deep terms."""
     sym, size = plan.symbol, space.max_len + 1
-    psi = np.array([psi1(sym, n) for n in range(2 * size)])
+    d = _difference_row(sym, 2 * size, 0, 1)
+    psi = np.empty(2 * size, dtype=complex)
+    for parity in (0, 1):
+        run = np.append(d[parity::2], psi1(sym, 2 * size + parity))
+        psi[parity::2] = np.cumsum(run[::-1])[::-1][:-1]
     sums = np.add.outer(np.arange(size), np.arange(size))
     first = np.zeros((size, size), dtype=complex)
     deep = []
-    for hankel, shift, compressed, chosen in ((hankel_h, 0, False, h), (hankel_k, 1, True, k)):
+    for shift, compressed, chosen in ((0, False, h), (1, True, k)):
         if chosen:
             first += psi[sums + shift]
-            g = hankel(sym, size)
+            g = d[sums + shift]
             if g.any():
                 deep.append((g, compressed))
     return c, first, deep
@@ -468,17 +458,14 @@ def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    vec = np.asarray(vec, dtype=complex)
-    weight = (vec * vec.conj()).real
-    lv = np.arange(space.max_len + 1)
-    diag = np.zeros(space.max_len + 1)
-    for n in range(len(weight)):  # the shifted diagonals D_{(S*)^n vec}
-        diag += _shift_values(weight, lv, n)
-    # Level n appends the words of length n + 1 - variant and shifts vec by -n;
+    vec, size = np.asarray(vec, dtype=complex), space.max_len + 1
+    weight = np.pad((vec * vec.conj()).real, (0, max(size - len(vec), 0)))
+    # Level L gets weight[L:] from the shifted diagonals D_{(S*)^n vec} and
+    # weight[:L] from the appended words, which shift vec by -n at level n;
     # the vacuum, which variant 2's projections drop, would carry vec[-1] = 0.
-    for n in range(1, space.max_len + variant):
-        diag[n + 1 - variant :] += _shift_values(weight, lv[n + 1 - variant :], -n)
-    return _diagonal(space, diag[space.levels])
+    shifted = np.cumsum(weight[::-1])[::-1][:size]
+    appended = np.concatenate(([0.0], np.cumsum(weight[: size - 1])))
+    return _diagonal(space, (shifted + appended)[space.levels])
 
 
 def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]:

@@ -164,6 +164,24 @@ def test_bad_tolerance_exits_1(capsys, command, tol):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("norm", "-s", "geometric:0.5", "--tol", "1e-3"),
+        ("norm", "-s", "geometric:0.5", "--seed", "1"),
+        ("fock-verify", "-s", "geometric:0.5", "--space", SPACE, "--seed", "1"),
+        ("cs-bound", "-s", "geometric:0.5", "--space", SPACE, "--seed", "1"),
+    ],
+    ids=lambda argv: " ".join((argv[0], *argv[-2:])),
+)
+def test_unread_option_exits_1(capsys, argv):
+    # norm judges nothing, so it takes no tolerance; only integral-check draws at random
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("norm", "-s", "indicator:100000"),
         ("integral-check", "-s", "truncgeom:0.5,5000"),
     ],

@@ -98,8 +98,6 @@ def test_spec_accepts_numpy_integers():
 
 
 def test_build_space_cap():
-    with pytest.raises(TooLarge):
-        build_space(FockSpec((2, 2), 4), cap=10)
     # counting stops at the cap, long before the 6000-digit count of 20000 levels
     with pytest.raises(TooLarge, match="more than 200000 words"):
         build_space(FockSpec((2, 2), 20000))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radial_mult import (
@@ -47,6 +47,7 @@ from radial_mult import (
     word_operator,
 )
 from radial_mult.fock import zero
+from radial_mult.multiplier import _kernels
 
 SYMBOLS = [
     Geometric(0.5),
@@ -453,8 +454,14 @@ def kraus_cases(draw):
     return space, vec * draw(st.sampled_from([0.0, 1.0])), draw(st.sampled_from([1, 2]))
 
 
+# a vector far longer than the space, whose tail past max_len still counts
+LONG_VEC = np.random.default_rng(5).standard_normal(200) * (1 - 0.5j)
+
+
 @settings(max_examples=60, deadline=None)
 @given(kraus_cases())
+@example((build_space(FockSpec((2, 1), 3)), LONG_VEC, 1))
+@example((build_space(FockSpec((2, 1), 3)), LONG_VEC, 2))
 def test_kraus_row_sum_matches_operator_products(case):
     space, vec, variant = case
     expected = kraus_row_sum_from_products(space, vec, variant).to_dense()
@@ -499,6 +506,32 @@ def test_level_kernels_are_the_symbol(sym):
         scale = max(1.0, np.abs(expected_g).max(), np.abs(expected_w).max())
         assert np.abs(g - expected_g).max() <= 1e-12 * scale
         assert np.abs(w - expected_w).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        Geometric(0.5),
+        Geometric(0.999),
+        Geometric(-0.6 + 0.3j),
+        Indicator(3),
+        TruncatedGeometric(0.8, 4),
+        TruncatedGeometric(0.999, 300),
+        Finite((1.0, 0.5, -0.2), 0.3),
+        FromMeasure(0.1, DiscreteMeasure(((0.5, 1.0), (-0.3 + 0.2j, 0.5j)))),
+        Doubled(Geometric(0.5)),
+        Doubled(Indicator(3)),
+    ],
+    ids=repr,
+)
+def test_kernel_psi_matches_psi1(sym):
+    """The kernels' one-pass psi sequence against psi1/psi2 index by index."""
+    space = build_space(FockSpec((1, 1), 8))
+    plan, size = build_plan(sym), space.max_len + 1
+    for part, psi in (({"h": True}, psi1), ({"k": True}, psi2)):
+        _, w, _ = _kernels(plan, space, **part)
+        expected = np.array([[psi(sym, a + b) for b in range(size)] for a in range(size)])
+        assert np.abs(w - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
 
 
 def kernels_from_terms(dec, size):
