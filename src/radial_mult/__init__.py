@@ -76,8 +76,6 @@ from .multiplier import (
     build_plan,
     cs_bound,
     kraus_row_sum,
-    phi1_apply,
-    phi2_apply,
     plan_cb_bound,
     spectral_norm,
     tensor_shift,

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedRepresentation,
     UnsupportedTail,
 )
-from .fock import build_space, fock_spec_from_obj
+from .fock import build_space, fock_spec_from_obj, fock_spec_to_obj
 from .hankel import c_norm, cprime_norm
 from .integral import (
     representation_for,
@@ -179,7 +179,7 @@ def cmd_fock_verify(args) -> int:
         "schema": SCHEMA,
         "command": "fock-verify",
         "symbol": symbol_to_obj(sym),
-        "space": {"factors": list(spec.factor_dims), "max_len": spec.max_len},
+        "space": fock_spec_to_obj(spec),
         "max_word": args.max_word,
         "report": report.to_obj(),
     }

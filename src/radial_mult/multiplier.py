@@ -2,10 +2,18 @@
 
 The map T = T1 + T2 + c Id rescales each word-pair operator L_xi L_eta^*
 by the symbol value at the pair's combined length (shifted by one when the
-last letters share a factor).  ``apply_T`` and the verifiers read T off the
-symbol: T1 and T2 act through level kernels, the h and k Hankel truncations
-G and W[a, b] = psi1(a + b) and psi2(a + b), at O(max_len^2) scalar
-evaluations whatever the symbol's rank.
+last letters share a factor).  The multiplier is radial, so every kernel
+of T is a function of the level sum s of an entry: with
+d(n) = phi(n) - phi(n+1),
+
+    T(A) = A o (c + w[s]) + sum_{n>=0} rho^n( rho(A o d[s]) + eps(A) o d[s-1] ),
+    w[s] = psi1(s) + psi2(s).
+
+It holds because rho moves an entry at levels (a, b) to (a + 1, b + 1)
+and eps keeps its levels, so each entry of rho^n(A) keeps the weight d of
+its source's level sum, and each entry after eps the weight one below.
+``apply_T`` and the verifiers read w and d off the symbol, at O(max_len)
+scalar evaluations whatever the symbol's rank, and run one rho chain.
 
 A plan is the certificate that T is completely bounded: rank-one terms
 (x_i, y_i) and (z_i, w_i) of the two difference Hankel matrices plus the
@@ -15,11 +23,10 @@ tail constant c, with
 
 and ||T||_cb at most sum_i ||x_i|| ||y_i|| + sum_i ||z_i|| ||w_i|| + |c|.
 Its vectors end at the height of the symbol's exact route, past which the
-differences vanish or lie below rounding.  ``phi1_apply``/``phi2_apply``
-keep the per-term formula as the reference that ties the certificate to
-the map.  The module also bounds the map through explicit Kraus families
-and realizes the unital completely positive tensor extensions, whose images
-on the word space times C^d are returned as COO triplets.
+differences vanish or lie below rounding.  The module also bounds the map
+through explicit Kraus families and realizes the unital completely
+positive tensor extensions, whose images on the word space times C^d are
+returned as COO triplets.
 """
 
 from __future__ import annotations
@@ -44,10 +51,7 @@ from .fock import (
     _summed,
     _word_triplets,
     classify_case,
-    eps,
-    rho,
     word_label,
-    zero,
 )
 from .hankel import RankOneDecomposition, _difference_row, difference_decompositions
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
@@ -171,126 +175,68 @@ def plan_cb_bound(plan: MultiplierPlan) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The transformations Phi1 / Phi2 term by term, and T through level kernels
+# T through level-sum kernels
 # ---------------------------------------------------------------------------
 
 
-def _shift_values(vec: np.ndarray, levels: np.ndarray, shift: int) -> np.ndarray:
-    """Diagonal values vec[level + shift], zero outside the vector's support."""
-    idx = levels + shift
-    out = np.zeros(len(levels), dtype=vec.dtype)
-    ok = (idx >= 0) & (idx < len(vec))
-    out[ok] = vec[idx[ok]]
-    return out
+def _kernels(sym: RadialSymbol, space: FockSpace, c=0.0, h=False, k=False):
+    """(w, dh, dk), indexed by the level sum s of an entry, of the map
+    c A + the chosen parts of T:
 
+        T(A) = A o w[s] + sum_{n>=0} rho^n( rho(A o dh[s]) + eps(A) o dk[s] ),
 
-def _correlation_weights(x: np.ndarray, y: np.ndarray, max_level: int) -> np.ndarray:
-    """W[a, b] = sum_t x[a+t] * conj(y[b+t]) for levels a, b <= max_level."""
-    w = np.zeros((max_level + 1, max_level + 1), dtype=complex)
-    for a in range(max_level + 1):
-        for b in range(max_level + 1):
-            t = min(len(x) - a, len(y) - b)
-            if t > 0:
-                w[a, b] = np.dot(x[a : a + t], y[b : b + t].conj())
-    return w
+    with d(n) = phi(n) - phi(n+1), dh[s] = d(s) for h and dk[s] = d(s - 1)
+    for k, and w[s] = c + psi1(s) for h + psi2(s) for k.  A kernel of a part
+    not chosen is zero.
 
-
-def _first_sum(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
-    """sum_n D_{(S*)^n x} A D*_{(S*)^n y}, collapsed to entrywise level weights."""
-    w = _correlation_weights(x, y, space.max_len)
-    lv = space.levels
-    return FockOperator(space, (op.row, op.col, op.data * w[lv[op.row], lv[op.col]]))
-
-
-def _deep_sum(space: FockSpace, x, y, deep: list) -> FockOperator:
-    """sum_{n>=1} D_{S^n x} deep[n] D*_{S^n y}."""
-    total = zero(space)
-    for n in range(1, len(deep)):
-        dx = _diagonal(space, _shift_values(x, space.levels, -n))
-        dy = _diagonal(space, _shift_values(y, space.levels, -n).conj())
-        total = total + dx @ deep[n] @ dy
-    return total
-
-
-def _rho_chain(space: FockSpace, op: FockOperator, count: int) -> list:
-    """[A, rho(A), ..., rho^count(A)]."""
-    chain = [op]
-    for _ in range(count):
-        if op.nnz:
-            op = rho(space, op)
-        chain.append(op)
-    return chain
-
-
-def phi1_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
-    """Apply the first elementary transformation for vectors x, y."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    deep = _rho_chain(space, op, space.max_len)  # deep[n] = rho^n(A)
-    return _first_sum(space, x, y, op) + _deep_sum(space, x, y, deep)
-
-
-def phi2_apply(space: FockSpace, x, y, op: FockOperator) -> FockOperator:
-    """Apply the second elementary transformation (compressed deep part)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    # deep[n] = rho^(n-1)(eps(A))
-    deep = [None] + _rho_chain(space, eps(space, op), space.max_len - 1)
-    return _first_sum(space, x, y, op) + _deep_sum(space, x, y, deep)
-
-
-def _kernels(plan: MultiplierPlan, space: FockSpace, c=0.0, h=False, k=False):
-    """(c, W, [(G, compressed)]) of the map c A + the chosen parts of T:
-    T(A) = c A + A o W[lv_r, lv_c] + sum_n G[lv_r - n, lv_c - n] deep[n],
-    with deep[n] = rho^n(A), or rho^(n-1)(eps(A)) for the compressed k part.
-
-    The kernels are read off ``plan.symbol`` through d(n) = phi(n) - phi(n+1):
-    G[a, b] = d(a + b) for h and d(a + b + 1) for k, and W sums G along each
-    diagonal, which telescopes to W[a, b] = psi1(a + b) for h and
-    psi2(a + b) = psi1(a + b + 1) for k.  As psi1(n) = d(n) + psi1(n + 2),
-    each parity class of psi1 is a reversed cumulative sum of d.  A part
-    whose G vanishes on the space has no deep terms."""
-    sym, size = plan.symbol, space.max_len + 1
-    d = _difference_row(sym, 2 * size, 0, 1)
-    psi = np.empty(2 * size, dtype=complex)
+    Why: summed over its rank-one terms, T1 weights the entry of rho^n(A)
+    at row and column levels (a, b) by d(a + b - 2n), and T2 weights that
+    of rho^(n-1)(eps(A)) by d(a + b - 2n + 1).  rho moves an entry at
+    levels (a, b) to (a + 1, b + 1) and eps keeps its levels, so either
+    weight is d at the level sum of the entry's source in A (less one after
+    eps), and weighting A once before the chain gives the same map.  The
+    part without rho weights A by sum_t d(s + 2t), which is psi1(s) for h
+    and psi2(s) = psi1(s + 1) for k.  As psi1(n) = d(n) + psi1(n + 2),
+    each parity class of psi1 is a reversed cumulative sum of d."""
+    top = 2 * space.max_len + 1  # level sums 0 .. 2 max_len
+    d = _difference_row(sym, top + 1, 0, 1)
+    psi = np.empty(top + 1, dtype=complex)
     for parity in (0, 1):
-        run = np.append(d[parity::2], psi1(sym, 2 * size + parity))
+        run = np.append(d[parity::2], psi1(sym, top + 1 + parity))
         psi[parity::2] = np.cumsum(run[::-1])[::-1][:-1]
-    sums = np.add.outer(np.arange(size), np.arange(size))
-    first = np.zeros((size, size), dtype=complex)
-    deep = []
-    for shift, compressed, chosen in ((0, False, h), (1, True, k)):
-        if chosen:
-            first += psi[sums + shift]
-            g = d[sums + shift]
-            if g.any():
-                deep.append((g, compressed))
-    return c, first, deep
+    zero = np.zeros(top, dtype=complex)
+    w = (psi[:top] if h else zero) + (psi[1:] if k else zero)
+    dh = d[:top] if h else zero
+    # level sum 0 is the vacuum pair, which eps drops
+    dk = np.append(0.0, d[: top - 1]) if k else zero
+    return c + w, dh, dk
 
 
-def _deep_chain(space: FockSpace, row, col, data, compressed: bool):
-    """Yield (n, triplets of deep[n]) for n = 1..max_len: rho^n(A), or
-    rho^(n-1)(eps(A)) when compressed.  deep[n] sits at levels >= n."""
-    step = _eps_triplets if compressed else _rho_triplets
-    row, col, data = step(space, row, col, data)
-    for n in range(1, space.max_len + 1):
-        if not len(data):
-            return
-        yield n, row, col, data
+def _chain(space: FockSpace, row, col, data):
+    """Yield the triplets of B, rho(B), rho^2(B), ... while they are non-empty.
+    rho^n(B) sits n levels above B, so the chain ends by max_len + 1 steps."""
+    while len(data):
+        yield row, col, data
         row, col, data = _rho_triplets(space, row, col, data)
 
 
 def _apply(space: FockSpace, kernels, row, col, data) -> list:
-    """T(A) from the triplets of A, as triplets whose positions may repeat."""
-    c, first, deep = kernels
+    """T(A) from the triplets of A, as triplets whose positions may repeat.
+
+    An entry whose kernel value is zero starts no deep terms; the filter
+    reads the kernel, not the weighted data, so a non-finite entry still
+    meets every nonzero weight."""
+    w, dh, dk = kernels
     lv = space.levels
-    out = [(row, col, data * (c + first[lv[row], lv[col]]))]
-    for g, compressed in deep:
-        out += [
-            (r, q, v * g[lv[r] - n, lv[q] - n])
-            for n, r, q, v in _deep_chain(space, row, col, data, compressed)
+    s = lv[row] + lv[col]
+    h, k = dh[s] != 0, dk[s] != 0
+    start = _concat(
+        [
+            _rho_triplets(space, row[h], col[h], data[h] * dh[s[h]]),
+            _eps_triplets(space, row[k], col[k], data[k] * dk[s[k]]),
         ]
-    return out
+    )
+    return [(row, col, data * w[s]), *_chain(space, *start)]
 
 
 def _apply_map(space: FockSpace, op: FockOperator, kernels) -> FockOperator:
@@ -301,17 +247,17 @@ def _apply_map(space: FockSpace, op: FockOperator, kernels) -> FockOperator:
 
 def apply_T(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """T(A) = T1(A) + T2(A) + c A."""
-    return _apply_map(space, op, _kernels(plan, space, plan.c, h=True, k=True))
+    return _apply_map(space, op, _kernels(plan.symbol, space, plan.c, h=True, k=True))
 
 
 def apply_T1(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """T1(A), the first-difference part of T."""
-    return _apply_map(space, op, _kernels(plan, space, h=True))
+    return _apply_map(space, op, _kernels(plan.symbol, space, h=True))
 
 
 def apply_T2(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """T2(A), the shifted-difference part of T."""
-    return _apply_map(space, op, _kernels(plan, space, k=True))
+    return _apply_map(space, op, _kernels(plan.symbol, space, k=True))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +337,7 @@ def verify_eigenaction(
     are measured entrywise over the truncation-safe columns.
     """
     phi = cache(lambda n: evaluate(plan.symbol, n))
-    kernels = _kernels(plan, space, plan.c, h=True, k=True)
+    kernels = _kernels(plan.symbol, space, plan.c, h=True, k=True)
     check = _scaling_check(space, kernels, lambda k, l, case: phi(k + l - (case == CASE_TWO)))
     rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check])
     records = [EigenRecord(xi, eta, case, k, l, *r[0]) for k, l, xi, eta, case, r in rows]
@@ -412,10 +358,10 @@ def verify_component_eigenaction(
     sym = plan.symbol
     t1, t2 = cache(lambda n: psi1(sym, n)), cache(lambda n: psi2(sym, n))
     checks = [
-        _scaling_check(space, _kernels(plan, space, h=True), lambda k, l, case: t1(k + l)),
+        _scaling_check(space, _kernels(sym, space, h=True), lambda k, l, case: t1(k + l)),
         _scaling_check(
             space,
-            _kernels(plan, space, k=True),
+            _kernels(sym, space, k=True),
             lambda k, l, case: t2(k + l - 2 * (case == CASE_TWO)),
         ),
     ]
@@ -497,8 +443,8 @@ def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperat
     the word space with C^d (index word * d + slot), one per position.
     Requires tensor_dim >= max_len + 1 so that every level has a tensor
     slot.  Layer n puts level m in tensor slot m - n; it carries A for
-    n <= 0 and deep[n] of variant 1 or 2 for n >= 1, so the layers fill
-    distinct slots.
+    n <= 0, and for n >= 1 rho^n(A) in variant 1 or rho^(n-1)(eps(A)) in
+    variant 2, so the layers fill distinct slots.
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
@@ -508,8 +454,10 @@ def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperat
         )
     if op.space is not space and op.space.spec != space.spec:
         raise DimensionMismatch("operator lives on a different space")
+    step = _eps_triplets if variant == 2 else _rho_triplets
+    deep = _chain(space, *step(space, *op.triplets))
     layers = [(n, *op.triplets) for n in range(1 - tensor_dim, 1)]
-    layers += _deep_chain(space, *op.triplets, compressed=variant == 2)
+    layers += [(n, *t) for n, t in enumerate(deep, start=1)]
     lv, d = space.levels, tensor_dim
     parts = []
     for n, row, col, data in layers:

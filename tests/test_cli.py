@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import radial_mult
 from radial_mult.cli import main, parse_symbol
 from radial_mult.symbols import (
     Finite,
@@ -393,11 +396,19 @@ def test_fock_verify_csv(capsys):
     assert out.startswith("xi,eta,case,k,l,expected_re,expected_im,residual")
 
 
+def child_env():
+    """The environment of a child interpreter that imports this radial_mult."""
+    src = str(Path(radial_mult.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "radial_mult.cli", "norm", "-s", "geometric:0.5"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["total"] == pytest.approx(1.0)
@@ -412,6 +423,7 @@ def test_cli_import_loads_no_scipy():
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

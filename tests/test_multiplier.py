@@ -32,8 +32,6 @@ from radial_mult import (
     hankel_k,
     identity,
     kraus_row_sum,
-    phi1_apply,
-    phi2_apply,
     plan_cb_bound,
     psi1,
     psi2,
@@ -46,7 +44,7 @@ from radial_mult import (
     verify_ucp_relations,
     word_operator,
 )
-from radial_mult.fock import zero
+from radial_mult.fock import _diagonal, eps, rho, zero
 from radial_mult.multiplier import _kernels
 
 SYMBOLS = [
@@ -88,6 +86,87 @@ def eig_sum(x, y, k, l):
         if 0 <= k + t < len(x) and 0 <= l + t < len(y):
             total += x[k + t] * np.conj(y[l + t])
     return total
+
+
+# --- the literal per-term formula, the oracle for T --------------------------
+
+
+def _shift_values(vec: np.ndarray, levels: np.ndarray, shift: int) -> np.ndarray:
+    """Diagonal values vec[level + shift], zero outside the vector's support."""
+    idx = levels + shift
+    out = np.zeros(len(levels), dtype=vec.dtype)
+    ok = (idx >= 0) & (idx < len(vec))
+    out[ok] = vec[idx[ok]]
+    return out
+
+
+def _correlation_weights(x: np.ndarray, y: np.ndarray, max_level: int) -> np.ndarray:
+    """W[a, b] = sum_t x[a+t] * conj(y[b+t]) for levels a, b <= max_level."""
+    w = np.zeros((max_level + 1, max_level + 1), dtype=complex)
+    for a in range(max_level + 1):
+        for b in range(max_level + 1):
+            t = min(len(x) - a, len(y) - b)
+            if t > 0:
+                w[a, b] = np.dot(x[a : a + t], y[b : b + t].conj())
+    return w
+
+
+def _first_sum(space, x, y, op):
+    """sum_n D_{(S*)^n x} A D*_{(S*)^n y}, collapsed to entrywise level weights."""
+    w = _correlation_weights(x, y, space.max_len)
+    lv = space.levels
+    return FockOperator(space, (op.row, op.col, op.data * w[lv[op.row], lv[op.col]]))
+
+
+def _deep_sum(space, x, y, deep: list):
+    """sum_{n>=1} D_{S^n x} deep[n] D*_{S^n y}."""
+    total = zero(space)
+    for n in range(1, len(deep)):
+        dx = _diagonal(space, _shift_values(x, space.levels, -n))
+        dy = _diagonal(space, _shift_values(y, space.levels, -n).conj())
+        total = total + dx @ deep[n] @ dy
+    return total
+
+
+def _rho_chain(space, op, count: int) -> list:
+    """[A, rho(A), ..., rho^count(A)]."""
+    chain = [op]
+    for _ in range(count):
+        if op.nnz:
+            op = rho(space, op)
+        chain.append(op)
+    return chain
+
+
+def phi1_apply(space, x, y, op):
+    """Apply the first elementary transformation for vectors x, y."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    deep = _rho_chain(space, op, space.max_len)  # deep[n] = rho^n(A)
+    return _first_sum(space, x, y, op) + _deep_sum(space, x, y, deep)
+
+
+def phi2_apply(space, x, y, op):
+    """Apply the second elementary transformation (compressed deep part)."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    # deep[n] = rho^(n-1)(eps(A))
+    deep = [None] + _rho_chain(space, eps(space, op), space.max_len - 1)
+    return _first_sum(space, x, y, op) + _deep_sum(space, x, y, deep)
+
+
+def kernels_from_terms(dec, size):
+    """G[a, b] = sum_i x_i[a] conj(y_i[b]) and W[a, b] = sum_t G[a+t, b+t] for
+    a, b < size, each diagonal of every term summed to the end of its vectors."""
+    g, w = np.zeros((2, size, size), dtype=complex)
+    for x, y in dec.terms:
+        for a, b in np.ndindex(size, size):
+            t = min(len(x) - a, len(y) - b)
+            if t > 0:
+                diagonal = x[a : a + t] * y[b : b + t].conj()
+                g[a, b] += diagonal[0]
+                w[a, b] += diagonal.sum()
+    return g, w
 
 
 def test_phi1_identity_on_vacuum_vectors(line5):
@@ -373,9 +452,11 @@ disk = st.builds(
     st.floats(0.0, 2 * np.pi),
 )
 small_complex = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+tail_free = st.one_of(st.builds(Geometric, disk), st.builds(Indicator, st.integers(0, 6)))
 symbols = st.one_of(
-    st.builds(Geometric, disk),
-    st.builds(Indicator, st.integers(0, 6)),
+    tail_free,
+    st.builds(TruncatedGeometric, st.floats(0.0, 0.95, exclude_min=True), st.integers(0, 6)),
+    st.builds(Doubled, tail_free),
     st.builds(Finite, st.lists(small_complex, max_size=5).map(tuple), small_complex),
     st.builds(
         FromMeasure,
@@ -525,24 +606,11 @@ def test_level_kernels_are_the_symbol(sym):
     ids=repr,
 )
 def test_kernel_psi_matches_psi1(sym):
-    """The kernels' one-pass psi sequence against psi1/psi2 index by index."""
+    """The kernels' one-pass psi sequence against psi1/psi2 at every level sum."""
     space = build_space(FockSpec((1, 1), 8))
-    plan, size = build_plan(sym), space.max_len + 1
     for part, psi in (({"h": True}, psi1), ({"k": True}, psi2)):
-        _, w, _ = _kernels(plan, space, **part)
-        expected = np.array([[psi(sym, a + b) for b in range(size)] for a in range(size)])
+        w, _, _ = _kernels(sym, space, **part)
+        expected = np.array([psi(sym, n) for n in range(2 * space.max_len + 1)])
+        assert len(w) == len(expected)
         assert np.abs(w - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
 
-
-def kernels_from_terms(dec, size):
-    """G[a, b] = sum_i x_i[a] conj(y_i[b]) and W[a, b] = sum_t G[a+t, b+t] for
-    a, b < size, each diagonal of every term summed to the end of its vectors."""
-    g, w = np.zeros((2, size, size), dtype=complex)
-    for x, y in dec.terms:
-        for a, b in np.ndindex(size, size):
-            t = min(len(x) - a, len(y) - b)
-            if t > 0:
-                diagonal = x[a : a + t] * y[b : b + t].conj()
-                g[a, b] += diagonal[0]
-                w[a, b] += diagonal.sum()
-    return g, w
