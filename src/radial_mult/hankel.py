@@ -30,8 +30,11 @@ import numpy as np
 
 from .errors import NumericalFailure, TooLarge
 from .symbols import (
+    ROUNDING,
+    VECTOR_HORIZON_CAP,
     Indicator,
     RadialSymbol,
+    atom_powers,
     evaluate,
     measure_atoms,
     parity_tails,
@@ -45,13 +48,6 @@ RANK_CUTOFF = 1e-14
 # The support route assembles dense m x m complex matrices; one at this
 # height already takes 268 MB, so taller ones raise TooLarge.
 SUPPORT_HEIGHT_CAP = 4096
-
-# Longest rank-one vectors built; atoms with |s| above about 1 - 3.4e-5 need more.
-VECTOR_HORIZON_CAP = 1 << 20
-
-# The Vandermonde horizon M is the first power of two with max|s|**M at or
-# below this level, so the rows past M carry nothing a double can hold.
-ROUNDING = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -121,16 +117,24 @@ class CPrimeReport:
 
 @dataclass
 class RankOneDecomposition:
-    """Terms (x_i, y_i) with A[p, q] = sum_i x_i[p] * conj(y_i[q])."""
+    """Terms (x_i, y_i), the rows of ``x`` and ``y``, with
+    A[p, q] = sum_i x_i[p] * conj(y_i[q]).
 
-    terms: list[tuple[np.ndarray, np.ndarray]]
+    ``x`` and ``y`` are (rank, length) arrays, real when the matrix is.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
     nuclear_sum: float
+
+    @property
+    def terms(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The pairs (x_i, y_i), largest singular value first."""
+        return list(zip(self.x, self.y))
 
     def reconstruct(self, dim: int) -> np.ndarray:
         out = np.zeros((dim, dim), dtype=complex)
-        if self.terms:
-            x, y = (np.array(v) for v in zip(*self.terms))
-            out[: x.shape[1], : y.shape[1]] = x.T @ y.conj()
+        out[: self.x.shape[1], : self.y.shape[1]] = self.x.T @ self.y.conj()
         return out
 
 
@@ -272,23 +276,29 @@ def _indicator_decomposition(n0: int, offset: int, m: int) -> RankOneDecompositi
     With P the reversal of the first n = n0 - offset + 1 columns, the matrix
     is B P for B = I - N, so each singular triple (sigma, u, v) of B gives
     x = sqrt(sigma) u and y = sqrt(sigma) P v, largest sigma first.
+
+    With c = 2 / sqrt(2n+1), v_k[j] = c cos(theta_k (j + 1/2)) is a unit
+    vector (the sum of cos(theta_k (2j+1)) over j < n is
+    sin(2n theta_k) / (2 sin theta_k) = 1/2), and u_k = B v_k / sigma_k is
+    u_k[j] = c sin(theta_k (j + 1)), at j = n - 1 too.  In units of
+    pi / (2(2n+1)) these are the cosine at t = (2k-1)(2j+1) and the sine at
+    t = (2k-1)(2j+2), read off one period of each after reducing t mod
+    4(2n+1), which is exact integer arithmetic.
     """
-    n = n0 - offset + 1
-    if n <= 0:
-        return RankOneDecomposition([], 0.0)
-    theta = _chain_angles(n)
-    sigma = 2.0 * np.sin(theta / 2)
-    v = np.cos(np.outer(theta, np.arange(n) + 0.5))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    u = v.copy()
-    u[:, :-1] -= v[:, 1:]
-    u /= sigma[:, None]
-    root = np.sqrt(sigma)[:, None]
-    x = np.zeros((n, m), dtype=complex)
-    y = np.zeros((n, m), dtype=complex)
-    x[:, :n] = root * u
-    y[:, :n] = root * v[:, ::-1]
-    return RankOneDecomposition(list(zip(x, y)), float(sigma.sum()))
+    n = max(n0 - offset + 1, 0)
+    x = np.zeros((n, m))
+    y = np.zeros((n, m))
+    period = 4 * (2 * n + 1)
+    angle = np.arange(period) * (np.pi / (2 * (2 * n + 1)))
+    odd = 2 * np.arange(n, 0, -1) - 1
+    sigma = 2.0 * np.sin(_chain_angles(n) / 2)
+    root = np.sqrt(sigma)[:, None] * (2.0 / np.sqrt(2 * n + 1))
+    for out, table, factor in (
+        (x, np.sin(angle), 2 * np.arange(1, n + 1)),  # u at t = (2k-1)(2j+2)
+        (y, np.cos(angle), odd),  # P v at t = (2k-1)(2(n-j)-1)
+    ):
+        np.multiply(root, table[np.outer(odd, factor) % period], out=out[:, :n])
+    return RankOneDecomposition(x, y, float(sigma.sum()))
 
 
 def _exact_spectra(sym: RadialSymbol, matrices):
@@ -377,26 +387,79 @@ def cprime_norm(sym: RadialSymbol) -> CPrimeReport:
     )
 
 
+def _svd(a: np.ndarray):
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+
+
+def _real_if_real(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays' real parts when none has an imaginary part, else the arrays."""
+    if any(a.imag.any() for a in arrays):
+        return arrays
+    return tuple(a.real for a in arrays)
+
+
+def _rank_one_terms(u, sigma, vh, q=None) -> list[RankOneDecomposition]:
+    """Rank-one terms of a stack of SVDs A_b = u_b diag(sigma_b) vh_b, as in
+    rank_one_decompose.
+
+    With ``q`` the terms of Q A_b Q^T are returned instead:
+    x = sqrt(sigma) Q u and y = sqrt(sigma) conj(Q) v, one matmul per side
+    for the whole stack.
+    """
+    kept = sigma > RANK_CUTOFF * sigma[:, :1]
+    root = np.sqrt(sigma)
+    # sigma is descending, so each matrix keeps a leading run of its triples.
+    x = (u * root[:, None, :]).transpose(0, 2, 1)[kept]
+    y = (root[..., None] * vh.conj())[kept]
+    if q is not None:
+        x, y = x @ q.T, y @ q.conj().T
+    out, start = [], 0
+    for sv, rank in zip(sigma, kept.sum(axis=1).tolist()):
+        end = start + rank
+        nuclear = sum(sv[:rank].tolist(), 0.0)
+        out.append(RankOneDecomposition(x[start:end], y[start:end], nuclear))
+        start = end
+    return out
+
+
 def rank_one_decompose(a: np.ndarray) -> RankOneDecomposition:
     """Split a matrix into rank-one terms via SVD.
 
     Each retained singular triple (sigma, u, v) becomes the pair
     x = sqrt(sigma) u, y = sqrt(sigma) v, so that the two vectors carry
     equal norms and sum_i ||x_i|| ||y_i|| equals the retained trace norm.
-    Singular values below RANK_CUTOFF times the largest are dropped.
+    Singular values at or below RANK_CUTOFF times the largest are dropped.
     """
-    a = np.asarray(a, dtype=complex)
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    if not (s.size and s[0] > 0.0):
-        return RankOneDecomposition(terms=[], nuclear_sum=0.0)
-    kept = s[: int(np.count_nonzero(s >= RANK_CUTOFF * s[0]))]
-    root = np.sqrt(kept)
-    x = np.ascontiguousarray((u[:, : kept.size] * root).T)
-    y = root[:, None] * vh[: kept.size].conj()
-    return RankOneDecomposition(terms=list(zip(x, y)), nuclear_sum=sum(kept.tolist()))
+    u, s, vh = _svd(np.asarray(a))
+    return _rank_one_terms(u[None], s[None], vh[None])[0]
+
+
+def _support_decompositions(sym: RadialSymbol, m: int) -> list[RankOneDecomposition]:
+    """h and k of a finite-support symbol at height m from one difference row.
+
+    With d(n) = phi(n) - phi(n+1) for n < 2m, h = d[i+j] and k = d[i+j+1];
+    both go through one stacked SVD, in real arithmetic when d is real.
+    """
+    (d,) = _real_if_real(_difference_row(sym, 2 * m, 0, 1))
+    index = np.add.outer(np.arange(m), np.arange(m))
+    return _rank_one_terms(*_svd(np.stack([d[index], d[index + 1]])))
+
+
+def _measure_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDecomposition]:
+    """h and k of a measure symbol at the Vandermonde horizon m.
+
+    With V_m = QR and R diag(d) R^T = U Sigma W^*, the truncation is
+    (QU) Sigma (conj(Q) W)^*: one QR, one SVD of both N x N cores, and one
+    matmul per side through Q.  Real atoms and weights keep it all real.
+    """
+    s, w = _real_if_real(s, w)
+    q, r = np.linalg.qr(atom_powers(s, m))
+    d = np.stack([_diagonal(s, w, *H), _diagonal(s, w, *K)])
+    cores = (r * d[:, None, :]) @ r.T
+    return _rank_one_terms(*_svd(cores), q)
 
 
 def difference_decompositions(
@@ -406,27 +469,21 @@ def difference_decompositions(
     height m, which carry the whole operators (TooLarge past VECTOR_HORIZON_CAP).
 
     Finite-support symbols decompose the m x m truncations, indicators in
-    closed form.  Measure symbols reuse the Vandermonde factorization:
-    with V_m = QR and R diag(d) R^T = U Sigma W^*, the truncation is
-    (QU) Sigma (conj(Q) W)^*, so x_i = sqrt(sigma_i) Q u_i and
-    y_i = sqrt(sigma_i) conj(Q) w_i.
+    closed form.  Measure symbols reuse the Vandermonde factorization.
     """
-    route, m = exact_route(sym)
-    if m > VECTOR_HORIZON_CAP:
-        raise TooLarge(
-            f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
-            "atoms too close to the unit circle"
-        )
-    if route == "support":
+    if support_length(sym) is None:
+        s, w = _atom_arrays(sym)
+        m = _vandermonde_horizon(s)
+        if m > VECTOR_HORIZON_CAP:
+            raise TooLarge(
+                f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
+                "atoms too close to the unit circle"
+            )
+        dec_h, dec_k = _measure_decompositions(s, w, m)
+    else:
+        _, m = exact_route(sym)
         if isinstance(sym, Indicator):
-            return _indicator_decomposition(sym.n0, 0, m), _indicator_decomposition(sym.n0, 1, m)
-        return rank_one_decompose(hankel_h(sym, m)), rank_one_decompose(hankel_k(sym, m))
-    s, w = _atom_arrays(sym)
-    q, r = np.linalg.qr(s[None, :] ** np.arange(m)[:, None])
-    out = []
-    for offset, step in (H, K):
-        small = rank_one_decompose((r * _diagonal(s, w, offset, step)) @ r.T)
-        terms = [(q @ x, q.conj() @ y) for x, y in small.terms]
-        out.append(RankOneDecomposition(terms, small.nuclear_sum))
-    return out[0], out[1]
-
+            dec_h, dec_k = (_indicator_decomposition(sym.n0, offset, m) for offset in (0, 1))
+        else:
+            dec_h, dec_k = _support_decompositions(sym, m)
+    return dec_h, dec_k

@@ -12,13 +12,27 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonConvergent, UnsupportedTail
 
 # Margin keeping measure atoms away from the unit circle, where the
 # weight |1-s|/(1-|s|) blows up.
 ATOM_BOUNDARY_MARGIN = 1e-6
+
+# The Vandermonde horizon M of a measure symbol is the first power of two
+# with max|s|**M at or below this level, so the powers past M carry nothing
+# a double can hold.
+ROUNDING = float(np.finfo(float).eps)
+
+# Significant bits kept by the exact squarings behind atom_powers.
+POWER_BITS = 128
+
+# Longest power sequences built; atoms with |s| above about 1 - 3.4e-5 need more.
+VECTOR_HORIZON_CAP = 1 << 20
 
 
 def _finite_complex(z, what: str) -> complex:
@@ -234,16 +248,35 @@ def support_length(sym: RadialSymbol) -> int | None:
 
 
 def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
-    """max |phi(n)| over a window of indices, a lower bound for sup_n |phi(n)|.
+    """sup_n |phi(n)|, up to rounding: a lower bound for the multiplier's norm.
 
     A finite-support symbol is constant on the even and on the odd indices
     from its support length on, so the window up to support + 2 covers both
-    parity tails and the bound is the sup itself.  Measure symbols never
-    settle; they scan n < 33, which still gives a valid lower bound.
+    parity tails.  A measure symbol phi(n) = c_n + sum w s**n, with c_n its
+    even or odd tail, has sup max(|c_even|, |c_odd|, max_n |phi(n)|); past N
+    every |phi(n)| is at most max |c_n| + sum |w| |s|**N.  The window N
+    doubles from 32 until that bound drops to the maximum found, or until
+    the Vandermonde horizon, where the powers fall below rounding.  A
+    horizon past VECTOR_HORIZON_CAP stops the scan there, which still gives
+    a lower bound.
     """
     length = support_length(sym)
-    window = 33 if length is None else length + 2
-    return max(abs(evaluate(sym, n)) for n in range(window))
+    if length is not None:
+        return max(abs(evaluate(sym, n)) for n in range(length + 2))
+    even, odd = parity_tails(sym)
+    s, w = (np.array(v, dtype=complex) for v in zip(*measure_atoms(sym)))
+    radius, size = np.abs(s), np.abs(w)
+    limit = max(abs(even), abs(odd))
+    n = 32
+    while True:
+        phi = atom_powers(s, n) @ w
+        phi[0::2] += even
+        phi[1::2] += odd
+        best = max(limit, float(np.abs(phi).max()))
+        power = radius**n
+        if limit + size @ power <= best or power.max() <= ROUNDING or n >= VECTOR_HORIZON_CAP:
+            return best
+        n *= 2
 
 
 def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
@@ -262,6 +295,44 @@ def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
         roots = [(cmath.sqrt(s), w / 2) for s, w in measure_atoms(sym.base)]
         return tuple(atom for r, w in roots for atom in ((r, w), (-r, w)))
     raise TypeError(f"{type(sym).__name__} has no measure representation")
+
+
+def _squares(s: np.ndarray, levels: int) -> np.ndarray:
+    """s**(2**k) for k < levels, each within a rounding or two of the exact power.
+
+    Squaring in double precision doubles the relative error at every step,
+    and s**r carries r times the rounding of arg(s) in its phase, so the
+    squares are taken on Python integers, as (re + i im) 2**exp with
+    POWER_BITS significant bits, and rounded to double once.
+    """
+    columns = []
+    for z in s.astype(complex).tolist():
+        (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        den = max(p, q)  # both denominators are powers of two
+        re, im, exp = a * (den // p), b * (den // q), 1 - den.bit_length()
+        column = []
+        for _ in range(levels):
+            shift = max(max(abs(re), abs(im)).bit_length() - POWER_BITS, 0)
+            re, im, exp = re >> shift, im >> shift, exp + shift
+            column.append(complex(math.ldexp(re, exp), math.ldexp(im, exp)))
+            re, im, exp = re * re - im * im, 2 * re * im, 2 * exp
+        columns.append(column)
+    squares = np.array(columns, dtype=complex).reshape(s.size, levels).T
+    return squares if s.dtype.kind == "c" else squares.real
+
+
+def atom_powers(s: np.ndarray, m: int) -> np.ndarray:
+    """V[i, a] = s_a**i for i < m, built by doubling: V[r:2r] = V[:r] s**r.
+
+    Every entry is a product of at most log2(m) of the squares s**(2**k),
+    each rounded once, so its relative error grows with log2(i), not with i.
+    """
+    v = np.empty((m, s.size), dtype=s.dtype)
+    v[:1] = 1
+    for level, factor in enumerate(_squares(s, max(m - 1, 0).bit_length())):
+        rows = 1 << level
+        np.multiply(v[: min(rows, m - rows)], factor, out=v[rows : 2 * rows])
+    return v
 
 
 def psi1(sym: RadialSymbol, n: int) -> complex:

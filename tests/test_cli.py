@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -9,13 +10,18 @@ import pytest
 import radial_mult
 from radial_mult.cli import main, parse_symbol
 from radial_mult.symbols import (
+    DiscreteMeasure,
+    Doubled,
     Finite,
+    FromMeasure,
     Geometric,
     Indicator,
     ParityTail,
     TruncatedGeometric,
     double,
     eigenvalue_lower_bound,
+    evaluate,
+    parity_tails,
     tail_constant,
 )
 
@@ -318,8 +324,25 @@ def test_eigenvalue_lower_bound_scans_the_whole_support():
     assert eigenvalue_lower_bound(double(TruncatedGeometric(0.5, 30))) == 1.0
     assert eigenvalue_lower_bound(Finite((0.0,) * 50 + (-2.0,), 0.5)) == 2.0
     assert eigenvalue_lower_bound(ParityTail((0.0,) * 40, 0.5, -3.0)) == 3.0
-    # measure symbols keep the n < 33 window, a valid lower bound
     assert eigenvalue_lower_bound(Geometric(-0.5)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        # the sup is the limit c, which no index attains
+        FromMeasure(1.0, DiscreteMeasure(((0.99, -1.0),))),
+        Doubled(FromMeasure(1.0, DiscreteMeasure(((0.95, -1.5),)))),
+        # the sup is attained late: 0.9j**n turns the atom against the other
+        FromMeasure(0.3, DiscreteMeasure(((0.9j, 2.0), (-0.5, 1.0)))),
+        FromMeasure(0.5, DiscreteMeasure(((0.99 * cmath.exp(0.3j), 0.2), (0.5, -0.1)))),
+        Geometric(0.9999),
+    ],
+)
+def test_eigenvalue_lower_bound_is_the_sup_for_measures(sym):
+    even, odd = parity_tails(sym)
+    brute = max([abs(even), abs(odd)] + [abs(evaluate(sym, n)) for n in range(5000)])
+    assert abs(eigenvalue_lower_bound(sym) - brute) <= 1e-14 * brute
 
 
 def test_integral_check_measure_and_doubling(capsys):

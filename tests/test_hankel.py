@@ -1,11 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import radial_mult.hankel as hankel_mod
 from radial_mult import (
     DiscreteMeasure,
+    Doubled,
     Finite,
     FromMeasure,
     Geometric,
@@ -25,6 +29,7 @@ from radial_mult import (
     rank_one_decompose,
     trace_norm,
 )
+from radial_mult.symbols import measure_atoms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -229,6 +234,59 @@ def test_rank_one_reconstruction_property():
             assert abs(np.linalg.norm(x) - np.linalg.norm(y)) < 1e-12
 
 
+@pytest.mark.parametrize("n0", [300, 1000])
+def test_indicator_closed_form_large_n0(n0):
+    # x_i / sqrt(sigma_i) and y_i / sqrt(sigma_i) are the singular vectors, so
+    # they are orthonormal; at n0 = 1000 the cosines run over angles up to 2000 rad
+    sym = Indicator(n0)
+    m = n0 + 3
+    rep = c_norm(sym)
+    dec_h, dec_k = hankel_mod.difference_decompositions(sym)
+    for dec, assemble, sv in (
+        (dec_h, hankel_h, rep.singular_values_h),
+        (dec_k, hankel_k, rep.singular_values_k),
+    ):
+        assert np.abs(dec.reconstruct(m) - assemble(sym, m)).max() <= 1e-13
+        root = np.sqrt(sv[: len(dec.x)])[:, None]
+        for vectors in (dec.x / root, dec.y / root):
+            assert np.abs(vectors @ vectors.T - np.eye(len(root))).max() <= 1e-13
+
+
+def exact_differences(sym, sums):
+    """phi(n) - phi(n+1) at the given indices in 40 digits, for measure symbols."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        atoms = [(mpmath.mpc(s), mpmath.mpc(w)) for s, w in measure_atoms(sym)]
+        values = {
+            n: complex(mpmath.fsum(w * s**n * (1 - s) for s, w in atoms))
+            for n in np.unique(sums).tolist()
+        }
+    return np.vectorize(values.__getitem__, otypes=[complex])(sums)
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        Geometric(0.999j),
+        FromMeasure(0.0, DiscreteMeasure(((0.99, 1.0), (0.99 + 1e-6, -1.0)))),
+    ],
+    ids=["geometric-0.999i", "cluster-0.99"],
+)
+def test_plan_terms_accurate_near_unit_circle(sym):
+    # The exact route's height is 65536 for 0.999i, too tall for a dense
+    # matrix, so the reconstruction is checked on grids of rows and columns
+    # that reach across it, against differences taken in 40 digits.
+    dec_h, dec_k = hankel_mod.difference_decompositions(sym)
+    m = hankel_mod.exact_route(sym)[1]
+    assert dec_h.x.shape[1] == m
+    grids = (np.arange(64), np.arange(0, min(m, 4096), 16), np.arange(0, m, m // 256))
+    for dec, offset in ((dec_h, 0), (dec_k, 1)):
+        for grid in grids:
+            sums = np.add.outer(grid, grid) + offset
+            block = dec.x[:, grid].T @ dec.y[:, grid].conj()
+            assert np.abs(block - exact_differences(sym, sums)).max() <= 2e-14
+
+
 def test_trace_norm_monotone_in_truncation():
     for sym in (
         Geometric(0.6),
@@ -335,3 +393,67 @@ def test_vandermonde_route_matches_mp_oracle(name):
         at_horizon = mp_trace_norm(atoms, diagonal, rep.truncation)
         assert abs(value - float(at_horizon)) <= 1e-14 * scale
         assert float(abs(mp_trace_norm(atoms, diagonal, None) - at_horizon)) <= bound
+
+
+# ---------------------------------------------------------------------------
+# Property: the plan's rank-one terms are the difference matrices
+# ---------------------------------------------------------------------------
+
+reals = st.floats(-2, 2)
+complexes = st.builds(complex, reals, reals)
+radii = st.floats(0.0, 0.99) | st.floats(0.9, 0.99)
+disk = st.builds(lambda r, t: r * cmath.exp(1j * t), radii, st.floats(0.0, 2 * np.pi))
+atoms = st.lists(st.tuples(disk, complexes), min_size=1, max_size=5).map(tuple)
+truncated = st.builds(
+    TruncatedGeometric, st.floats(0.0, 0.95, exclude_min=True), st.integers(0, 60)
+)
+# Doubling a tail c gives even/odd limits (c, 0), which no plan accepts.
+tail_free = st.one_of(
+    st.builds(Finite, st.lists(reals, max_size=15).map(tuple), st.just(0.0)),
+    st.builds(Finite, st.lists(complexes, max_size=15).map(tuple), st.just(0j)),
+    truncated,
+    st.builds(Indicator, st.integers(0, 30)),
+    st.builds(Geometric, disk),
+    st.builds(FromMeasure, st.just(0j), atoms.map(DiscreteMeasure)),
+)
+decomposed_symbols = st.one_of(
+    st.builds(Finite, st.lists(reals, max_size=30).map(tuple), reals),
+    st.builds(Finite, st.lists(complexes, max_size=30).map(tuple), complexes),
+    truncated,
+    st.builds(Indicator, st.integers(0, 300)),
+    st.builds(Geometric, disk),
+    st.builds(FromMeasure, complexes, atoms.map(DiscreteMeasure)),
+    st.builds(Doubled, tail_free),
+)
+NEAR_CIRCLE = ((0.99j, 1.0), (-0.98 + 0.1j, 0.5 - 1j), (0.99, -1.0), (0.5, 2.0), (0.3 - 0.4j, 1j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(decomposed_symbols)
+@example(Indicator(300))
+@example(FromMeasure(0.5, DiscreteMeasure(NEAR_CIRCLE)))
+@example(Doubled(FromMeasure(0.0, DiscreteMeasure(NEAR_CIRCLE[:3]))))
+def test_difference_decompositions_property(sym):
+    # Heights up to 320 are checked whole against the dense matrices; taller
+    # ones (measures near the circle) on their leading 128 x 128 block, with
+    # the nuclear sum against the trace norm c_norm takes from its own
+    # Vandermonde factorization.
+    m = hankel_mod.exact_route(sym)[1]
+    rep = c_norm(sym)
+    dec_h, dec_k = hankel_mod.difference_decompositions(sym)
+    for dec, assemble, tn in (
+        (dec_h, hankel_h, rep.trace_norm_h),
+        (dec_k, hankel_k, rep.trace_norm_k),
+    ):
+        assert dec.x.shape == dec.y.shape and dec.x.shape[1] == m
+        scale = max(1.0, tn)
+        if m <= 320:
+            dense = assemble(sym, m)
+            assert np.abs(dec.reconstruct(m) - dense).max() <= 1e-12 * scale
+            assert abs(dec.nuclear_sum - trace_norm(dense)) <= 1e-12 * scale
+        else:
+            block = dec.x[:, :128].T @ dec.y[:, :128].conj()
+            assert np.abs(block - assemble(sym, 128)).max() <= 1e-12 * scale
+            assert abs(dec.nuclear_sum - tn) <= 1e-12 * scale
+        norms_x, norms_y = np.linalg.norm(dec.x, axis=1), np.linalg.norm(dec.y, axis=1)
+        assert np.abs(norms_x - norms_y).max(initial=0.0) <= 1e-12 * scale
