@@ -469,8 +469,11 @@ def difference_decompositions(
     height m, which carry the whole operators (TooLarge past VECTOR_HORIZON_CAP).
 
     Finite-support symbols decompose the m x m truncations, indicators in
-    closed form.  Measure symbols reuse the Vandermonde factorization.
+    closed form.  Measure symbols reuse the Vandermonde factorization.  A
+    symbol whose even and odd tails differ raises UnsupportedTail: its
+    differences do not vanish, so h and k are not trace class.
     """
+    tail_constant(sym)
     if support_length(sym) is None:
         s, w = _atom_arrays(sym)
         m = _vandermonde_horizon(s)

@@ -312,10 +312,11 @@ def _squares(s: np.ndarray, levels: int) -> np.ndarray:
         re, im, exp = a * (den // p), b * (den // q), 1 - den.bit_length()
         column = []
         for _ in range(levels):
-            shift = max(max(abs(re), abs(im)).bit_length() - POWER_BITS, 0)
-            re, im, exp = re >> shift, im >> shift, exp + shift
+            shift = max(re.bit_length(), im.bit_length()) - POWER_BITS
+            if shift > 0:
+                re, im, exp = re >> shift, im >> shift, exp + shift
             column.append(complex(math.ldexp(re, exp), math.ldexp(im, exp)))
-            re, im, exp = re * re - im * im, 2 * re * im, 2 * exp
+            re, im, exp = (re + im) * (re - im), 2 * re * im, 2 * exp
         columns.append(column)
     squares = np.array(columns, dtype=complex).reshape(s.size, levels).T
     return squares if s.dtype.kind == "c" else squares.real

@@ -178,6 +178,13 @@ def test_c_norm_unsupported_tail():
         c_norm(ParityTail((), 1.0, 0.0))
 
 
+@pytest.mark.parametrize("sym", [ParityTail((), 1.0, 0.0), Doubled(Finite((), 1.0))])
+def test_difference_decompositions_reject_parity_tails(sym):
+    # d(n) = +-1 forever: h and k are not trace class at any height
+    with pytest.raises(UnsupportedTail):
+        hankel_mod.difference_decompositions(sym)
+
+
 def test_cprime_norm_examples():
     rep = cprime_norm(double(Geometric(0.5)))
     assert abs(rep.total - 1.0) < 1e-10
