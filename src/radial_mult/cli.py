@@ -255,7 +255,13 @@ def cmd_integral_check(args) -> int:
     if args.measure:
         c, measure = parse_measure(args.measure)
         rep = verify_membership_bound(c, measure, args.tol)
-        record("membership", rep.difference_norms, rep.weight, rep.holds)
+        record(
+            "membership",
+            rep.difference_norms,
+            rep.weight,
+            rep.holds,
+            {"rounding_bound": rep.rounding_bound},
+        )
     if args.random_atoms:
         rng = np.random.default_rng(args.seed)
         measure = _random_measure(rng, args.random_atoms)
@@ -265,12 +271,22 @@ def cmd_integral_check(args) -> int:
             rep.difference_norms,
             rep.weight,
             rep.holds,
-            {"measure": measure_to_obj(measure), "seed": args.seed},
+            {
+                "measure": measure_to_obj(measure),
+                "seed": args.seed,
+                "rounding_bound": rep.rounding_bound,
+            },
         )
     if args.symbol:
         sym = parse_symbol(args.symbol)
         dbl = verify_doubling(sym, args.tol)
-        record("doubling", dbl.base_total, dbl.doubled_total, dbl.holds)
+        record(
+            "doubling",
+            dbl.base_total,
+            dbl.doubled_total,
+            dbl.holds,
+            {"rounding_bound": dbl.rounding_bound},
+        )
         try:
             c, measure = representation_for(sym)
             mass = abs(c) + weight(measure)

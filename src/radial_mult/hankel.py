@@ -462,6 +462,30 @@ def _measure_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOn
     return _rank_one_terms(*_svd(cores), q)
 
 
+def _atom_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDecomposition]:
+    """h and k of a one-atom measure symbol at the Vandermonde horizon m.
+
+    Each matrix is d v v^T with v = (s**i), so its one term is
+    x = sqrt|d| (d/|d|) v and y = sqrt|d| conj(v), with nuclear sum
+    |d| ||v||^2; d = 0 gives no term.  Real atoms and weights stay real.
+    ||v||^2 is a pairwise sum: a BLAS dot loses 1e-14 of it at |s| = 0.9999.
+    """
+    s, w = _real_if_real(s, w)
+    v = atom_powers(s, m)[:, 0]
+    gram = float((v * v.conj()).real.sum())
+    out = []
+    for d in (_diagonal(s, w, *H)[0], _diagonal(s, w, *K)[0]):
+        size = abs(d)
+        if size == 0:
+            empty = np.empty((0, m), dtype=v.dtype)
+            out.append(RankOneDecomposition(empty, empty, 0.0))
+            continue
+        root = np.sqrt(size)
+        x, y = (root * (d / size)) * v, root * v.conj()
+        out.append(RankOneDecomposition(x[None], y[None], float(size) * gram))
+    return out
+
+
 def difference_decompositions(
     sym: RadialSymbol,
 ) -> tuple[RankOneDecomposition, RankOneDecomposition]:
@@ -469,7 +493,8 @@ def difference_decompositions(
     height m, which carry the whole operators (TooLarge past VECTOR_HORIZON_CAP).
 
     Finite-support symbols decompose the m x m truncations, indicators in
-    closed form.  Measure symbols reuse the Vandermonde factorization.  A
+    closed form.  Measure symbols reuse the Vandermonde factorization, and
+    a single atom reads its one term per matrix off its powers.  A
     symbol whose even and odd tails differ raises UnsupportedTail: its
     differences do not vanish, so h and k are not trace class.
     """
@@ -482,7 +507,8 @@ def difference_decompositions(
                 f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
                 "atoms too close to the unit circle"
             )
-        dec_h, dec_k = _measure_decompositions(s, w, m)
+        decompose = _atom_decompositions if s.size == 1 else _measure_decompositions
+        dec_h, dec_k = decompose(s, w, m)
     else:
         _, m = exact_route(sym)
         if isinstance(sym, Indicator):

@@ -362,6 +362,23 @@ def test_integral_check_measure_and_doubling(capsys):
     assert all(c["holds"] for c in obj["checks"])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-s", "geometric:0.999998i"),
+        ("-s", "geometric:-0.999998"),
+        ("--measure", '[{"s":[0,0.999998],"w":[1,0]}]'),
+    ],
+)
+def test_integral_check_identities_near_unit_circle_hold(capsys, args):
+    # equality cases whose two sides differ only by rounding
+    code, out, _ = run_cli(capsys, "integral-check", *args)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert all(c["holds"] for c in checks)
+    assert all(c["rounding_bound"] > 0 for c in checks if c["check"] != "headroom")
+
+
 @pytest.mark.parametrize("measure", ["5", '"x"', "null", "true"])
 def test_integral_check_non_object_measure_exits_1(capsys, measure):
     code, out, err = run_cli(capsys, "integral-check", "--measure", measure)

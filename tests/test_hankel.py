@@ -294,6 +294,46 @@ def test_plan_terms_accurate_near_unit_circle(sym):
             assert np.abs(block - exact_differences(sym, sums)).max() <= 2e-14
 
 
+SINGLE_ATOMS = {
+    "complex": Geometric(0.8 * cmath.exp(0.3j)),
+    "real": Geometric(0.5),
+    "negative": Geometric(-0.7),
+    "near-circle": Geometric(0.999j),
+    "measure-with-tail": FromMeasure(0.25 - 0.5j, DiscreteMeasure(((0.6 - 0.3j, 1.5 + 0.5j),))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_ATOMS))
+def test_single_atom_terms_match_qr_route(name):
+    # One atom reads its term off v; the QR route on the same atom is the
+    # reference.  Heights past 256 are compared on a grid across them.
+    sym = SINGLE_ATOMS[name]
+    s, w = hankel_mod._atom_arrays(sym)
+    m = hankel_mod.exact_route(sym)[1]
+    grid = np.unique(np.r_[np.arange(min(m, 64)), np.arange(0, m, max(m // 256, 1))])
+    refs = hankel_mod._measure_decompositions(s, w, m)
+    for dec, ref in zip(hankel_mod.difference_decompositions(sym), refs):
+        assert dec.x.shape == dec.y.shape == ref.x.shape == (1, m)
+        assert dec.x.dtype == ref.x.dtype and dec.y.dtype == ref.y.dtype
+        block, ref_block = (d.x[:, grid].T @ d.y[:, grid].conj() for d in (dec, ref))
+        assert np.abs(block - ref_block).max() <= 1e-13 * np.abs(ref_block).max()
+        assert abs(dec.nuclear_sum - ref.nuclear_sum) <= 1e-13 * ref.nuclear_sum
+        norm_x, norm_y = np.linalg.norm(dec.x), np.linalg.norm(dec.y)
+        assert abs(norm_x - norm_y) <= 1e-13 * norm_y
+
+
+def test_single_atom_zero_diagonals_give_no_terms():
+    # a zero weight cancels both matrices; s = 0 leaves h = e_0 e_0^T, k = 0
+    sym = FromMeasure(0.5, DiscreteMeasure(((0.6, 0.0),)))
+    m = hankel_mod.exact_route(sym)[1]
+    for dec in hankel_mod.difference_decompositions(sym):
+        assert dec.x.shape == dec.y.shape == (0, m) and dec.nuclear_sum == 0.0
+    dec_h, dec_k = hankel_mod.difference_decompositions(Geometric(0.0))
+    assert dec_h.x.shape == (1, 1) and dec_h.nuclear_sum == 1.0
+    assert dec_h.reconstruct(2).tolist() == [[1, 0], [0, 0]]
+    assert dec_k.x.shape == dec_k.y.shape == (0, 1) and dec_k.nuclear_sum == 0.0
+
+
 def test_trace_norm_monotone_in_truncation():
     for sym in (
         Geometric(0.6),
@@ -380,6 +420,9 @@ ORACLE_MEASURES = {
     ),
     "radius-0.99": ((0.99, 1.0), (-0.5 + 0.5j, 0.5 - 0.25j)),
     "radius-0.999": ((0.999j, 1.0), (0.999 - 1e-6, -0.5), (0.1, 1.0)),
+    # horizons 2**22 and 2**26: as many doubling QRs in _vandermonde_r
+    "radius-0.99999": ((0.99999 * cmath.exp(1j), 1.0), (-0.9999 + 0.001j, 0.5 - 0.25j)),
+    "doubled-0.999998i": ((cmath.sqrt(0.999998j), 0.5), (-cmath.sqrt(0.999998j), 0.5)),
 }
 
 

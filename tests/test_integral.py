@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radial_mult.integral as integral_mod
 from radial_mult import (
     DiscreteMeasure,
     Doubled,
@@ -174,6 +176,55 @@ def test_doubling_with_tail_near_unit_circle_holds():
     rep = verify_doubling(FromMeasure(1.0, DiscreteMeasure(((0.999, 1.0),))))
     assert rep.holds and rep.doubled.route == "vandermonde"
     assert abs(rep.doubled_total - rep.base_total) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [Geometric(0.999998j), Geometric(-0.999998), Geometric(0.9999 * cmath.exp(2.9j))],
+    ids=["0.999998i", "-0.999998", "0.9999e^2.9i"],
+)
+def test_doubling_near_unit_circle_holds_within_rounding(sym):
+    # Rounding the atoms +-sqrt(s) moves the doubled total by up to
+    # ROUNDING / (1 - |s|) of itself; the gap sits inside that bound.
+    rep = verify_doubling(sym)
+    gap = abs(rep.base_total - rep.doubled_total)
+    assert rep.holds and 0.0 < gap <= rep.rounding_bound
+    assert rep.to_obj()["rounding_bound"] == rep.rounding_bound
+    assert verify_doubling(Indicator(3)).rounding_bound == 0.0
+
+
+def test_doubling_gap_past_the_bound_fails(monkeypatch):
+    sym = Geometric(0.999998j)
+    honest = verify_doubling(sym)
+    slack = 1e-8 + honest.rounding_bound + honest.base.error_bound + honest.doubled.error_bound
+    for total, holds in (
+        (honest.base_total + 0.999 * slack, True),
+        (honest.base_total + slack + 1e-9 * honest.base_total, False),
+    ):
+        doubled = dataclasses.replace(honest.doubled, total=total)
+        monkeypatch.setattr(integral_mod, "cprime_norm", lambda _, d=doubled: d)
+        assert verify_doubling(sym).holds is holds
+
+
+def test_weight_keeps_relative_accuracy_near_unit_circle():
+    # 1 - abs(s) cancels off the real axis; the exact 1 - |s|**2 does not.
+    mpmath = pytest.importorskip("mpmath")
+    for s in (-0.07842580907314954 + 0.9969178009390551j, 0.999998j, -0.999998):
+        with mpmath.workdps(40):
+            exact = abs(1 - mpmath.mpc(s)) / (1 - abs(mpmath.mpc(s)))
+        got = weight(DiscreteMeasure(((s, 1.0),)))
+        assert abs(got - float(exact)) <= 4e-16 * got
+
+
+def test_membership_equality_case_within_rounding(monkeypatch):
+    # one atom meets the bound with equality, up to rounding of both sides
+    measure = DiscreteMeasure(((0.999998, 1.0),))
+    rep = verify_membership_bound(0.0, measure)
+    assert rep.holds and rep.to_obj()["rounding_bound"] == rep.rounding_bound
+    left = rep.weight * (1 + 1e-9) + 1e-8
+    inflated = dataclasses.replace(rep.hankel, trace_norm_h=left - rep.hankel.trace_norm_k)
+    monkeypatch.setattr(integral_mod, "c_norm", lambda _: inflated)
+    assert not verify_membership_bound(0.0, measure).holds
 
 
 def test_measure_json_roundtrip():
