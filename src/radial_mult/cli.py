@@ -297,10 +297,8 @@ def cmd_integral_check(args) -> int:
     obj = {"schema": SCHEMA, "command": "integral-check", "checks": checks}
     csv_lines = ["check,left,right,holds"]
     for entry in checks:
-        csv_lines.append(
-            f"{entry['check']},{entry.get('left', '')!r},"
-            f"{entry.get('right', '')!r},{entry['holds']}"
-        )
+        left, right = (repr(entry[key]) if key in entry else "" for key in ("left", "right"))
+        csv_lines.append(f"{entry['check']},{left},{right},{entry['holds']}")
     _emit(args, obj, "\n".join(csv_lines) + "\n")
     return 0 if all_hold else 2
 

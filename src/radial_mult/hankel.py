@@ -7,8 +7,9 @@ norms of its difference Hankel matrices:
   finite data, parity tails, and the Doubled form of any of these) have
   differences that vanish beyond the support, so one SVD at support + 2
   holds the whole spectrum (heights past SUPPORT_HEIGHT_CAP raise
-  TooLarge).  Indicators skip the SVD: their difference matrices are signed
-  shifts with singular values and vectors in closed form;
+  TooLarge), each matrix read off one difference row per step (real when
+  the row is).  Indicators skip the SVD: their difference matrices are
+  signed shifts with singular values and vectors in closed form;
 * Vandermonde route: a measure symbol phi(n) = c + sum_a w_a s_a**n has
   H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
   theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
@@ -17,29 +18,33 @@ norms of its difference Hankel matrices:
   at most the reported geometric-tail bound.  The Doubled form of a
   measure symbol is the measure with atoms +-sqrt(s) and weights w/2.
 
-The same factorization feeds the rank-one decompositions that certify the
-multiplier map completely bounded.  The map itself is read off the symbol
-through ``hankel_h``/``hankel_k``, not through these terms.
+The measure arithmetic (atoms, exact powers, 1 - |s|**2, horizon) is in
+``symbols``.  The same routes feed the rank-one decompositions that certify
+the multiplier map completely bounded.  The map itself is read off the
+symbol's difference row, not through these terms.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure, TooLarge
 from .symbols import (
-    ROUNDING,
     VECTOR_HORIZON_CAP,
     Indicator,
     RadialSymbol,
+    _squares,
+    atom_arrays,
     atom_powers,
     evaluate,
-    measure_atoms,
+    one_minus_abs_squared,
     parity_tails,
     support_length,
     tail_constant,
+    vandermonde_horizon,
 )
 
 # Singular values below this relative level are double-precision noise.
@@ -138,40 +143,44 @@ class RankOneDecomposition:
         return out
 
 
+# Each difference matrix has entries phi(i+j+offset) - phi(i+j+offset+step).
+H, K, HHAT = (0, 1), (1, 1), (0, 2)
+
+
 def _difference_row(sym: RadialSymbol, length: int, offset: int, step: int) -> np.ndarray:
     values = np.array([evaluate(sym, offset + m) for m in range(length + step)])
     return values[:length] - values[step : length + step]
 
 
-def _hankel_from_sequence(seq: np.ndarray, m: int) -> np.ndarray:
-    return seq[np.add.outer(np.arange(m), np.arange(m))]
+def _difference_matrices(sym: RadialSymbol, m: int, matrices) -> list[np.ndarray]:
+    """The m x m (offset, step) difference matrices d[i+j+offset], with
+    d(n) = phi(n) - phi(n+step) for n < 2m: one row per step, real when it is."""
+    if m < 1:
+        raise ValueError("truncation must be at least 1")
+    index = np.add.outer(np.arange(m), np.arange(m))
+    rows = {step: _real_if_real(_difference_row(sym, 2 * m, 0, step))[0] for _, step in matrices}
+    return [rows[step][index + offset] for offset, step in matrices]
 
 
 def hankel_h(sym: RadialSymbol, m: int) -> np.ndarray:
     """Matrix with entry (i, j) = phi(i+j) - phi(i+j+1), size m x m."""
-    if m < 1:
-        raise ValueError("truncation must be at least 1")
-    return _hankel_from_sequence(_difference_row(sym, 2 * m - 1, 0, 1), m)
+    return _difference_matrices(sym, m, (H,))[0]
 
 
 def hankel_k(sym: RadialSymbol, m: int) -> np.ndarray:
     """Matrix with entry (i, j) = phi(i+j+1) - phi(i+j+2), size m x m."""
-    if m < 1:
-        raise ValueError("truncation must be at least 1")
-    return _hankel_from_sequence(_difference_row(sym, 2 * m - 1, 1, 1), m)
+    return _difference_matrices(sym, m, (K,))[0]
 
 
 def hankel_hhat(sym: RadialSymbol, m: int) -> np.ndarray:
     """Matrix with entry (i, j) = phi(i+j) - phi(i+j+2), size m x m."""
-    if m < 1:
-        raise ValueError("truncation must be at least 1")
-    return _hankel_from_sequence(_difference_row(sym, 2 * m - 1, 0, 2), m)
+    return _difference_matrices(sym, m, (HHAT,))[0]
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix, descending."""
+    """Singular values of a matrix, descending, in real arithmetic when it is real."""
     try:
-        return np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
+        return np.linalg.svd(np.asarray(a), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
@@ -179,22 +188,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values."""
     return float(singular_values(a).sum())
-
-
-def _atom_arrays(sym: RadialSymbol) -> tuple[np.ndarray, np.ndarray]:
-    atoms = measure_atoms(sym)
-    s = np.array([a for a, _ in atoms], dtype=complex)
-    w = np.array([b for _, b in atoms], dtype=complex)
-    return s, w
-
-
-def _vandermonde_horizon(s: np.ndarray) -> int:
-    """First power of two M with max|s|**M <= ROUNDING."""
-    m, power = 1, float(np.abs(s).max())
-    while power > ROUNDING:
-        power *= power
-        m *= 2
-    return m
 
 
 def exact_route(sym: RadialSymbol) -> tuple[str, int]:
@@ -206,7 +199,7 @@ def exact_route(sym: RadialSymbol) -> tuple[str, int]:
     """
     length = support_length(sym)
     if length is None:
-        return "vandermonde", _vandermonde_horizon(_atom_arrays(sym)[0])
+        return "vandermonde", vandermonde_horizon(atom_arrays(sym)[0])
     m = length + 2
     if m > SUPPORT_HEIGHT_CAP:
         raise TooLarge(
@@ -221,19 +214,12 @@ def _vandermonde_r(s: np.ndarray, m: int) -> np.ndarray:
     ``m`` is a power of two.  Rows [M, 2M) of V are V_M diag(s**M), so
     V_2M = diag(Q_M, Q_M) [R_M; R_M diag(s**M)] and R_2M is the triangular
     factor of that 2N x N stack: doubling from the first row never forms V.
+    The factors s**M are the exact squares that atom_powers multiplies.
     """
     r = np.ones((1, s.size), dtype=complex)
-    rows = 1
-    while rows < m:
-        # s**rows directly: repeated squaring would double its relative
-        # error at every step.
-        r = np.linalg.qr(np.vstack([r, r * s**rows]), mode="r")
-        rows *= 2
+    for square in _squares(s, m.bit_length() - 1):
+        r = np.linalg.qr(np.vstack([r, r * square]), mode="r")
     return r
-
-
-# Each difference matrix has entries phi(i+j+offset) - phi(i+j+offset+step).
-H, K, HHAT = (0, 1), (1, 1), (0, 2)
 
 
 def _diagonal(s: np.ndarray, w: np.ndarray, offset: int, step: int) -> np.ndarray:
@@ -304,28 +290,25 @@ def _indicator_decomposition(n0: int, offset: int, m: int) -> RankOneDecompositi
 def _exact_spectra(sym: RadialSymbol, matrices):
     """Route, matrix height, spectra and error bound of some difference matrices.
 
-    ``matrices`` holds (assemble, offset, step) per matrix: the support
-    route calls assemble(sym, m), or for indicators takes the closed form,
-    and the Vandermonde route uses d = w s**offset (1 - s**step).  There, Q
-    and conj(Q) are isometries, so Q R diag(d) R^T Q^T has the singular
-    values of the small matrix R diag(d) R^T.  For one atom, the rows past M
-    change d v v^T in trace norm by at most
+    ``matrices`` holds the (offset, step) of each matrix: the support route
+    takes the SVD of each of _difference_matrices, or for indicators the
+    closed form, and the Vandermonde route uses d = w s**offset (1 - s**step).
+    There, Q and conj(Q) are isometries, so Q R diag(d) R^T Q^T has the
+    singular values of the small matrix R diag(d) R^T.  For one atom, the
+    rows past M change d v v^T in trace norm by at most
     2 |d| ||v|| ||v past M|| = 2 |d| |s|**M / (1 - |s|^2); the bound sums
     these over atoms and matrices.
     """
     route, m = exact_route(sym)
+    if isinstance(sym, Indicator):
+        return route, m, [_indicator_spectrum(sym.n0, *pair, m) for pair in matrices], 0.0
     if route == "support":
-        if isinstance(sym, Indicator):
-            spectra = [_indicator_spectrum(sym.n0, o, t, m) for _, o, t in matrices]
-        else:
-            spectra = [singular_values(assemble(sym, m)) for assemble, _, _ in matrices]
-        return route, m, spectra, 0.0
-    s, w = _atom_arrays(sym)
+        return route, m, [singular_values(a) for a in _difference_matrices(sym, m, matrices)], 0.0
+    s, w = atom_arrays(sym)
     r = _vandermonde_r(s, m)
-    radius = np.abs(s)
-    tail = 2.0 * radius**m / ((1.0 - radius) * (1.0 + radius))
+    tail = 2.0 * np.abs(s) ** m / np.array([one_minus_abs_squared(z) for z in s.tolist()])
     spectra, bound = [], 0.0
-    for _, offset, step in matrices:
+    for offset, step in matrices:
         d = _diagonal(s, w, offset, step)
         spectra.append(singular_values((r * d) @ r.T))
         bound += float(np.abs(d) @ tail)
@@ -341,7 +324,7 @@ def c_norm(sym: RadialSymbol) -> HankelReport:
     for k.  A symbol whose even and odd tails differ raises UnsupportedTail.
     """
     tail_abs = abs(tail_constant(sym))
-    route, m, (sv_h, sv_k), bound = _exact_spectra(sym, ((hankel_h, *H), (hankel_k, *K)))
+    route, m, (sv_h, sv_k), bound = _exact_spectra(sym, (H, K))
     tn_h = float(sv_h.sum())
     tn_k = float(sv_k.sum())
     return HankelReport(
@@ -372,7 +355,7 @@ def cprime_norm(sym: RadialSymbol) -> CPrimeReport:
     even, odd = parity_tails(sym)
     c1 = (even + odd) / 2
     c2 = (even - odd) / 2
-    route, m, (sv,), bound = _exact_spectra(sym, ((hankel_hhat, *HHAT),))
+    route, m, (sv,), bound = _exact_spectra(sym, (HHAT,))
     tn = float(sv.sum())
     return CPrimeReport(
         truncation=m,
@@ -438,14 +421,9 @@ def rank_one_decompose(a: np.ndarray) -> RankOneDecomposition:
 
 
 def _support_decompositions(sym: RadialSymbol, m: int) -> list[RankOneDecomposition]:
-    """h and k of a finite-support symbol at height m from one difference row.
-
-    With d(n) = phi(n) - phi(n+1) for n < 2m, h = d[i+j] and k = d[i+j+1];
-    both go through one stacked SVD, in real arithmetic when d is real.
-    """
-    (d,) = _real_if_real(_difference_row(sym, 2 * m, 0, 1))
-    index = np.add.outer(np.arange(m), np.arange(m))
-    return _rank_one_terms(*_svd(np.stack([d[index], d[index + 1]])))
+    """h and k of a finite-support symbol at height m, through one stacked
+    SVD of both _difference_matrices."""
+    return _rank_one_terms(*_svd(np.stack(_difference_matrices(sym, m, (H, K)))))
 
 
 def _measure_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDecomposition]:
@@ -481,7 +459,9 @@ def _atom_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDe
             out.append(RankOneDecomposition(empty, empty, 0.0))
             continue
         root = np.sqrt(size)
-        x, y = (root * (d / size)) * v, root * v.conj()
+        # sqrt|d| (d/|d|) = d / sqrt|d|; complex d / |d| overflows for a subnormal |d|
+        scaled = root * (d / size) if size >= sys.float_info.min else d / root
+        x, y = scaled * v, root * v.conj()
         out.append(RankOneDecomposition(x[None], y[None], float(size) * gram))
     return out
 
@@ -499,20 +479,16 @@ def difference_decompositions(
     differences do not vanish, so h and k are not trace class.
     """
     tail_constant(sym)
-    if support_length(sym) is None:
-        s, w = _atom_arrays(sym)
-        m = _vandermonde_horizon(s)
-        if m > VECTOR_HORIZON_CAP:
-            raise TooLarge(
-                f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
-                "atoms too close to the unit circle"
-            )
-        decompose = _atom_decompositions if s.size == 1 else _measure_decompositions
-        dec_h, dec_k = decompose(s, w, m)
-    else:
-        _, m = exact_route(sym)
-        if isinstance(sym, Indicator):
-            dec_h, dec_k = (_indicator_decomposition(sym.n0, offset, m) for offset in (0, 1))
-        else:
-            dec_h, dec_k = _support_decompositions(sym, m)
-    return dec_h, dec_k
+    route, m = exact_route(sym)
+    if isinstance(sym, Indicator):
+        return tuple(_indicator_decomposition(sym.n0, offset, m) for offset in (0, 1))
+    if route == "support":
+        return tuple(_support_decompositions(sym, m))
+    if m > VECTOR_HORIZON_CAP:
+        raise TooLarge(
+            f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
+            "atoms too close to the unit circle"
+        )
+    s, w = atom_arrays(sym)
+    decompose = _atom_decompositions if s.size == 1 else _measure_decompositions
+    return tuple(decompose(s, w, m))

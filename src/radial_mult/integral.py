@@ -27,6 +27,7 @@ from .symbols import (
     measure_atoms,
     measure_from_obj,
     measure_to_obj,
+    one_minus_abs_squared,
     support_length,
 )
 
@@ -105,26 +106,11 @@ def eval_measure(c: complex, measure: DiscreteMeasure, n: int) -> complex:
     return evaluate(FromMeasure(c, measure), n)
 
 
-def _one_minus_modulus(s: complex) -> float:
-    """1 - |s| as (1 - |s|**2) / (1 + |s|), with 1 - |s|**2 exact on integers.
-
-    1 - abs(s) cancels near the circle: off the real axis abs(s) carries a
-    rounding, up to 5e-11 of 1 - |s| at |s| = 1 - 2e-6.  The parts of s
-    are dyadic rationals over a common power of two, so 1 - |s|**2 is one
-    integer over den**2, rounded once.
-    """
-    s = complex(s)
-    (a, p), (b, q) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
-    den = max(p, q)
-    re, im = a * (den // p), b * (den // q)
-    return (den * den - re * re - im * im) / (den * den) / (1.0 + abs(s))
-
-
 def weight(measure: DiscreteMeasure) -> float:
-    """sum_j |w_j| * |1 - s_j| / (1 - |s_j|)."""
-    return float(
-        sum(abs(w) * abs(1.0 - s) / _one_minus_modulus(s) for s, w in measure.atoms)
-    )
+    """sum_j |w_j| * |1 - s_j| / (1 - |s_j|), with 1 - |s_j| taken as
+    (1 - |s_j|**2) / (1 + |s_j|), which does not cancel near the circle."""
+    gaps = [one_minus_abs_squared(s) / (1.0 + abs(s)) for s, _ in measure.atoms]
+    return float(sum(abs(w) * abs(1.0 - s) / gap for (s, w), gap in zip(measure.atoms, gaps)))
 
 
 def verify_membership_bound(
@@ -173,17 +159,17 @@ def representation_for(sym: RadialSymbol) -> tuple[complex, DiscreteMeasure]:
     )
 
 
-def _doubling_rounding(sym: RadialSymbol, total: float) -> float:
-    """How far rounding the atoms +-sqrt(s) of double(sym) moves its norm.
+def _doubling_rounding(doubled: RadialSymbol, total: float) -> float:
+    """How far rounding the atoms r = +-sqrt(s) of a doubled symbol moves its norm.
 
-    Rounding sqrt(s) moves 1 - |sqrt(s)|**2 by about ROUNDING, and an atom's
-    share of the norm scales like 1 / (1 - |s|), so the doubled total moves
-    by up to ROUNDING / (1 - max|s|) of itself.  Finite-support symbols
-    double exactly.
+    Rounding r moves 1 - |r|**2 = 1 - |s| by about ROUNDING, and an atom's
+    share of the norm scales like 1 / (1 - |r|**2), so the doubled total
+    moves by up to ROUNDING / (1 - max|s|) of itself.  Finite-support
+    symbols double exactly.
     """
-    if support_length(sym) is not None:
+    if support_length(doubled) is not None:
         return 0.0
-    gap = min(_one_minus_modulus(s) for s, _ in measure_atoms(sym))
+    gap = min(one_minus_abs_squared(r) for r, _ in measure_atoms(doubled))
     return ROUNDING * total / gap
 
 
@@ -196,8 +182,9 @@ def verify_doubling(sym: RadialSymbol, tol: float = 1e-8) -> DoublingReport:
     those atoms (``rounding_bound``) and both routes' error bounds.
     """
     base = c_norm(sym)
-    doubled = cprime_norm(double(sym))
-    rounding = _doubling_rounding(sym, base.total)
+    doubled_sym = double(sym)
+    doubled = cprime_norm(doubled_sym)
+    rounding = _doubling_rounding(doubled_sym, base.total)
     slack = tol + rounding + base.error_bound + doubled.error_bound
     return DoublingReport(
         base_total=base.total,

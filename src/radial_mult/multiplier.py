@@ -158,7 +158,7 @@ def build_plan(sym: RadialSymbol) -> MultiplierPlan:
     or the Vandermonde horizon M of a measure symbol.  Past that height the
     differences vanish, or lie below rounding, so the plan applies on a
     space of any length.  Raises TooLarge when the vectors would need more
-    than hankel.VECTOR_HORIZON_CAP entries.
+    than symbols.VECTOR_HORIZON_CAP entries.
     """
     c = tail_constant(sym)
     dec_h, dec_k = difference_decompositions(sym)

@@ -5,7 +5,8 @@ truncated geometric) or by finite data plus explicit tail behaviour.  The
 module evaluates symbols, extracts their tail constants, bounds sup |phi|
 from below, sums the alternating difference series ``psi1``/``psi2``, and
 implements index doubling, phi~(2n) = phi(n) and phi~(2n+1) = 0, as the
-``Doubled`` family.
+``Doubled`` family.  It is the one home of measure arithmetic: atom arrays,
+the Vandermonde horizon, and exact squares, powers and 1 - |s|**2 of atoms.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def _finite_complex(z, what: str) -> complex:
     return z
 
 
+def _atom_location(s, what: str) -> complex:
+    s = _finite_complex(s, what)
+    if abs(s) >= 1.0 - ATOM_BOUNDARY_MARGIN:
+        raise ValueError(
+            f"{what} {s} too close to or outside the unit circle "
+            f"(|s| must be < 1 - {ATOM_BOUNDARY_MARGIN})"
+        )
+    return s
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely many atoms (location s strictly inside the unit disk, weight w)."""
@@ -50,15 +61,9 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         atoms = tuple(
-            (_finite_complex(s, "atom location"), _finite_complex(w, "atom weight"))
+            (_atom_location(s, "atom location"), _finite_complex(w, "atom weight"))
             for s, w in self.atoms
         )
-        for s, _ in atoms:
-            if abs(s) >= 1.0 - ATOM_BOUNDARY_MARGIN:
-                raise ValueError(
-                    f"atom location {s} too close to the unit circle "
-                    f"(|s| must be < 1 - {ATOM_BOUNDARY_MARGIN})"
-                )
         object.__setattr__(self, "atoms", atoms)
 
     def __len__(self) -> int:
@@ -67,14 +72,12 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class Geometric:
-    """phi(n) = s**n for a fixed complex s with |s| < 1."""
+    """phi(n) = s**n for a fixed complex s, kept off the unit circle as a measure atom."""
 
     s: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _finite_complex(self.s, "geometric ratio"))
-        if abs(self.s) >= 1.0:
-            raise ValueError(f"geometric ratio must satisfy |s| < 1, got {self.s}")
+        object.__setattr__(self, "s", _atom_location(self.s, "geometric ratio"))
 
 
 @dataclass(frozen=True)
@@ -264,17 +267,17 @@ def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
     if length is not None:
         return max(abs(evaluate(sym, n)) for n in range(length + 2))
     even, odd = parity_tails(sym)
-    s, w = (np.array(v, dtype=complex) for v in zip(*measure_atoms(sym)))
+    s, w = atom_arrays(sym)
     radius, size = np.abs(s), np.abs(w)
     limit = max(abs(even), abs(odd))
+    horizon = min(vandermonde_horizon(s), VECTOR_HORIZON_CAP)
     n = 32
     while True:
         phi = atom_powers(s, n) @ w
         phi[0::2] += even
         phi[1::2] += odd
         best = max(limit, float(np.abs(phi).max()))
-        power = radius**n
-        if limit + size @ power <= best or power.max() <= ROUNDING or n >= VECTOR_HORIZON_CAP:
+        if limit + size @ radius**n <= best or n >= horizon:
             return best
         n *= 2
 
@@ -297,19 +300,52 @@ def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
     raise TypeError(f"{type(sym).__name__} has no measure representation")
 
 
+def atom_arrays(sym: RadialSymbol) -> tuple[np.ndarray, np.ndarray]:
+    """The locations s and weights w of measure_atoms(sym), as complex arrays."""
+    atoms = measure_atoms(sym)
+    s = np.array([a for a, _ in atoms], dtype=complex)
+    w = np.array([b for _, b in atoms], dtype=complex)
+    return s, w
+
+
+def vandermonde_horizon(s: np.ndarray) -> int:
+    """First power of two M with max|s|**M <= ROUNDING."""
+    m, power = 1, float(np.abs(s).max())
+    while power > ROUNDING:
+        power *= power
+        m *= 2
+    return m
+
+
+def _dyadic(z: complex) -> tuple[int, int, int]:
+    """Integers (re, im, exp <= 0) with z = (re + i im) 2**exp exactly."""
+    (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(p, q)  # both denominators are powers of two
+    return a * (den // p), b * (den // q), 1 - den.bit_length()
+
+
+def one_minus_abs_squared(s: complex) -> float:
+    """1 - |s|**2 on the integers of s's dyadic split, rounded once.
+
+    1 - abs(s)**2 cancels near the circle, where abs(s) carries a rounding:
+    up to 5e-11 of 1 - |s| at |s| = 1 - 2e-6 off the real axis.
+    """
+    re, im, exp = _dyadic(complex(s))
+    den = 1 << -2 * exp
+    return (den - re * re - im * im) / den
+
+
 def _squares(s: np.ndarray, levels: int) -> np.ndarray:
     """s**(2**k) for k < levels, each within a rounding or two of the exact power.
 
     Squaring in double precision doubles the relative error at every step,
     and s**r carries r times the rounding of arg(s) in its phase, so the
-    squares are taken on Python integers, as (re + i im) 2**exp with
+    squares are taken on the integers of s's dyadic split, kept to
     POWER_BITS significant bits, and rounded to double once.
     """
     columns = []
     for z in s.astype(complex).tolist():
-        (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        den = max(p, q)  # both denominators are powers of two
-        re, im, exp = a * (den // p), b * (den // q), 1 - den.bit_length()
+        re, im, exp = _dyadic(z)
         column = []
         for _ in range(levels):
             shift = max(re.bit_length(), im.bit_length()) - POWER_BITS

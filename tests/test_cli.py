@@ -202,6 +202,25 @@ def test_support_height_cap_exits_1(capsys, argv):
     assert err.startswith("radial-mult: error:")
 
 
+@pytest.mark.parametrize("command", ["norm", "integral-check"])
+def test_geometric_past_atom_margin_exits_1(capsys, command):
+    # every command takes the measure's atom margin for a geometric ratio
+    code, out, err = run_cli(capsys, command, "-s", "geometric:0.9999999")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:")
+    assert "too close to or outside the unit circle" in err
+
+
+def test_integral_check_csv_leaves_missing_cells_empty(capsys):
+    code, out, _ = run_cli(capsys, "integral-check", "-s", "indicator:2", "--format", "csv")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "check,left,right,holds"
+    assert lines[1].startswith("doubling,")
+    assert lines[2] == "representation,,,True"
+
+
 def test_fock_verify(capsys):
     code, out, _ = run_cli(
         capsys,

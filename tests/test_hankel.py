@@ -29,7 +29,7 @@ from radial_mult import (
     rank_one_decompose,
     trace_norm,
 )
-from radial_mult.symbols import measure_atoms
+from radial_mult.symbols import atom_arrays, measure_atoms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -308,7 +308,7 @@ def test_single_atom_terms_match_qr_route(name):
     # One atom reads its term off v; the QR route on the same atom is the
     # reference.  Heights past 256 are compared on a grid across them.
     sym = SINGLE_ATOMS[name]
-    s, w = hankel_mod._atom_arrays(sym)
+    s, w = atom_arrays(sym)
     m = hankel_mod.exact_route(sym)[1]
     grid = np.unique(np.r_[np.arange(min(m, 64)), np.arange(0, m, max(m // 256, 1))])
     refs = hankel_mod._measure_decompositions(s, w, m)
@@ -423,12 +423,24 @@ ORACLE_MEASURES = {
     # horizons 2**22 and 2**26: as many doubling QRs in _vandermonde_r
     "radius-0.99999": ((0.99999 * cmath.exp(1j), 1.0), (-0.9999 + 0.001j, 0.5 - 0.25j)),
     "doubled-0.999998i": ((cmath.sqrt(0.999998j), 0.5), (-cmath.sqrt(0.999998j), 0.5)),
+    # complex atoms 1e-4 apart in angle near the circle: s**r by numpy's
+    # complex power carries r times the rounding of arg(s) in its phase
+    "angle-gap-0.9999-at-0.7": (
+        (0.9999 * cmath.exp(0.7j), 1.0),
+        (0.9999 * cmath.exp(0.7001j), -1.0),
+    ),
+    "angle-gap-0.9999-at-2.7": (
+        (0.9999 * cmath.exp(2.7j), 1.0),
+        (0.9999 * cmath.exp(2.7001j), -1.0),
+    ),
+    "angle-gap-0.99999-at-0.3": (
+        (0.99999 * cmath.exp(0.3j), 1.0),
+        (0.99999 * cmath.exp(0.30001j), -1.0),
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_MEASURES))
-def test_vandermonde_route_matches_mp_oracle(name):
-    atoms = ORACLE_MEASURES[name]
+def assert_matches_mp_oracle(atoms):
     sym = FromMeasure(0.0, DiscreteMeasure(atoms))
     rep = c_norm(sym)
     crep = cprime_norm(sym)
@@ -443,6 +455,28 @@ def test_vandermonde_route_matches_mp_oracle(name):
         at_horizon = mp_trace_norm(atoms, diagonal, rep.truncation)
         assert abs(value - float(at_horizon)) <= 1e-14 * scale
         assert float(abs(mp_trace_norm(atoms, diagonal, None) - at_horizon)) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MEASURES))
+def test_vandermonde_route_matches_mp_oracle(name):
+    assert_matches_mp_oracle(ORACLE_MEASURES[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(1e-5, 1e-3),
+    st.floats(1e-5, 1e-3),
+    st.floats(0.0, 2 * np.pi),
+    st.floats(1e-6, 1e-3),
+)
+def test_clustered_atoms_near_circle_match_mp_oracle(gap_a, gap_b, angle, spread):
+    # two atoms with 1 - |s| in [1e-5, 1e-3], spread apart in angle by 1e-6
+    # to 1e-3, and weights that cancel: the hard case for the powers
+    atoms = (
+        ((1 - gap_a) * cmath.exp(1j * angle), 1.0),
+        ((1 - gap_b) * cmath.exp(1j * (angle + spread)), -1.0),
+    )
+    assert_matches_mp_oracle(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +515,7 @@ NEAR_CIRCLE = ((0.99j, 1.0), (-0.98 + 0.1j, 0.5 - 1j), (0.99, -1.0), (0.5, 2.0),
 @settings(max_examples=60, deadline=None)
 @given(decomposed_symbols)
 @example(Indicator(300))
+@example(Geometric(5e-324 + 5e-324j))
 @example(FromMeasure(0.5, DiscreteMeasure(NEAR_CIRCLE)))
 @example(Doubled(FromMeasure(0.0, DiscreteMeasure(NEAR_CIRCLE[:3]))))
 def test_difference_decompositions_property(sym):

@@ -66,6 +66,9 @@ def test_geometric_requires_unit_disk():
         Geometric(1.0)
     with pytest.raises(ValueError):
         Geometric(0.8 + 0.7j)
+    # a geometric symbol is one atom, so it keeps the measure's margin
+    with pytest.raises(ValueError, match="too close to or outside the unit circle"):
+        Geometric(0.9999999)
 
 
 def test_measure_rejects_boundary_atoms():
