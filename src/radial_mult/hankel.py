@@ -26,7 +26,6 @@ symbol's difference row, not through these terms.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +157,8 @@ def _difference_matrices(sym: RadialSymbol, m: int, matrices) -> list[np.ndarray
     if m < 1:
         raise ValueError("truncation must be at least 1")
     index = np.add.outer(np.arange(m), np.arange(m))
-    rows = {step: _real_if_real(_difference_row(sym, 2 * m, 0, step))[0] for _, step in matrices}
+    steps = {step for _, step in matrices}
+    rows = {step: _real_if_real(_difference_row(sym, 2 * m, 0, step))[0] for step in steps}
     return [rows[step][index + offset] for offset, step in matrices]
 
 
@@ -197,15 +197,21 @@ def exact_route(sym: RadialSymbol) -> tuple[str, int]:
     for measure symbols.  Raises TooLarge when the support route would need
     a matrix taller than SUPPORT_HEIGHT_CAP.
     """
+    return _route(sym)[:2]
+
+
+def _route(sym: RadialSymbol):
+    """exact_route(sym) and the atom arrays (s, w) it read, None on the support route."""
     length = support_length(sym)
     if length is None:
-        return "vandermonde", vandermonde_horizon(atom_arrays(sym)[0])
+        s, w = atom_arrays(sym)
+        return "vandermonde", vandermonde_horizon(s), (s, w)
     m = length + 2
     if m > SUPPORT_HEIGHT_CAP:
         raise TooLarge(
             f"support route would need {m} x {m} matrices (cap {SUPPORT_HEIGHT_CAP})"
         )
-    return "support", m
+    return "support", m, None
 
 
 def _vandermonde_r(s: np.ndarray, m: int) -> np.ndarray:
@@ -218,7 +224,7 @@ def _vandermonde_r(s: np.ndarray, m: int) -> np.ndarray:
     """
     r = np.ones((1, s.size), dtype=complex)
     for square in _squares(s, m.bit_length() - 1):
-        r = np.linalg.qr(np.vstack([r, r * square]), mode="r")
+        r = np.linalg.qr(np.concatenate((r, r * square)), mode="r")
     return r
 
 
@@ -299,12 +305,12 @@ def _exact_spectra(sym: RadialSymbol, matrices):
     2 |d| ||v|| ||v past M|| = 2 |d| |s|**M / (1 - |s|^2); the bound sums
     these over atoms and matrices.
     """
-    route, m = exact_route(sym)
+    route, m, atoms = _route(sym)
     if isinstance(sym, Indicator):
         return route, m, [_indicator_spectrum(sym.n0, *pair, m) for pair in matrices], 0.0
     if route == "support":
         return route, m, [singular_values(a) for a in _difference_matrices(sym, m, matrices)], 0.0
-    s, w = atom_arrays(sym)
+    s, w = atoms
     r = _vandermonde_r(s, m)
     tail = 2.0 * np.abs(s) ** m / np.array([one_minus_abs_squared(z) for z in s.tolist()])
     spectra, bound = [], 0.0
@@ -420,12 +426,6 @@ def rank_one_decompose(a: np.ndarray) -> RankOneDecomposition:
     return _rank_one_terms(u[None], s[None], vh[None])[0]
 
 
-def _support_decompositions(sym: RadialSymbol, m: int) -> list[RankOneDecomposition]:
-    """h and k of a finite-support symbol at height m, through one stacked
-    SVD of both _difference_matrices."""
-    return _rank_one_terms(*_svd(np.stack(_difference_matrices(sym, m, (H, K)))))
-
-
 def _measure_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDecomposition]:
     """h and k of a measure symbol at the Vandermonde horizon m.
 
@@ -444,9 +444,11 @@ def _atom_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDe
     """h and k of a one-atom measure symbol at the Vandermonde horizon m.
 
     Each matrix is d v v^T with v = (s**i), so its one term is
-    x = sqrt|d| (d/|d|) v and y = sqrt|d| conj(v), with nuclear sum
-    |d| ||v||^2; d = 0 gives no term.  Real atoms and weights stay real.
-    ||v||^2 is a pairwise sum: a BLAS dot loses 1e-14 of it at |s| = 0.9999.
+    x = (d / sqrt|d|) v and y = sqrt|d| conj(v), with nuclear sum
+    |d| ||v||^2; d = 0 gives no term.  d / sqrt|d| rounds once per
+    component and stays finite for a subnormal d, where d / |d| overflows.
+    Real atoms and weights stay real.  ||v||^2 is a pairwise sum: a BLAS
+    dot loses 1e-14 of it at |s| = 0.9999.
     """
     s, w = _real_if_real(s, w)
     v = atom_powers(s, m)[:, 0]
@@ -459,9 +461,7 @@ def _atom_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDe
             out.append(RankOneDecomposition(empty, empty, 0.0))
             continue
         root = np.sqrt(size)
-        # sqrt|d| (d/|d|) = d / sqrt|d|; complex d / |d| overflows for a subnormal |d|
-        scaled = root * (d / size) if size >= sys.float_info.min else d / root
-        x, y = scaled * v, root * v.conj()
+        x, y = (d / root) * v, root * v.conj()
         out.append(RankOneDecomposition(x[None], y[None], float(size) * gram))
     return out
 
@@ -472,23 +472,23 @@ def difference_decompositions(
     """Rank-one terms of h and k with vectors as long as exact_route(sym)'s
     height m, which carry the whole operators (TooLarge past VECTOR_HORIZON_CAP).
 
-    Finite-support symbols decompose the m x m truncations, indicators in
-    closed form.  Measure symbols reuse the Vandermonde factorization, and
+    Finite-support symbols decompose the m x m truncations through one
+    stacked SVD of both, indicators in closed form.  Measure symbols reuse the Vandermonde factorization, and
     a single atom reads its one term per matrix off its powers.  A
     symbol whose even and odd tails differ raises UnsupportedTail: its
     differences do not vanish, so h and k are not trace class.
     """
     tail_constant(sym)
-    route, m = exact_route(sym)
+    route, m, atoms = _route(sym)
     if isinstance(sym, Indicator):
         return tuple(_indicator_decomposition(sym.n0, offset, m) for offset in (0, 1))
     if route == "support":
-        return tuple(_support_decompositions(sym, m))
+        return tuple(_rank_one_terms(*_svd(np.stack(_difference_matrices(sym, m, (H, K))))))
     if m > VECTOR_HORIZON_CAP:
         raise TooLarge(
             f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
             "atoms too close to the unit circle"
         )
-    s, w = atom_arrays(sym)
+    s, w = atoms
     decompose = _atom_decompositions if s.size == 1 else _measure_decompositions
     return tuple(decompose(s, w, m))

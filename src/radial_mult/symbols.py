@@ -343,18 +343,16 @@ def _squares(s: np.ndarray, levels: int) -> np.ndarray:
     squares are taken on the integers of s's dyadic split, kept to
     POWER_BITS significant bits, and rounded to double once.
     """
-    columns = []
+    parts = []  # re, im of each square, atom by atom
     for z in s.astype(complex).tolist():
         re, im, exp = _dyadic(z)
-        column = []
         for _ in range(levels):
-            shift = max(re.bit_length(), im.bit_length()) - POWER_BITS
+            shift = (abs(re) | abs(im)).bit_length() - POWER_BITS
             if shift > 0:
                 re, im, exp = re >> shift, im >> shift, exp + shift
-            column.append(complex(math.ldexp(re, exp), math.ldexp(im, exp)))
-            re, im, exp = (re + im) * (re - im), 2 * re * im, 2 * exp
-        columns.append(column)
-    squares = np.array(columns, dtype=complex).reshape(s.size, levels).T
+            parts += math.ldexp(re, exp), math.ldexp(im, exp)
+            re, im, exp = (re + im) * (re - im), re * im << 1, 2 * exp
+    squares = np.array(parts).view(complex).reshape(s.size, levels).T
     return squares if s.dtype.kind == "c" else squares.real
 
 
