@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedRepresentation,
     UnsupportedTail,
 )
-from .fock import build_space, fock_spec_from_obj, fock_spec_to_obj
+from .fock import build_space, fock_spec_from_obj, fock_spec_to_obj, identity
 from .hankel import c_norm, cprime_norm
 from .integral import (
     representation_for,
@@ -29,7 +29,7 @@ from .integral import (
     verify_membership_bound,
     weight,
 )
-from .multiplier import build_plan, cs_bound, plan_cb_bound, verify_eigenaction
+from .multiplier import build_plan, kraus_row_sum, plan_cb_bound, verify_eigenaction
 from .symbols import (
     DiscreteMeasure,
     Finite,
@@ -124,10 +124,8 @@ def parse_space(text: str):
         raise CliError(f"bad space spec: {exc}") from exc
 
 
-def _emit(args, obj: dict, csv_text: str | None):
+def _emit(args, obj: dict, csv_text: str):
     if args.format == "csv":
-        if csv_text is None:
-            raise CliError("this command has no CSV representation")
         payload = csv_text
     else:
         payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -187,22 +185,29 @@ def cmd_fock_verify(args) -> int:
     return 0 if report.worst_residual <= args.tol else 2
 
 
+def _kraus_residual(space, vec, norm_sq: float, variant: int) -> float:
+    """Largest entry of vec's Kraus row sum minus ||vec||^2 Id, over ||vec||^2."""
+    gap = kraus_row_sum(space, vec, variant) - norm_sq * identity(space)
+    return float(np.abs(gap.data).max(initial=0.0)) / norm_sq
+
+
 def cmd_cs_bound(args) -> int:
     sym = parse_symbol(args.symbol)
-    spec = parse_space(args.space)
-    space = build_space(spec)
+    space = build_space(parse_space(args.space))
     plan = build_plan(sym)
-    terms = []
-    for kind, dec, variant in (
-        ("h", plan.decomposition_h, 1),
-        ("k", plan.decomposition_k, 2),
-    ):
-        for i, (x, y) in enumerate(dec.terms):
-            # the Cauchy-Schwarz bound is sqrt(row * col) = ||x|| ||y||
-            row, col, product = cs_bound(space, x, y, variant)
-            bound = float(np.sqrt(product))
-            terms.append(
-                {"kind": kind, "index": i, "row": row, "col": col, "bound": bound}
+    terms, kraus_residual = [], 0.0
+    for kind, dec, variant in (("h", plan.decomposition_h, 1), ("k", plan.decomposition_k, 2)):
+        # each Kraus row sum is ||v||^2 Id, so a term's bound sqrt(row * col)
+        # is ||x|| ||y||; the largest term checks that identity
+        rows, cols = ((v * v.conj()).real.sum(axis=1) for v in (dec.x, dec.y))
+        for i, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
+            bound = float(np.sqrt(row * col))
+            terms.append({"kind": kind, "index": i, "row": row, "col": col, "bound": bound})
+        if len(rows):
+            kraus_residual = max(
+                kraus_residual,
+                _kraus_residual(space, dec.x[0], rows[0], variant),
+                _kraus_residual(space, dec.y[0], cols[0], variant),
             )
     bound_total = plan_cb_bound(plan)
     lower = eigenvalue_lower_bound(sym)
@@ -213,6 +218,7 @@ def cmd_cs_bound(args) -> int:
         "terms": terms,
         "plan_cb_bound": bound_total,
         "eigenvalue_lower_bound": lower,
+        "kraus_residual": kraus_residual,
     }
     csv_lines = ["kind,index,row,col,bound"]
     csv_lines += [
@@ -220,7 +226,7 @@ def cmd_cs_bound(args) -> int:
         for t in terms
     ]
     _emit(args, obj, "\n".join(csv_lines) + "\n")
-    return 0 if lower <= bound_total + args.tol else 2
+    return 0 if lower <= bound_total + args.tol and kraus_residual <= args.tol else 2
 
 
 def _random_measure(rng: np.random.Generator, n_atoms: int) -> DiscreteMeasure:
@@ -290,7 +296,7 @@ def cmd_integral_check(args) -> int:
         try:
             c, measure = representation_for(sym)
             mass = abs(c) + weight(measure)
-            base = c_norm(sym).total
+            base = dbl.base_total
             record("headroom", mass, HEADROOM * base, mass <= HEADROOM * base + args.tol)
         except UnsupportedRepresentation:
             checks.append({"check": "representation", "holds": True, "note": "unsupported"})

@@ -119,6 +119,8 @@ def build_space(spec: FockSpec) -> FockSpace:
     """Enumerate all words of length <= max_len in graded-lexicographic order:
     level m + 1 is the children of level m in order, one per letter outside
     the parent's last factor, so one np.nonzero of letter masks gives a level."""
+    if spec.max_len > BASIS_CAP:  # a loop step and array entries per level, even empty
+        raise TooLarge(f"max_len {spec.max_len} gives more than {BASIS_CAP} levels")
     if _word_count(spec) > BASIS_CAP:
         raise TooLarge(f"basis would hold more than {BASIS_CAP} words")
     dims = spec.factor_dims

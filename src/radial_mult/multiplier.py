@@ -46,7 +46,6 @@ from .fock import (
     _concat,
     _diagonal,
     _eps_triplets,
-    _prepend_targets,
     _rho_triplets,
     _summed,
     _word_triplets,
@@ -273,27 +272,20 @@ def _iter_pairs(space: FockSpace, max_word: int, max_pair_sum: int | None):
                 yield k, l, xi, eta
 
 
-def _safe_columns(space: FockSpace, k: int, l: int, eta: Word) -> np.ndarray:
-    """Columns where truncation cannot interfere: extensions of eta whose
-    image level k + len - l stays within the space."""
-    extensions = _prepend_targets(space, eta)
-    mask = np.zeros(space.dim, dtype=bool)
-    mask[extensions[extensions >= 0]] = True
-    return mask & (space.levels - l + k <= space.max_len)
-
-
-def _max_abs_summed(row, col, data, ncols: int) -> float:
+def _max_abs_summed(row, col, data) -> float:
     """Largest |entry| once the triplets sharing a position are summed."""
+    ncols = int(col.max(initial=0)) + 1
     return float(np.abs(_summed(row, col, data, ncols)[2]).max(initial=0.0))
 
 
-def _verify_pairs(space: FockSpace, max_word: int, max_pair_sum, checks, width: int = 1):
+def _verify_pairs(space: FockSpace, max_word: int, max_pair_sum, checks):
     """The word-pair driver of the three verifiers.
 
     Per pair it builds the triplets of A = L_xi L_eta^* and runs each
     check(k, l, case, A) -> (expected, triplets of the difference to the
-    target); the residual is the difference's largest entry over the
-    pair's truncation-safe columns, each widened to ``width`` columns.
+    target); the residual is the difference's largest entry.  Each checked
+    map sends A onto A's own positions (xi w, eta w), tensor slots aside, so
+    truncation cuts A and its image alike and no entry is masked.
     Returns rows (k, l, xi, eta, case, [(expected, residual)]) and the worst.
     """
     if max_word < 0:
@@ -302,13 +294,10 @@ def _verify_pairs(space: FockSpace, max_word: int, max_pair_sum, checks, width: 
     for k, l, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
         a = _word_triplets(space, xi, eta)
         case = classify_case(xi, eta)
-        mask = np.repeat(_safe_columns(space, k, l, eta), width)
         results = []
         for check in checks:
-            expected, (row, col, data) = check(k, l, case, a)
-            keep = mask[col]
-            resid = _max_abs_summed(row[keep], col[keep], data[keep], len(mask))
-            results.append((expected, resid))
+            expected, triplets = check(k, l, case, a)
+            results.append((expected, _max_abs_summed(*triplets)))
         rows.append((k, l, xi, eta, case, results))
     return rows, max((r for row in rows for _, r in row[5]), default=0.0)
 
@@ -334,7 +323,7 @@ def verify_eigenaction(
 
     The expected value is phi(k+l) when either word is empty or their last
     letters lie in distinct factors, and phi(k+l-1) otherwise.  Residuals
-    are measured entrywise over the truncation-safe columns.
+    are measured entrywise.
     """
     phi = cache(lambda n: evaluate(plan.symbol, n))
     kernels = _kernels(plan.symbol, space, plan.c, h=True, k=True)
@@ -352,7 +341,7 @@ def verify_component_eigenaction(
 ) -> ComponentReport:
     """Check T1 and T2 separately against their difference-series eigenvalues.
 
-    T1 scales every safe pair by psi1(k+l); T2 scales by psi2(k+l) in the
+    T1 scales every pair by psi1(k+l); T2 scales by psi2(k+l) in the
     distinct-factor case and psi2(k+l-2) otherwise.
     """
     sym = plan.symbol
@@ -479,7 +468,7 @@ def verify_ucp_relations(
 
     The extension must send L_xi L_eta^* to L_xi L_eta^* tensor S^k S*^l,
     with both exponents lowered by one in the shared-last-factor case of
-    variant 2.  Residuals are taken over safe columns (every tensor slot).
+    variant 2.  Residuals are measured entrywise over every tensor slot.
     """
     d = tensor_dim
 
@@ -493,6 +482,6 @@ def verify_ucp_relations(
         lhs = ucp_pi_apply(space, d, variant, FockOperator(space, a))
         return None, _concat([lhs, target])
 
-    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check], width=d)
+    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check])
     records = [TensorRecord(xi, eta, case, res[0][1]) for k, l, xi, eta, case, res in rows]
     return TensorReport(variant, records, worst)

@@ -1,14 +1,19 @@
 import cmath
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radial_mult
+from radial_mult import cli
 from radial_mult.cli import main, parse_symbol
+from radial_mult.multiplier import build_plan
 from radial_mult.symbols import (
     DiscreteMeasure,
     Doubled,
@@ -313,6 +318,83 @@ def test_cs_bound(capsys):
     assert abs(obj["plan_cb_bound"] - 3.0) < 1e-8
     assert abs(obj["eigenvalue_lower_bound"] - 1.0) < 1e-12
     assert obj["terms"]
+    assert obj["kraus_residual"] <= 1e-14
+
+
+BOUND_SPACE = '{"factors":[2,2,2],"max_len":6}'
+
+
+@pytest.mark.parametrize(
+    "symbol, space",
+    [
+        ("indicator:40", '{"factors":[2,2],"max_len":4}'),
+        ("geometric:-0.7", '{"factors":[1,2],"max_len":6}'),
+        ("truncgeom:0.95,400", BOUND_SPACE),
+        ("geometric:0.9999", BOUND_SPACE),
+    ],
+)
+def test_cs_bound_rows_are_the_vector_norms(capsys, symbol, space):
+    # row and col are ||x||^2 and ||y||^2 to within one pairwise rounding;
+    # the largest term's Kraus row sums check that they are the sums' norms
+    code, out, _ = run_cli(capsys, "cs-bound", "-s", symbol, "--space", space)
+    assert code == 0
+    obj = json.loads(out)
+    plan = build_plan(parse_symbol(symbol))
+    decs = {"h": plan.decomposition_h, "k": plan.decomposition_k}
+    for t in obj["terms"]:
+        dec = decs[t["kind"]]
+        for key, vec in (("row", dec.x[t["index"]]), ("col", dec.y[t["index"]])):
+            exact = math.fsum(np.concatenate([vec.real, vec.imag]) ** 2)
+            assert abs(t[key] - exact) <= 5e-16 * exact, (t, key)
+    assert obj["kraus_residual"] <= 1e-14
+
+
+def test_cs_bound_checks_the_kraus_identity_once_per_variant(capsys, monkeypatch):
+    kraus_row_sum, calls = cli.kraus_row_sum, []
+
+    def counted(space, vec, variant):
+        calls.append(variant)
+        return kraus_row_sum(space, vec, variant)
+
+    monkeypatch.setattr(cli, "kraus_row_sum", counted)
+    code, _, _ = run_cli(capsys, "cs-bound", "-s", "truncgeom:0.95,400", "--space", BOUND_SPACE)
+    assert code == 0
+    # 801 terms, one Kraus sum for each side of the largest term per variant
+    assert sorted(calls) == [1, 1, 2, 2]
+
+
+def test_cs_bound_wrong_kraus_sum_exits_2(capsys, monkeypatch):
+    kraus_row_sum = cli.kraus_row_sum
+
+    def wrong(space, vec, variant):
+        return 1.001 * kraus_row_sum(space, vec, variant)
+
+    monkeypatch.setattr(cli, "kraus_row_sum", wrong)
+    code, out, _ = run_cli(capsys, "cs-bound", "-s", "geometric:-0.5", "--space", SPACE)
+    assert code == 2
+    assert abs(json.loads(out)["kraus_residual"] - 1e-3) < 1e-12
+
+
+def test_fock_verify_judges_a_valid_tolerance(capsys):
+    # the worst residual is about 1.6e-16: within the default, past 1e-300
+    argv = ("fock-verify", "-s", "geometric:-0.6+0.3i", "--space", '{"factors":[1,2],"max_len":5}')
+    argv += ("--max-word", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert 0.0 < json.loads(out)["report"]["worst_residual"] <= 1e-15
+    code, _, _ = run_cli(capsys, *argv, "--tol", "1e-300")
+    assert code == 2
+
+
+def test_space_longer_than_the_level_cap_exits_1_at_once(capsys):
+    # one factor gives no word past length 1, so only the level count is large
+    start = time.perf_counter()
+    space = '{"factors":[3],"max_len":1000000000}'
+    code, out, err = run_cli(capsys, "cs-bound", "-s", "geometric:0.5", "--space", space)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:") and "200000 levels" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import numpy as np
@@ -101,6 +102,15 @@ def test_build_space_cap():
     # counting stops at the cap, long before the 6000-digit count of 20000 levels
     with pytest.raises(TooLarge, match="more than 200000 words"):
         build_space(FockSpec((2, 2), 20000))
+
+
+def test_build_space_level_cap():
+    # one factor has no words past length 1, so the word count never reaches
+    # the cap; the level count refuses before any per-level loop or array
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="max_len 1000000000 gives more than 200000 levels"):
+        build_space(FockSpec((3,), 10**9))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_letter_map_cap():

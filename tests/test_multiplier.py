@@ -44,8 +44,8 @@ from radial_mult import (
     verify_ucp_relations,
     word_operator,
 )
-from radial_mult.fock import _diagonal, eps, rho, zero
-from radial_mult.multiplier import _kernels
+from radial_mult.fock import _concat, _diagonal, _word_triplets, eps, rho, zero
+from radial_mult.multiplier import _apply, _iter_pairs, _kernels
 
 SYMBOLS = [
     Geometric(0.5),
@@ -496,6 +496,45 @@ def test_kernel_path_matches_literal_sums(case):
         scale = max(np.abs(expected).max(), np.abs(a).max())
         err = np.abs(fn(plan, space, op).to_dense() - expected).max()
         assert err <= 1e-12 * scale, (fn.__name__, err, scale)
+
+
+# --- property: every checked map keeps L_xi L_eta^* on its own positions ---
+
+
+@st.composite
+def pair_cases(draw):
+    factors = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    space = build_space(FockSpec(factors, draw(st.integers(1, 4 if len(factors) < 3 else 3))))
+    max_word = draw(st.integers(0, space.max_len))
+    max_pair_sum = draw(st.none() | st.integers(0, 2 * max_word))
+    return space, draw(symbols), max_word, max_pair_sum, draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_cases())
+@example((build_space(FockSpec((3,), 4)), Geometric(-0.6 + 0.3j), 4, 3, 2))
+@example((build_space(FockSpec((1,), 4)), Indicator(2), 4, None, 0))
+def test_checked_maps_keep_word_pair_positions(case):
+    # the word-pair driver takes each residual over every entry: T, T1, T2 and
+    # the tensor extension (slots aside) map A = L_xi L_eta^* onto A's own
+    # positions (xi w, eta w), so truncation cuts A and its image alike
+    space, sym, max_word, max_pair_sum, extra_slots = case
+    plan = build_plan(sym)
+    kernels = [
+        _kernels(sym, space, plan.c, h=True, k=True),
+        _kernels(sym, space, h=True),
+        _kernels(sym, space, k=True),
+    ]
+    d = space.max_len + 1 + extra_slots
+    for _, _, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
+        a = _word_triplets(space, xi, eta)
+        positions = set(zip(a[0].tolist(), a[1].tolist()))
+        for kern in kernels:
+            row, col, _ = _concat(_apply(space, kern, *a))
+            assert set(zip(row.tolist(), col.tolist())) <= positions, (xi, eta)
+        for variant in (1, 2):
+            row, col, _ = ucp_pi_apply(space, d, variant, FockOperator(space, a))
+            assert set(zip((row // d).tolist(), (col // d).tolist())) <= positions, (xi, eta)
 
 
 # --- the Kraus row sum against the product of its Kraus operators -----------
