@@ -28,13 +28,9 @@ from .fock import (
     diagonal,
     eps,
     factor_end_projection,
-    fock_spec_from_json,
-    fock_spec_from_obj,
-    fock_spec_to_obj,
     identity,
     left_word,
     level_projection,
-    operator_to_csv,
     rho,
     rho_power,
     right_creation,
@@ -84,6 +80,14 @@ from .multiplier import (
     verify_eigenaction,
     verify_ucp_relations,
 )
+from .schema import (
+    fock_spec_from_obj,
+    measure_from_obj,
+    operator_to_csv,
+    symbol_from_obj,
+    to_csv,
+    to_obj,
+)
 from .symbols import (
     DiscreteMeasure,
     Doubled,
@@ -100,10 +104,6 @@ from .symbols import (
     parity_tails,
     psi1,
     psi2,
-    symbol_from_json,
-    symbol_from_obj,
-    symbol_to_json,
-    symbol_to_obj,
     tail_constant,
 )
 

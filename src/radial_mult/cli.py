@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedRepresentation,
     UnsupportedTail,
 )
-from .fock import build_space, fock_spec_from_obj, fock_spec_to_obj, identity
+from .fock import build_space, identity
 from .hankel import c_norm, cprime_norm
 from .integral import (
     representation_for,
@@ -30,21 +30,24 @@ from .integral import (
     weight,
 )
 from .multiplier import build_plan, kraus_row_sum, plan_cb_bound, verify_eigenaction
+from .schema import (
+    SCHEMA,
+    _cplx_in,
+    fock_spec_from_obj,
+    measure_from_obj,
+    symbol_from_obj,
+    to_csv,
+    to_obj,
+)
 from .symbols import (
     DiscreteMeasure,
     Finite,
     Geometric,
     Indicator,
     TruncatedGeometric,
-    _cplx_in,
     eigenvalue_lower_bound,
-    measure_from_obj,
-    measure_to_obj,
-    symbol_from_obj,
-    symbol_to_obj,
 )
 
-SCHEMA = "radial-mult/1"
 HEADROOM = 8.0 / np.pi
 
 
@@ -124,9 +127,10 @@ def parse_space(text: str):
         raise CliError(f"bad space spec: {exc}") from exc
 
 
-def _emit(args, obj: dict, csv_text: str):
+def _emit(args, obj: dict, header: list[str], rows):
+    """Write obj as JSON, or with --format csv the table of rows under header."""
     if args.format == "csv":
-        payload = csv_text
+        payload = to_csv(header, rows)
     else:
         payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -136,29 +140,22 @@ def _emit(args, obj: dict, csv_text: str):
         sys.stdout.write(payload)
 
 
-def _sv_csv(sections: dict[str, np.ndarray]) -> str:
-    lines = ["matrix,index,sigma"]
-    for name, sv in sections.items():
-        for i, sigma in enumerate(sv):
-            lines.append(f"{name},{i},{float(sigma)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_norm(args) -> int:
     sym = parse_symbol(args.symbol)
     report = c_norm(sym)
     obj = {
         "schema": SCHEMA,
         "command": "norm",
-        "symbol": symbol_to_obj(sym),
-        "report": report.to_obj(),
+        "symbol": to_obj(sym),
+        "report": to_obj(report),
     }
     sections = {"h": report.singular_values_h, "k": report.singular_values_k}
     if args.cprime:
         creport = cprime_norm(sym)
-        obj["cprime_report"] = creport.to_obj()
+        obj["cprime_report"] = to_obj(creport)
         sections["hhat"] = creport.singular_values_hhat
-    _emit(args, obj, _sv_csv(sections))
+    rows = ((name, i, sigma) for name, sv in sections.items() for i, sigma in enumerate(sv))
+    _emit(args, obj, ["matrix", "index", "sigma"], rows)
     return 0
 
 
@@ -176,12 +173,17 @@ def cmd_fock_verify(args) -> int:
     obj = {
         "schema": SCHEMA,
         "command": "fock-verify",
-        "symbol": symbol_to_obj(sym),
-        "space": fock_spec_to_obj(spec),
+        "symbol": to_obj(sym),
+        "space": to_obj(spec),
         "max_word": args.max_word,
-        "report": report.to_obj(),
+        "report": to_obj(report),
     }
-    _emit(args, obj, report.to_csv())
+    header = ["xi", "eta", "case", "k", "l", "expected_re", "expected_im", "residual"]
+    rows = (
+        (p["xi"], p["eta"], p["case"], p["k"], p["l"], *p["expected"], p["residual"])
+        for p in obj["report"]["pairs"]
+    )
+    _emit(args, obj, header, rows)
     return 0 if report.worst_residual <= args.tol else 2
 
 
@@ -214,18 +216,14 @@ def cmd_cs_bound(args) -> int:
     obj = {
         "schema": SCHEMA,
         "command": "cs-bound",
-        "symbol": symbol_to_obj(sym),
+        "symbol": to_obj(sym),
         "terms": terms,
         "plan_cb_bound": bound_total,
         "eigenvalue_lower_bound": lower,
         "kraus_residual": kraus_residual,
     }
-    csv_lines = ["kind,index,row,col,bound"]
-    csv_lines += [
-        f"{t['kind']},{t['index']},{t['row']!r},{t['col']!r},{t['bound']!r}"
-        for t in terms
-    ]
-    _emit(args, obj, "\n".join(csv_lines) + "\n")
+    header = ["kind", "index", "row", "col", "bound"]
+    _emit(args, obj, header, ([t[key] for key in header] for t in terms))
     return 0 if lower <= bound_total + args.tol and kraus_residual <= args.tol else 2
 
 
@@ -278,7 +276,7 @@ def cmd_integral_check(args) -> int:
             rep.weight,
             rep.holds,
             {
-                "measure": measure_to_obj(measure),
+                "measure": to_obj(measure),
                 "seed": args.seed,
                 "rounding_bound": rep.rounding_bound,
             },
@@ -301,11 +299,8 @@ def cmd_integral_check(args) -> int:
         except UnsupportedRepresentation:
             checks.append({"check": "representation", "holds": True, "note": "unsupported"})
     obj = {"schema": SCHEMA, "command": "integral-check", "checks": checks}
-    csv_lines = ["check,left,right,holds"]
-    for entry in checks:
-        left, right = (repr(entry[key]) if key in entry else "" for key in ("left", "right"))
-        csv_lines.append(f"{entry['check']},{left},{right},{entry['holds']}")
-    _emit(args, obj, "\n".join(csv_lines) + "\n")
+    header = ["check", "left", "right", "holds"]
+    _emit(args, obj, header, ([entry.get(key) for key in header] for entry in checks))
     return 0 if all_hold else 2
 
 

@@ -10,7 +10,6 @@ word basis, held as row-major COO triplets with one entry per position.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
-from .symbols import _int_in
 
 Letter = tuple[int, int]  # (factor index, letter index within the factor)
 Word = tuple[Letter, ...]
@@ -58,14 +56,14 @@ class FockSpec:
 
 def _word_count(spec: FockSpec) -> int:
     """Number of words of length <= max_len, counted level by level until
-    the running total passes BASIS_CAP."""
+    the running total passes BASIS_CAP or a level is empty."""
     dims = spec.factor_dims
     ending = list(dims)  # words of the current length ending in factor f
     total = 1 + sum(ending)
     for _ in range(2, spec.max_len + 1):
-        if total > BASIS_CAP:
-            break
         level = sum(ending)
+        if total > BASIS_CAP or level == 0:
+            break
         ending = [(level - e) * d for e, d in zip(ending, dims)]
         total += sum(ending)
     return total
@@ -118,8 +116,10 @@ class FockSpace:
 def build_space(spec: FockSpec) -> FockSpace:
     """Enumerate all words of length <= max_len in graded-lexicographic order:
     level m + 1 is the children of level m in order, one per letter outside
-    the parent's last factor, so one np.nonzero of letter masks gives a level."""
-    if spec.max_len > BASIS_CAP:  # a loop step and array entries per level, even empty
+    the parent's last factor, so one np.nonzero of letter masks gives a level.
+    The levels past the first empty one (a single factor has no words past
+    length 1) all start at dim."""
+    if spec.max_len > BASIS_CAP:  # array entries per level, even empty
         raise TooLarge(f"max_len {spec.max_len} gives more than {BASIS_CAP} levels")
     if _word_count(spec) > BASIS_CAP:
         raise TooLarge(f"basis would hold more than {BASIS_CAP} words")
@@ -134,9 +134,12 @@ def build_space(spec: FockSpec) -> FockSpace:
     for _ in range(spec.max_len):
         level_offsets.append(level_offsets[-1] + len(last))
         parent, letter = allowed.take(last, axis=0).nonzero()
+        if not len(letter):
+            break
         parents.append(parent + level_offsets[-2])
         letters.append(letter)
         last = factors.take(letter)
+    level_offsets += [level_offsets[-1]] * (spec.max_len + 1 - len(level_offsets))
     letter = np.concatenate(letters)
     return FockSpace(spec, np.concatenate(parents), letter, factors[letter], level_offsets)
 
@@ -245,6 +248,8 @@ def _letter_maps(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
         prepend = np.full_like(append, -1)
         prepend[0] = append[0]
         for start, end in zip(space.level_offsets[1:], [*space.level_offsets[2:], space.dim]):
+            if start == end:  # an empty level, and so is every level past it
+                break
             prepend[start:end] = append[prepend[parent[start:end]], letter[start:end, None]]
         space._letter_maps = prepend, append
     return space._letter_maps
@@ -409,23 +414,3 @@ def word_label(word: Word) -> str:
     if not word:
         return "e"
     return "|".join(f"{f}.{a}" for f, a in word)
-
-
-def fock_spec_to_obj(spec: FockSpec) -> dict:
-    return {"factors": list(spec.factor_dims), "max_len": spec.max_len}
-
-
-def fock_spec_from_obj(obj: dict) -> FockSpec:
-    return FockSpec(tuple(_int_in(d) for d in obj["factors"]), _int_in(obj["max_len"]))
-
-
-def fock_spec_from_json(text: str) -> FockSpec:
-    return fock_spec_from_obj(json.loads(text))
-
-
-def operator_to_csv(op: FockOperator) -> str:
-    """Triplet dump (row, col, re, im), row-major, for inspection."""
-    lines = ["row,col,re,im"]
-    for r, c, v in zip(*(t.tolist() for t in op.triplets)):
-        lines.append(f"{r},{c},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"

@@ -75,18 +75,6 @@ class HankelReport:
     singular_values_h: np.ndarray
     singular_values_k: np.ndarray
 
-    def to_obj(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "trace_norm_h": self.trace_norm_h,
-            "trace_norm_k": self.trace_norm_k,
-            "tail_abs": self.tail_abs,
-            "total": self.total,
-            "converged": self.converged,
-            "route": self.route,
-            "error_bound": self.error_bound,
-        }
-
 
 @dataclass
 class CPrimeReport:
@@ -105,18 +93,6 @@ class CPrimeReport:
     route: str
     error_bound: float
     singular_values_hhat: np.ndarray
-
-    def to_obj(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "trace_norm_hhat": self.trace_norm_hhat,
-            "c1": [self.c1.real, self.c1.imag],
-            "c2": [self.c2.real, self.c2.imag],
-            "total": self.total,
-            "converged": self.converged,
-            "route": self.route,
-            "error_bound": self.error_bound,
-        }
 
 
 @dataclass

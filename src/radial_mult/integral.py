@@ -25,8 +25,6 @@ from .symbols import (
     double,
     evaluate,
     measure_atoms,
-    measure_from_obj,
-    measure_to_obj,
     one_minus_abs_squared,
     support_length,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "DoublingReport",
     "MembershipReport",
     "eval_measure",
-    "measure_from_obj",
-    "measure_to_obj",
     "representation_for",
     "verify_doubling",
     "verify_membership_bound",
@@ -65,15 +61,6 @@ class MembershipReport:
     hankel: HankelReport
     rounding_bound: float
 
-    def to_obj(self) -> dict:
-        return {
-            "difference_norms": self.difference_norms,
-            "weight": self.weight,
-            "holds": self.holds,
-            "rounding_bound": self.rounding_bound,
-            "hankel": self.hankel.to_obj(),
-        }
-
 
 @dataclass
 class DoublingReport:
@@ -89,16 +76,6 @@ class DoublingReport:
     base: HankelReport
     doubled: CPrimeReport
     rounding_bound: float
-
-    def to_obj(self) -> dict:
-        return {
-            "base_total": self.base_total,
-            "doubled_total": self.doubled_total,
-            "holds": self.holds,
-            "rounding_bound": self.rounding_bound,
-            "base": self.base.to_obj(),
-            "doubled": self.doubled.to_obj(),
-        }
 
 
 def eval_measure(c: complex, measure: DiscreteMeasure, n: int) -> complex:

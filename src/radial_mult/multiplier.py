@@ -50,7 +50,6 @@ from .fock import (
     _summed,
     _word_triplets,
     classify_case,
-    word_label,
 )
 from .hankel import RankOneDecomposition, _difference_row, difference_decompositions
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
@@ -83,32 +82,6 @@ class EigenReport:
 
     records: list[EigenRecord]
     worst_residual: float
-
-    def to_obj(self) -> dict:
-        return {
-            "worst_residual": self.worst_residual,
-            "pairs": [
-                {
-                    "xi": word_label(r.xi),
-                    "eta": word_label(r.eta),
-                    "case": r.case,
-                    "k": r.k,
-                    "l": r.l,
-                    "expected": [r.expected.real, r.expected.imag],
-                    "residual": r.residual,
-                }
-                for r in self.records
-            ],
-        }
-
-    def to_csv(self) -> str:
-        lines = ["xi,eta,case,k,l,expected_re,expected_im,residual"]
-        for r in self.records:
-            lines.append(
-                f"{word_label(r.xi)},{word_label(r.eta)},{r.case},{r.k},{r.l},"
-                f"{r.expected.real!r},{r.expected.imag!r},{r.residual!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

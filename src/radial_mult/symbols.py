@@ -12,7 +12,6 @@ the Vandermonde horizon, and exact squares, powers and 1 - |s|**2 of atoms.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -411,110 +410,3 @@ def double(sym: RadialSymbol) -> RadialSymbol:
     if isinstance(sym, Indicator):
         return Indicator(2 * sym.n0)
     return Doubled(sym)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization.  Complex numbers are [re, im] pairs; {"re":..,"im":..}
-# objects and bare numbers are accepted on input.
-# ---------------------------------------------------------------------------
-
-
-def _cplx_out(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _int_in(obj) -> int:
-    """A JSON integer; floats, booleans and strings are rejected, not truncated."""
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return obj
-    raise ValueError(f"expected an integer, got {obj!r}")
-
-
-def _real_in(obj) -> float:
-    """A JSON real: an integer or a float; booleans and strings are rejected."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        try:
-            return float(obj)
-        except OverflowError as exc:
-            raise ValueError(f"real number out of range: {obj!r}") from exc
-    raise ValueError(f"expected a real number, got {obj!r}")
-
-
-def _cplx_in(obj) -> complex:
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(_real_in(obj[0]), _real_in(obj[1]))
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(_real_in(obj.get("re", 0.0)), _real_in(obj.get("im", 0.0)))
-    return complex(_real_in(obj))
-
-
-def measure_to_obj(measure: DiscreteMeasure) -> list:
-    return [{"s": _cplx_out(s), "w": _cplx_out(w)} for s, w in measure.atoms]
-
-
-def measure_from_obj(obj) -> DiscreteMeasure:
-    atoms = tuple((_cplx_in(entry["s"]), _cplx_in(entry["w"])) for entry in obj)
-    return DiscreteMeasure(atoms)
-
-
-def symbol_to_obj(sym: RadialSymbol) -> dict:
-    if isinstance(sym, Geometric):
-        return {"family": "geometric", "s": _cplx_out(sym.s)}
-    if isinstance(sym, Indicator):
-        return {"family": "indicator", "n0": sym.n0}
-    if isinstance(sym, TruncatedGeometric):
-        return {"family": "truncated_geometric", "r": float(sym.r), "n0": sym.n0}
-    if isinstance(sym, Finite):
-        return {
-            "family": "finite",
-            "values": [_cplx_out(v) for v in sym.values],
-            "tail": _cplx_out(sym.tail),
-        }
-    if isinstance(sym, FromMeasure):
-        return {
-            "family": "from_measure",
-            "c": _cplx_out(sym.c),
-            "measure": measure_to_obj(sym.measure),
-        }
-    if isinstance(sym, ParityTail):
-        return {
-            "family": "parity_tail",
-            "values": [_cplx_out(v) for v in sym.values],
-            "tail_even": _cplx_out(sym.tail_even),
-            "tail_odd": _cplx_out(sym.tail_odd),
-        }
-    if isinstance(sym, Doubled):
-        return {"family": "doubled", "base": symbol_to_obj(sym.base)}
-    raise TypeError(f"not a radial symbol: {sym!r}")
-
-
-def symbol_from_obj(obj: dict) -> RadialSymbol:
-    family = str(obj["family"]).replace("-", "_").lower()
-    if family == "geometric":
-        return Geometric(_cplx_in(obj["s"]))
-    if family == "indicator":
-        return Indicator(_int_in(obj["n0"]))
-    if family == "truncated_geometric":
-        return TruncatedGeometric(_real_in(obj["r"]), _int_in(obj["n0"]))
-    if family == "finite":
-        return Finite(tuple(_cplx_in(v) for v in obj["values"]), _cplx_in(obj["tail"]))
-    if family == "from_measure":
-        return FromMeasure(_cplx_in(obj.get("c", 0.0)), measure_from_obj(obj["measure"]))
-    if family == "parity_tail":
-        return ParityTail(
-            tuple(_cplx_in(v) for v in obj["values"]),
-            _cplx_in(obj["tail_even"]),
-            _cplx_in(obj["tail_odd"]),
-        )
-    if family == "doubled":
-        return Doubled(symbol_from_obj(obj["base"]))
-    raise ValueError(f"unknown symbol family {obj.get('family')!r}")
-
-
-def symbol_to_json(sym: RadialSymbol) -> str:
-    return json.dumps(symbol_to_obj(sym), sort_keys=True)
-
-
-def symbol_from_json(text: str) -> RadialSymbol:
-    return symbol_from_obj(json.loads(text))

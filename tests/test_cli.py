@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radial_mult
 from radial_mult import cli
 from radial_mult.cli import main, parse_symbol
 from radial_mult.multiplier import build_plan
+from radial_mult.schema import to_obj
 from radial_mult.symbols import (
     DiscreteMeasure,
     Doubled,
@@ -522,20 +527,12 @@ def test_out_file_and_csv_format(tmp_path, capsys):
 
 
 def test_fock_verify_csv(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "fock-verify",
-        "-s",
-        "indicator:2",
-        "--space",
-        '{"factors":[2,2],"max_len":3}',
-        "--max-word",
-        "1",
-        "--format",
-        "csv",
-    )
+    argv = ("fock-verify", "-s", "indicator:2", "--space", '{"factors":[2,2],"max_len":3}')
+    code, out, _ = run_cli(capsys, *argv, "--max-word", "1", "--format", "csv")
     assert code == 0
     assert out.startswith("xi,eta,case,k,l,expected_re,expected_im,residual")
+    pairs = json.loads(run_cli(capsys, *argv, "--max-word", "1")[1])["report"]["pairs"]
+    assert len(out.strip().split("\n")) == 1 + len(pairs)
 
 
 def child_env():
@@ -578,3 +575,128 @@ def test_symbol_file_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "norm", "-s", f"@{path}")
     assert code == 0
     assert abs(json.loads(out)["report"]["total"] - 1.0) < 1e-10
+
+
+# --- property: the exit-code contract on fuzzed arguments -------------------
+#
+# Sizes stay small: at most three factors of dimension <= 3, max_len <= 4,
+# --max-word <= 2 or past the cap, n0 <= 60 and --random-atoms <= 5.
+
+COMPLEX_TEXT = ["0", "0.5", "-0.7", "0.3+0.4i", "0.999", "1", "-2", "nan", "inf", "1e400", "", "x"]
+JSON_KEYS = ["family", "s", "w", "n0", "r", "values", "tail", "c", "measure", "tail_even",
+             "tail_odd", "base", "re", "im", "factors", "max_len"]
+FAMILY_NAMES = ["geometric", "indicator", "truncated_geometric", "truncated-geometric", "finite",
+                "from_measure", "parity_tail", "doubled", "nosuch"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([0.5, -0.3, 1e300, "", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+fuzzed_symbol_objs = st.recursive(
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(FAMILY_NAMES)},
+        optional={key: json_values for key in JSON_KEYS[1:]},
+    ),
+    lambda inner: st.fixed_dictionaries({"family": st.just("doubled"), "base": inner}),
+    max_leaves=3,
+)
+small_cplx = st.builds(complex, st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
+in_disk = st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
+cplx_values = st.lists(small_cplx, max_size=4).map(tuple)
+valid_symbols = st.recursive(
+    st.one_of(
+        st.builds(Geometric, in_disk),
+        st.builds(Indicator, st.integers(0, 60)),
+        st.builds(TruncatedGeometric, st.floats(0.05, 0.95), st.integers(0, 60)),
+        st.builds(Finite, cplx_values, small_cplx),
+        st.builds(
+            FromMeasure,
+            small_cplx,
+            st.lists(st.tuples(in_disk, small_cplx), max_size=5).map(tuple).map(DiscreteMeasure),
+        ),
+        st.builds(ParityTail, cplx_values, small_cplx, small_cplx),
+    ),
+    lambda inner: inner.filter(lambda sym: len(set(parity_tails(sym))) == 1).map(Doubled),
+    max_leaves=2,
+)
+symbol_texts = st.one_of(
+    st.builds(lambda sym: json.dumps(to_obj(sym)), valid_symbols),
+    st.builds("geometric:{}".format, st.sampled_from(COMPLEX_TEXT)),
+    st.builds("indicator:{}".format, st.integers(-1, 60) | st.sampled_from(["", "x", "2.5"])),
+    st.builds("truncgeom:{},{}".format, st.sampled_from(COMPLEX_TEXT), st.integers(-1, 60)),
+    st.builds("constant:{}".format, st.sampled_from(COMPLEX_TEXT)),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["finite", "from_measure", "parity_tail"]),
+        st.builds(json.dumps, json_values),
+    ),
+    st.builds(json.dumps, fuzzed_symbol_objs),
+    st.sampled_from(["nosuch:1", "", "{", "geometric", '{"family":"geometric","s":NaN}']),
+)
+
+
+def space_objs(dims, max_len, min_factors):
+    factors = st.lists(dims, min_size=min_factors, max_size=3)
+    return st.fixed_dictionaries({"factors": factors, "max_len": max_len})
+
+
+space_texts = st.one_of(
+    st.builds(json.dumps, space_objs(st.integers(1, 3), st.integers(1, 4), 1)),
+    st.builds(json.dumps, space_objs(st.integers(-1, 3), st.integers(-1, 4), 0)),
+    st.builds(json.dumps, json_values),
+    st.sampled_from(["", "{", '{"factors":[1,1]}', '{"factors":[1],"max_len":1e400}']),
+)
+pairs = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+atoms = st.lists(st.fixed_dictionaries({"s": pairs, "w": pairs}), max_size=5)
+measure_texts = st.one_of(
+    st.builds(json.dumps, atoms),
+    st.builds(lambda c, m: json.dumps({"c": c, "measure": m}), pairs, atoms),
+    st.builds(json.dumps, json_values),
+    st.sampled_from(["", "[", "[{}]"]),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["norm", "fock-verify", "cs-bound", "integral-check"]))
+    argv = [command]
+    mostly = st.sampled_from([True] * 9 + [False])
+    if draw(mostly):  # -s is required everywhere but integral-check
+        argv += ["-s", draw(symbol_texts)]
+    if command in ("fock-verify", "cs-bound") and draw(mostly):
+        argv += ["--space", draw(space_texts)]
+    optional = {
+        "norm": [["--cprime"]],
+        "fock-verify": [["--max-word", draw(st.sampled_from(["0", "1", "2", "-1", "9", "x"]))]],
+        "cs-bound": [],
+        "integral-check": [
+            ["--measure", draw(measure_texts)],
+            ["--random-atoms", str(draw(st.integers(-1, 5)))],
+            ["--seed", str(draw(st.integers(-1, 9)))],
+        ],
+    }[command]
+    optional.append(["--format", draw(st.sampled_from(["json", "csv"] * 4 + ["xml"]))])
+    if command != "norm":  # norm judges nothing, so it takes no tolerance
+        tol = ["1e-10", "1e-3", "1"] * 3 + ["0", "-1", "nan", "inf", "x"]
+        optional.append(["--tol", draw(st.sampled_from(tol))])
+    for option in optional:
+        if draw(st.booleans()):
+            argv += option
+    if not draw(mostly):  # an option the command may not take
+        stray = ["--cprime", "--bogus", "--seed=1", "--max-word=1", "--tol=1e-3"]
+        argv.append(draw(st.sampled_from(stray)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_exit_code_contract_on_fuzzed_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("radial-mult: error:")

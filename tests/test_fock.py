@@ -1,4 +1,6 @@
+import json
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -20,8 +22,7 @@ from radial_mult import (
     diagonal,
     eps,
     factor_end_projection,
-    fock_spec_from_json,
-    fock_spec_to_obj,
+    fock_spec_from_obj,
     identity,
     left_word,
     level_projection,
@@ -32,6 +33,7 @@ from radial_mult import (
     right_word,
     spectral_norm,
     tail_projection,
+    to_obj,
     word_operator,
 )
 
@@ -111,6 +113,21 @@ def test_build_space_level_cap():
     with pytest.raises(TooLarge, match="max_len 1000000000 gives more than 200000 levels"):
         build_space(FockSpec((3,), 10**9))
     assert time.perf_counter() - start < 1.0
+
+
+def test_single_factor_space_stops_at_its_last_word():
+    # one factor has no words past length 1: the level loops stop there, and
+    # the 199999 empty levels past it only pad level_offsets with dim
+    tracemalloc.start()
+    try:
+        space = build_space(FockSpec((3,), 200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 4 and space.words_of_length(2) == []
+    assert space.words_of_length(1) == [((0, 0),), ((0, 1),), ((0, 2),)]
+    assert peak < 20 * 2**20
+    assert word_operator(space, ((0, 1),), ()).nnz == 1
 
 
 def test_letter_map_cap():
@@ -375,9 +392,9 @@ def test_operator_algebra_and_mismatch(two_line, triple):
 
 
 def test_spec_serialization_and_csv(two_line):
-    spec = fock_spec_from_json('{"factors":[1,1],"max_len":3}')
+    spec = fock_spec_from_obj(json.loads('{"factors":[1,1],"max_len":3}'))
     assert spec == two_line.spec
-    assert fock_spec_to_obj(spec) == {"factors": [1, 1], "max_len": 3}
+    assert to_obj(spec) == {"factors": [1, 1], "max_len": 3}
     text = operator_to_csv(creation(two_line, (0, 0)))
     lines = text.strip().split("\n")
     assert lines[0] == "row,col,re,im"

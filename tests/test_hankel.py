@@ -27,6 +27,7 @@ from radial_mult import (
     hankel_hhat,
     hankel_k,
     rank_one_decompose,
+    to_obj,
     trace_norm,
 )
 from radial_mult.symbols import atom_arrays, measure_atoms
@@ -364,10 +365,10 @@ def test_difference_sum_bounded_by_norms():
 
 
 def test_reports_record_route():
-    rep = c_norm(Indicator(3)).to_obj()
+    rep = to_obj(c_norm(Indicator(3)))
     assert rep["route"] == "support" and rep["error_bound"] == 0.0
     assert rep["truncation"] == 6
-    rep = cprime_norm(Geometric(0.5)).to_obj()
+    rep = to_obj(cprime_norm(Geometric(0.5)))
     assert rep["route"] == "vandermonde" and 0.0 < rep["error_bound"] < 1e-15
 
 

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -26,9 +27,9 @@ from radial_mult import (
     evaluate,
     psi1,
     representation_for,
-    symbol_from_json,
-    symbol_to_json,
+    symbol_from_obj,
     tail_constant,
+    to_obj,
     verify_doubling,
     verify_membership_bound,
     weight,
@@ -189,7 +190,7 @@ def test_doubling_near_unit_circle_holds_within_rounding(sym):
     rep = verify_doubling(sym)
     gap = abs(rep.base_total - rep.doubled_total)
     assert rep.holds and 0.0 < gap <= rep.rounding_bound
-    assert rep.to_obj()["rounding_bound"] == rep.rounding_bound
+    assert to_obj(rep)["rounding_bound"] == rep.rounding_bound
     assert verify_doubling(Indicator(3)).rounding_bound == 0.0
 
 
@@ -220,7 +221,7 @@ def test_membership_equality_case_within_rounding(monkeypatch):
     # one atom meets the bound with equality, up to rounding of both sides
     measure = DiscreteMeasure(((0.999998, 1.0),))
     rep = verify_membership_bound(0.0, measure)
-    assert rep.holds and rep.to_obj()["rounding_bound"] == rep.rounding_bound
+    assert rep.holds and to_obj(rep)["rounding_bound"] == rep.rounding_bound
     left = rep.weight * (1 + 1e-9) + 1e-8
     inflated = dataclasses.replace(rep.hankel, trace_norm_h=left - rep.hankel.trace_norm_k)
     monkeypatch.setattr(integral_mod, "c_norm", lambda _: inflated)
@@ -228,10 +229,10 @@ def test_membership_equality_case_within_rounding(monkeypatch):
 
 
 def test_measure_json_roundtrip():
-    from radial_mult.integral import measure_from_obj, measure_to_obj
+    from radial_mult.schema import measure_from_obj
 
     measure = DiscreteMeasure(((0.4 + 0.3j, 1.0 - 0.5j), (-0.2, 2.0)))
-    obj = measure_to_obj(measure)
+    obj = to_obj(measure)
     assert obj == [
         {"s": [0.4, 0.3], "w": [1.0, -0.5]},
         {"s": [-0.2, 0.0], "w": [2.0, 0.0]},
@@ -294,4 +295,5 @@ def test_doubling_properties(sym):
         with pytest.raises(NonConvergent):
             psi1(doubled, 0)
 
-    assert symbol_from_json(symbol_to_json(doubled)) == doubled
+    for s in (sym, doubled):
+        assert symbol_from_obj(json.loads(json.dumps(to_obj(s)))) == s

@@ -38,10 +38,12 @@ from radial_mult import (
     right_word,
     spectral_norm,
     tensor_shift,
+    to_obj,
     ucp_pi_apply,
     verify_component_eigenaction,
     verify_eigenaction,
     verify_ucp_relations,
+    word_label,
     word_operator,
 )
 from radial_mult.fock import _concat, _diagonal, _word_triplets, eps, rho, zero
@@ -437,11 +439,20 @@ def test_ucp_positivity_spot_check(pair4):
 def test_eigen_report_serialization(line5):
     plan = build_plan(Geometric(0.5))
     report = verify_eigenaction(plan, line5, max_word=1)
-    obj = report.to_obj()
-    assert "worst_residual" in obj and obj["pairs"]
-    csv_text = report.to_csv()
-    assert csv_text.startswith("xi,eta,case,k,l,expected_re,expected_im,residual")
-    assert len(csv_text.strip().split("\n")) == 1 + len(report.records)
+    obj = to_obj(report)
+    assert obj["worst_residual"] == report.worst_residual and obj["pairs"]
+    assert obj["pairs"] == [
+        {
+            "xi": word_label(r.xi),
+            "eta": word_label(r.eta),
+            "case": r.case,
+            "k": r.k,
+            "l": r.l,
+            "expected": [r.expected.real, r.expected.imag],
+            "residual": r.residual,
+        }
+        for r in report.records
+    ]
 
 
 # --- property: T read off the symbol equals the plan's literal per-term sums -
