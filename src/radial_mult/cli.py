@@ -108,15 +108,27 @@ def parse_symbol(text: str):
     raise CliError(f"unknown symbol family {family!r}")
 
 
-def parse_measure(text: str) -> tuple[complex, DiscreteMeasure]:
-    obj = _load_json_arg(text)
+def _count(text: str) -> int:
+    """A non-negative integer (``--random-atoms``, ``--seed``); anything else
+    is a usage error."""
     try:
+        value = int(text)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
+
+
+def parse_measure(text: str) -> tuple[complex, DiscreteMeasure]:
+    try:
+        obj = _load_json_arg(text)
         if isinstance(obj, list):
             return 0.0 + 0.0j, measure_from_obj(obj)
         if not isinstance(obj, dict):
             raise TypeError("expected an atom list or an object")
         return _cplx_in(obj.get("c", 0.0)), measure_from_obj(obj["measure"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         raise CliError(f"bad measure spec: {exc}") from exc
 
 
@@ -339,8 +351,8 @@ def build_parser() -> _Parser:
     )
     p_int.add_argument("-s", "--symbol")
     p_int.add_argument("--measure", help="JSON atom list or {c, measure}, or @file")
-    p_int.add_argument("--random-atoms", type=int, help="check one seeded random measure")
-    p_int.add_argument("--seed", type=int, default=0, help="seed for --random-atoms")
+    p_int.add_argument("--random-atoms", type=_count, help="check one seeded random measure")
+    p_int.add_argument("--seed", type=_count, default=0, help="seed for --random-atoms")
     p_int.set_defaults(func=cmd_integral_check)
     return parser
 

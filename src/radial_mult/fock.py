@@ -23,9 +23,9 @@ Word = tuple[Letter, ...]
 VACUUM: Word = ()
 
 BASIS_CAP = 200_000
-# Entries of each (dim + 1) x letters int64 letter-map table; two tables at
-# this cap take 64 MB.  BASIS_CAP bounds words, not letters, so a space of
-# many letters passes it with tables far larger than this.
+# Entries of the (dim + 1) x letters int64 append table, 32 MB at this cap.
+# BASIS_CAP bounds words, not letters, so a space of many letters passes it
+# with a table far larger than this.
 LETTER_MAP_CAP = 1 << 22
 _NONE = np.array([-1])  # the vacuum's parent, letter and last factor
 
@@ -73,8 +73,8 @@ class FockSpace:
     """Word basis of a truncated product space, as index arrays: word i > 0 is
     word parent[i] plus letter letters()[letter[i]], of length levels[i] and last
     factor last_factor[i] (-1 for the vacuum, word 0).  The tuple labels basis,
-    index and words_of_length, the letter maps and the word targets are built on
-    first use and memoized, so concurrent readers at worst duplicate work."""
+    index and words_of_length and the append table are built on first use and
+    memoized, so concurrent readers at worst duplicate work."""
 
     def __init__(self, spec: FockSpec, parent, letter, last_factor, level_offsets: list[int]):
         self.spec = spec
@@ -84,8 +84,7 @@ class FockSpace:
         self.level_offsets = level_offsets
         self.dim = len(parent)
         self.levels = np.repeat(np.arange(spec.max_len + 1), np.diff([*level_offsets, self.dim]))
-        self._letter_maps: tuple[np.ndarray, np.ndarray] | None = None
-        self._prepend_targets: dict[Word, np.ndarray] = {}
+        self._letter_maps: np.ndarray | None = None
 
     @property
     def max_len(self) -> int:
@@ -233,51 +232,26 @@ def zero(space: FockSpace) -> FockOperator:
     return _diagonal(space, np.zeros(space.dim))
 
 
-def _letter_maps(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Prepend and append tables: the index of (g,) + w and of w + (g,) at row
-    w and letter column g, -1 off the space and in a trailing row, so that maps
-    compose by indexing.  (g,) + w + (h,) appends h to (g,) + w, level by level.
-    Raises TooLarge before allocating when a table would pass LETTER_MAP_CAP."""
+def _letter_maps(space: FockSpace) -> np.ndarray:
+    """The append table: the index of w + (g,) at row w and letter column g, -1
+    off the space and in a trailing row, so that appends compose by indexing.
+    Raises TooLarge before allocating when it would pass LETTER_MAP_CAP."""
     if space._letter_maps is None:
         entries = (space.dim + 1) * sum(space.spec.factor_dims)
         if entries > LETTER_MAP_CAP:
             raise TooLarge(f"letter maps would need {entries} entries (cap {LETTER_MAP_CAP})")
-        parent, letter = space.parent, space.letter
         append = np.full((space.dim + 1, sum(space.spec.factor_dims)), -1)
-        append[parent[1:], letter[1:]] = np.arange(1, space.dim)
-        prepend = np.full_like(append, -1)
-        prepend[0] = append[0]
-        for start, end in zip(space.level_offsets[1:], [*space.level_offsets[2:], space.dim]):
-            if start == end:  # an empty level, and so is every level past it
-                break
-            prepend[start:end] = append[prepend[parent[start:end]], letter[start:end, None]]
-        space._letter_maps = prepend, append
+        append[space.parent[1:], space.letter[1:]] = np.arange(1, space.dim)
+        space._letter_maps = append
     return space._letter_maps
-
-
-def _prepend_targets(space: FockSpace, word: Word) -> np.ndarray:
-    """Index of word + w for every basis word w (-1 where that is no word of the space)."""
-    cached = space._prepend_targets
-    if word not in cached:
-        prepend, columns, out = _letter_maps(space)[0], space.letters(), np.arange(space.dim)
-        for letter in reversed(word):
-            out = prepend[out, columns.index(letter)]
-        cached[word] = out
-    return cached[word]
 
 
 def _append_targets(space: FockSpace, word: Word) -> np.ndarray:
     """Index of w + word for every basis word w (-1 where that is no word of the space)."""
-    append, columns, out = _letter_maps(space)[1], space.letters(), np.arange(space.dim)
+    append, columns, out = _letter_maps(space), space.letters(), np.arange(space.dim)
     for letter in word:
         out = append[out, columns.index(letter)]
     return out
-
-
-def _partial_isometry(space: FockSpace, targets: np.ndarray) -> FockOperator:
-    """e_j -> e_targets[j], zero where targets[j] is -1."""
-    ok = targets >= 0
-    return FockOperator(space, (targets[ok], np.flatnonzero(ok), np.ones(int(ok.sum()))))
 
 
 def _checked(space: FockSpace, word: Word) -> Word:
@@ -303,25 +277,30 @@ def left_word(space: FockSpace, word: Word) -> FockOperator:
 
     The first letter of the word is the outermost factor of the product.
     """
-    return _partial_isometry(space, _prepend_targets(space, _checked(space, word)))
+    return word_operator(space, word, VACUUM)
 
 
 def right_word(space: FockSpace, word: Word) -> FockOperator:
-    """Operator appending the whole word at the right end (identity for the vacuum)."""
-    return _partial_isometry(space, _append_targets(space, _checked(space, word)))
-
-
-def _word_triplets(space: FockSpace, xi: Word, eta: Word):
-    """COO triplets of L_xi L_eta^*: a 1 at (xi w, eta w) for every w."""
-    rx = _prepend_targets(space, xi)
-    re = _prepend_targets(space, eta)
-    ok = (rx >= 0) & (re >= 0)
-    return rx[ok], re[ok], np.ones(int(ok.sum()), dtype=complex)
+    """Operator appending the whole word at the right end (identity for the vacuum):
+    e_w -> e_{w + word}, zero where that is no word of the space."""
+    targets = _append_targets(space, _checked(space, word))
+    ok = targets >= 0
+    return FockOperator(space, (targets[ok], np.flatnonzero(ok), np.ones(int(ok.sum()))))
 
 
 def word_operator(space: FockSpace, xi: Word, eta: Word) -> FockOperator:
-    """The rank-style operator L_xi L_eta^*."""
-    return FockOperator(space, _word_triplets(space, _checked(space, xi), _checked(space, eta)))
+    """The rank-style operator L_xi L_eta^*, a 1 at (xi w, eta w) for every w.
+
+    It is sum_n rho^n(e_xi e_eta^*), the rho chain from its corner entry
+    (xi, eta), and zero when either word is no word of the space.  A word's
+    index is the vacuum's append target.
+    """
+    xi, eta = _checked(space, xi), _checked(space, eta)
+    i, j = _append_targets(space, xi)[0], _append_targets(space, eta)[0]
+    if i < 0 or j < 0:
+        return zero(space)
+    corner = np.array([i]), np.array([j]), np.ones(1, dtype=complex)
+    return FockOperator(space, _concat(list(_chain(space, *corner))))
 
 
 def diagonal(space: FockSpace, a) -> FockOperator:
@@ -359,11 +338,21 @@ def _concat(parts):
 
 
 def _rho_triplets(space: FockSpace, row, col, data):
-    """rho on COO triplets, letter by letter; distinct entries have distinct images."""
-    append = _letter_maps(space)[1]
-    rows, cols = append[row].T, append[col].T
-    ok = (rows >= 0) & (cols >= 0)
-    return rows[ok], cols[ok], np.broadcast_to(data, rows.shape)[ok]
+    """rho on COO triplets, entry by entry and then letter by letter; distinct
+    entries have distinct images, and the images of the entries at one
+    position keep their order."""
+    append = _letter_maps(space)
+    rows, cols = append.take(row, axis=0), append.take(col, axis=0)
+    at = np.flatnonzero((rows >= 0) & (cols >= 0))
+    return rows.ravel().take(at), cols.ravel().take(at), data.take(at // rows.shape[1])
+
+
+def _chain(space: FockSpace, row, col, data):
+    """Yield the triplets of B, rho(B), rho^2(B), ... while they are non-empty.
+    rho^n(B) sits n levels above B, so the chain ends by max_len + 1 steps."""
+    while len(data):
+        yield row, col, data
+        row, col, data = _rho_triplets(space, row, col, data)
 
 
 def _eps_triplets(space: FockSpace, row, col, data):

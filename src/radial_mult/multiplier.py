@@ -39,17 +39,17 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fock import (
+    CASE_ONE,
     CASE_TWO,
     FockOperator,
     FockSpace,
     Word,
+    _chain,
     _concat,
     _diagonal,
     _eps_triplets,
     _rho_triplets,
     _summed,
-    _word_triplets,
-    classify_case,
 )
 from .hankel import RankOneDecomposition, _difference_row, difference_decompositions
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
@@ -184,14 +184,6 @@ def _kernels(sym: RadialSymbol, space: FockSpace, c=0.0, h=False, k=False):
     return c + w, dh, dk
 
 
-def _chain(space: FockSpace, row, col, data):
-    """Yield the triplets of B, rho(B), rho^2(B), ... while they are non-empty.
-    rho^n(B) sits n levels above B, so the chain ends by max_len + 1 steps."""
-    while len(data):
-        yield row, col, data
-        row, col, data = _rho_triplets(space, row, col, data)
-
-
 def _apply(space: FockSpace, kernels, row, col, data) -> list:
     """T(A) from the triplets of A, as triplets whose positions may repeat.
 
@@ -237,51 +229,55 @@ def apply_T2(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOp
 # ---------------------------------------------------------------------------
 
 
-def _iter_pairs(space: FockSpace, max_word: int, max_pair_sum: int | None):
-    top = min(max_word, space.max_len)
-    for k, l in product(range(top + 1), repeat=2):
-        if max_pair_sum is None or k + l <= max_pair_sum:
-            for xi, eta in product(space.words_of_length(k), space.words_of_length(l)):
-                yield k, l, xi, eta
-
-
-def _max_abs_summed(row, col, data) -> float:
-    """Largest |entry| once the triplets sharing a position are summed."""
-    ncols = int(col.max(initial=0)) + 1
-    return float(np.abs(_summed(row, col, data, ncols)[2]).max(initial=0.0))
-
-
 def _verify_pairs(space: FockSpace, max_word: int, max_pair_sum, checks):
-    """The word-pair driver of the three verifiers.
+    """The word-pair driver of the three verifiers, one rho chain per block.
 
-    Per pair it builds the triplets of A = L_xi L_eta^* and runs each
-    check(k, l, case, A) -> (expected, triplets of the difference to the
-    target); the residual is the difference's largest entry.  Each checked
-    map sends A onto A's own positions (xi w, eta w), tensor slots aside, so
-    truncation cuts A and its image alike and no entry is masked.
+    The block of (xi, eta) is the rows that start with xi and the columns
+    that start with eta.  Each checked map appends one letter to both sides
+    of an entry or keeps it, so it sends each block into itself, and for one
+    xi the blocks of the etas of one length l are disjoint.  So per xi and l
+    one chain from the corners (xi, eta) builds A = sum_eta L_xi L_eta^*, and
+    check(k, l, each entry's case, A) -> (expected value per case, difference
+    triplets, columns per word) runs once on it.  A pair's residual is the
+    largest entry of the summed difference whose column starts with its eta.
     Returns rows (k, l, xi, eta, case, [(expected, residual)]) and the worst.
     """
     if max_word < 0:
         raise ValueError("max_word must be non-negative")
-    rows = []
-    for k, l, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
-        a = _word_triplets(space, xi, eta)
-        case = classify_case(xi, eta)
-        results = []
-        for check in checks:
-            expected, triplets = check(k, l, case, a)
-            results.append((expected, _max_abs_summed(*triplets)))
-        rows.append((k, l, xi, eta, case, results))
+    top = min(max_word, space.max_len)
+    bounds, lf, rows = [*space.level_offsets, space.dim], space.last_factor, []
+    for k, l in product(range(top + 1), repeat=2):
+        etas = np.arange(bounds[l], bounds[l + 1])
+        if (max_pair_sum is not None and k + l > max_pair_sum) or not len(etas):
+            continue
+        prefix = np.full(space.dim, -1)  # each word's length-l prefix, -1 for shorter words
+        prefix[etas] = etas
+        for start, end in zip(bounds[l + 1 : -1], bounds[l + 2 :]):
+            prefix[start:end] = prefix[space.parent[start:end]]
+        for xi, i in zip(space.words_of_length(k), range(bounds[k], bounds[k + 1])):
+            cases = np.where((lf[i] >= 0) & (lf[etas] == lf[i]), CASE_TWO, CASE_ONE)
+            corners = np.full(len(etas), i), etas, np.ones(len(etas), dtype=complex)
+            a = _concat(list(_chain(space, *corners)))
+            results = []
+            for check in checks:
+                expected, (row, col, data), width = check(k, l, cases[prefix[a[1]] - etas[0]], a)
+                col, data = _summed(row, col, data, space.dim * width)[1:]
+                residual = np.zeros(len(etas))
+                np.maximum.at(residual, prefix[col // width] - etas[0], np.abs(data))
+                results.append((expected, residual.tolist()))
+            for m, (eta, case) in enumerate(zip(space.words_of_length(l), cases.tolist())):
+                rows.append((k, l, xi, eta, case, [(e.get(case), r[m]) for e, r in results]))
     return rows, max((r for row in rows for _, r in row[5]), default=0.0)
 
 
 def _scaling_check(space: FockSpace, kernels, expected):
-    """The check that the kernel map scales A by expected(k, l, case)."""
+    """The check that the kernel map scales each pair by expected(k, l, case)."""
 
     def check(k, l, case, a):
-        lam = expected(k, l, case)
+        lam = {c: expected(k, l, c) for c in (CASE_ONE, CASE_TWO) if (case == c).any()}
         row, col, data = a
-        return lam, _concat(_apply(space, kernels, row, col, data) + [(row, col, -lam * data)])
+        scale = np.where(case == CASE_TWO, lam.get(CASE_TWO, 0), lam.get(CASE_ONE, 0))
+        return lam, _concat(_apply(space, kernels, row, col, data) + [(row, col, -scale * data)]), 1
 
     return check
 
@@ -446,14 +442,15 @@ def verify_ucp_relations(
     d = tensor_dim
 
     def check(k, l, case, a):
-        drop = int(variant == 2 and case == CASE_TWO)
+        drop = (case == CASE_TWO) & (variant == 2)
         k, l = k - drop, l - drop
         # S^k S*^l has a 1 at (j + k, j + l) for j < d - max(k, l)
-        j = np.arange(max(d - max(k, l), 0))
-        row, col, data = (np.repeat(t, len(j)) for t in a)
-        target = (row * d + np.tile(j + k, len(a[0])), col * d + np.tile(j + l, len(a[0])), -data)
+        count = np.maximum(d - np.maximum(k, l), 0)
+        row, col, data, k, l = (np.repeat(t, count) for t in (*a, k, l))
+        j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        target = (row * d + j + k, col * d + j + l, -data)
         lhs = ucp_pi_apply(space, d, variant, FockOperator(space, a))
-        return None, _concat([lhs, target])
+        return {}, _concat([lhs, target]), d
 
     rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check])
     records = [TensorRecord(xi, eta, case, res[0][1]) for k, l, xi, eta, case, res in rows]

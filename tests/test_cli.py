@@ -493,6 +493,22 @@ def test_integral_check_non_object_measure_exits_1(capsys, measure):
     assert err.startswith("radial-mult: error: bad measure spec")
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--measure", "["), "bad measure spec"),
+        (("--random-atoms", "-1"), "--random-atoms"),
+        (("--random-atoms", "2", "--seed", "-1"), "--seed"),
+    ],
+    ids=["measure", "random-atoms", "seed"],
+)
+def test_integral_check_usage_errors_name_their_option(capsys, argv, named):
+    code, out, err = run_cli(capsys, "integral-check", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("radial-mult: error:") and named in err
+
+
 def test_integral_check_random_atoms(capsys):
     code, out, _ = run_cli(
         capsys, "integral-check", "--random-atoms", "5", "--seed", "0"

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from radial_mult import (
     CASE_ONE,
+    CASE_TWO,
     DimensionMismatch,
     DiscreteMeasure,
     Doubled,
@@ -46,8 +50,27 @@ from radial_mult import (
     word_label,
     word_operator,
 )
-from radial_mult.fock import _concat, _diagonal, _word_triplets, eps, rho, zero
-from radial_mult.multiplier import _apply, _iter_pairs, _kernels
+from radial_mult.fock import (
+    _chain,
+    _concat,
+    _diagonal,
+    _eps_triplets,
+    _rho_triplets,
+    _summed,
+    eps,
+    rho,
+    zero,
+)
+from radial_mult.multiplier import (
+    ComponentRecord,
+    ComponentReport,
+    EigenRecord,
+    EigenReport,
+    TensorRecord,
+    TensorReport,
+    _apply,
+    _kernels,
+)
 
 SYMBOLS = [
     Geometric(0.5),
@@ -521,14 +544,30 @@ def pair_cases(draw):
     return space, draw(symbols), max_word, max_pair_sum, draw(st.integers(0, 2))
 
 
+def keys(space, row, col):
+    """Sorted int64 keys of the positions (row, col)."""
+    return np.sort(np.asarray(row, dtype=np.int64) * space.dim + col)
+
+
 @settings(max_examples=40, deadline=None)
 @given(pair_cases())
 @example((build_space(FockSpec((3,), 4)), Geometric(-0.6 + 0.3j), 4, 3, 2))
 @example((build_space(FockSpec((1,), 4)), Indicator(2), 4, None, 0))
 def test_checked_maps_keep_word_pair_positions(case):
-    # the word-pair driver takes each residual over every entry: T, T1, T2 and
-    # the tensor extension (slots aside) map A = L_xi L_eta^* onto A's own
-    # positions (xi w, eta w), so truncation cuts A and its image alike
+    # The word-pair driver gives each pair the entries of the difference whose
+    # column starts with its eta.  That is each pair's own residual because T,
+    # T1, T2 and the tensor extension (slots aside) map L_xi L_eta^* onto its
+    # own positions (xi w, eta w), so truncation cuts it and its image alike.
+    # Two checks give that statement for every pair:
+    # (a) on each block A = sum_eta L_xi L_eta^*, eta of one length l, each
+    #     map's image lies on A's positions;
+    # (b) rho sends an entry (r, c) only to (r g, c g) for one letter g, and
+    #     eps keeps a subset of its input entries.
+    # The maps only weight entries, relabel tensor slots and chain rho and
+    # eps, so by (b) the image of L_xi L_eta^* keeps the row prefix xi and the
+    # column prefix eta.  The columns of A that start with eta are those of
+    # L_xi L_eta^* (the etas of one length are distinct prefixes), so with (a)
+    # the image lies on the positions of L_xi L_eta^*.
     space, sym, max_word, max_pair_sum, extra_slots = case
     plan = build_plan(sym)
     kernels = [
@@ -537,15 +576,152 @@ def test_checked_maps_keep_word_pair_positions(case):
         _kernels(sym, space, k=True),
     ]
     d = space.max_len + 1 + extra_slots
-    for _, _, xi, eta in _iter_pairs(space, max_word, max_pair_sum):
-        a = _word_triplets(space, xi, eta)
-        positions = set(zip(a[0].tolist(), a[1].tolist()))
-        for kern in kernels:
-            row, col, _ = _concat(_apply(space, kern, *a))
-            assert set(zip(row.tolist(), col.tolist())) <= positions, (xi, eta)
-        for variant in (1, 2):
-            row, col, _ = ucp_pi_apply(space, d, variant, FockOperator(space, a))
-            assert set(zip((row // d).tolist(), (col // d).tolist())) <= positions, (xi, eta)
+    bounds, top = [*space.level_offsets, space.dim], min(max_word, space.max_len)
+    for k, l in product(range(top + 1), repeat=2):
+        etas = np.arange(bounds[l], bounds[l + 1])
+        if (max_pair_sum is not None and k + l > max_pair_sum) or not len(etas):
+            continue
+        for i in range(bounds[k], bounds[k + 1]):
+            corners = np.full(len(etas), i), etas, np.ones(len(etas), dtype=complex)
+            a = _concat(list(_chain(space, *corners)))
+            positions = keys(space, *a[:2])
+            # (a)
+            for kern in kernels:
+                row, col, _ = _concat(_apply(space, kern, *a))
+                assert np.isin(keys(space, row, col), positions).all(), (i, l)
+            for variant in (1, 2):
+                row, col, _ = ucp_pi_apply(space, d, variant, FockOperator(space, a))
+                assert np.isin(keys(space, row // d, col // d), positions).all(), (i, l, variant)
+            # (b), each image traced to its source by the source's index as data
+            source = np.arange(len(a[0]))
+            row, col, at = _rho_triplets(space, a[0], a[1], source)
+            assert np.array_equal(space.parent[row], a[0][at])
+            assert np.array_equal(space.parent[col], a[1][at])
+            assert np.array_equal(space.letter[row], space.letter[col])
+            row, col, at = _eps_triplets(space, a[0], a[1], source)
+            assert np.array_equal(row, a[0][at]) and np.array_equal(col, a[1][at])
+
+
+# --- the per-pair driver, the oracle for the block driver -------------------
+
+
+def literal_pairs(space, max_word, max_pair_sum):
+    """(k, l, xi, eta, case, triplets of L_xi L_eta^*) per pair in report
+    order, the operator a 1 at (xi w, eta w) for every w such that both are
+    words, looked up by tuple."""
+    top = min(max_word, space.max_len)
+    targets = {}  # word -> index of word + w for every w, -1 off the space
+    for n in range(top + 1):
+        for word in space.words_of_length(n):
+            targets[word] = np.array([space.index.get(word + w, -1) for w in space.basis])
+    for k, l in product(range(top + 1), repeat=2):
+        if max_pair_sum is None or k + l <= max_pair_sum:
+            for xi, eta in product(space.words_of_length(k), space.words_of_length(l)):
+                ok = (targets[xi] >= 0) & (targets[eta] >= 0)
+                a = targets[xi][ok], targets[eta][ok], np.ones(int(ok.sum()), dtype=complex)
+                yield k, l, xi, eta, classify_case(xi, eta), a
+
+
+def per_pair_rows(space, max_word, max_pair_sum, checks):
+    """Rows (k, l, xi, eta, case, [(expected, residual)]), one check(k, l,
+    case, A) -> (expected, difference triplets) per pair and check, each
+    residual the largest entry of that pair's summed difference."""
+    rows = []
+    for k, l, xi, eta, case, a in literal_pairs(space, max_word, max_pair_sum):
+        results = []
+        for check in checks:
+            expected, (row, col, data) = check(k, l, case, a)
+            summed = _summed(row, col, data, int(col.max(initial=0)) + 1)[2]
+            results.append((expected, float(np.abs(summed).max(initial=0.0))))
+        rows.append((k, l, xi, eta, case, results))
+    return rows
+
+
+def per_pair_reports(space, plan, max_word, max_pair_sum, tensor_dim):
+    """The reports of verify_eigenaction, verify_component_eigenaction and
+    verify_ucp_relations (variants 1 and 2), one pair at a time."""
+    sym, d = plan.symbol, tensor_dim
+
+    def scaling(kernels, expected):
+        def check(k, l, case, a):
+            lam = expected(k, l, case)
+            row, col, data = a
+            return lam, _concat(_apply(space, kernels, row, col, data) + [(row, col, -lam * data)])
+
+        return check
+
+    def tensor(variant):
+        def check(k, l, case, a):
+            drop = int(variant == 2 and case == CASE_TWO)
+            k, l = k - drop, l - drop
+            j = np.arange(max(d - max(k, l), 0))
+            row, col, data = (np.repeat(t, len(j)) for t in a)
+            slots = np.tile(j + k, len(a[0])), np.tile(j + l, len(a[0]))
+            target = row * d + slots[0], col * d + slots[1], -data
+            return None, _concat([ucp_pi_apply(space, d, variant, FockOperator(space, a)), target])
+
+        return check
+
+    checks = [
+        scaling(
+            _kernels(sym, space, plan.c, h=True, k=True),
+            lambda k, l, case: evaluate(sym, k + l - (case == CASE_TWO)),
+        ),
+        scaling(_kernels(sym, space, h=True), lambda k, l, case: psi1(sym, k + l)),
+        scaling(
+            _kernels(sym, space, k=True),
+            lambda k, l, case: psi2(sym, k + l - 2 * (case == CASE_TWO)),
+        ),
+        tensor(1),
+        tensor(2),
+    ]
+    rows = per_pair_rows(space, max_word, max_pair_sum, checks)
+
+    def worst(*at):
+        return max((row[5][i][1] for row in rows for i in at), default=0.0)
+
+    eigen = [EigenRecord(xi, eta, c, k, l, *r[0]) for k, l, xi, eta, c, r in rows]
+    parts = [ComponentRecord(xi, eta, c, k, l, *r[1], *r[2]) for k, l, xi, eta, c, r in rows]
+    tensors = [
+        TensorReport(v, [TensorRecord(*row[2:5], row[5][2 + v][1]) for row in rows], worst(2 + v))
+        for v in (1, 2)
+    ]
+    return [EigenReport(eigen, worst(0)), ComponentReport(parts, worst(1, 2)), *tensors]
+
+
+@st.composite
+def oracle_cases(draw):
+    """pair_cases on smaller spaces, as the oracle pays a chain per pair."""
+    factors = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    space = build_space(FockSpec(factors, draw(st.integers(1, 4 if len(factors) < 3 else 3))))
+    max_word = draw(st.integers(0, min(space.max_len, 2)))
+    max_pair_sum = draw(st.none() | st.integers(0, 2 * max_word))
+    return space, draw(symbols), max_word, max_pair_sum, draw(st.integers(0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_cases())
+@example((build_space(FockSpec((2, 2, 2), 3)), Geometric(-0.6 + 0.3j), 2, None, 0))
+@example((build_space(FockSpec((3,), 4)), Indicator(1), 4, 3, 2))
+@example((build_space(FockSpec((2, 1), 4)), TruncatedGeometric(0.7, 4), 3, 4, 1))
+def test_block_driver_matches_per_pair_oracle(case):
+    # records of all three verifiers bit for bit: order, case, expected and
+    # residual, and their types (repr shows np.float64 and exact digits);
+    # compared record by record, as a diff of the whole reprs is slow
+    space, sym, max_word, max_pair_sum, extra_slots = case
+    plan = build_plan(sym)
+    d = space.max_len + 1 + extra_slots
+    reports = [
+        verify_eigenaction(plan, space, max_word, max_pair_sum),
+        verify_component_eigenaction(plan, space, max_word, max_pair_sum),
+        *(verify_ucp_relations(space, d, v, max_word, max_pair_sum) for v in (1, 2)),
+    ]
+    got, want = (
+        [repr(x) for report in reps for x in (replace(report, records=[]), *report.records)]
+        for reps in (reports, per_pair_reports(space, plan, max_word, max_pair_sum, d))
+    )
+    assert len(got) == len(want)
+    assert not (diff := [(g, w) for g, w in zip(got, want) if g != w]), diff[:3]
 
 
 # --- the Kraus row sum against the product of its Kraus operators -----------
