@@ -12,8 +12,11 @@ d(n) = phi(n) - phi(n+1),
 It holds because rho moves an entry at levels (a, b) to (a + 1, b + 1)
 and eps keeps its levels, so each entry of rho^n(A) keeps the weight d of
 its source's level sum, and each entry after eps the weight one below.
-``apply_T`` and the verifiers read w and d off the symbol, at O(max_len)
-scalar evaluations whatever the symbol's rank, and run one rho chain.
+``apply_T`` reads w and d off the symbol, at O(max_len) scalar evaluations
+whatever the symbol's rank, and runs one rho chain.  The scaling checks
+read T(A) at each entry of A = sum_eta L_xi L_eta^* off the entry and its
+rho ancestors, in one pass down A's chain tree.  The tensor check compares
+the image's triplets, since the code that builds them is what it tests.
 
 A plan is the certificate that T is completely bounded: rank-one terms
 (x_i, y_i) and (z_i, w_i) of the two difference Hankel matrices plus the
@@ -229,57 +232,49 @@ def apply_T2(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOp
 # ---------------------------------------------------------------------------
 
 
-def _verify_pairs(space: FockSpace, max_word: int, max_pair_sum, checks):
-    """The word-pair driver of the three verifiers, one rho chain per block.
-
-    The block of (xi, eta) is the rows that start with xi and the columns
-    that start with eta.  Each checked map appends one letter to both sides
-    of an entry or keeps it, so it sends each block into itself, and for one
-    xi the blocks of the etas of one length l are disjoint.  So per xi and l
-    one chain from the corners (xi, eta) builds A = sum_eta L_xi L_eta^*, and
-    check(k, l, each entry's case, A) -> (expected value per case, difference
-    triplets, columns per word) runs once on it.  A pair's residual is the
-    largest entry of the summed difference whose column starts with its eta.
-    Returns rows (k, l, xi, eta, case, [(expected, residual)]) and the worst.
-    """
+def _blocks(space: FockSpace, max_word: int, max_pair_sum):
+    """Yield (k, l, i, etas, cases, pairs) per word xi = word i of length k and
+    length l: the words eta of length l, each pair's case and the pairs
+    (xi, eta, case).  The rho chain from the corners (xi, eta) is A = sum_eta L_xi L_eta^*."""
     if max_word < 0:
         raise ValueError("max_word must be non-negative")
-    top = min(max_word, space.max_len)
-    bounds, lf, rows = [*space.level_offsets, space.dim], space.last_factor, []
-    for k, l in product(range(top + 1), repeat=2):
-        etas = np.arange(bounds[l], bounds[l + 1])
+    if max_pair_sum is not None and max_pair_sum < 0:
+        raise ValueError("max_pair_sum must be non-negative")
+    bounds, lf = [*space.level_offsets, space.dim], space.last_factor
+    for k, l in product(range(min(max_word, space.max_len) + 1), repeat=2):
+        etas, words = np.arange(bounds[l], bounds[l + 1]), space.words_of_length(l)
         if (max_pair_sum is not None and k + l > max_pair_sum) or not len(etas):
             continue
-        prefix = np.full(space.dim, -1)  # each word's length-l prefix, -1 for shorter words
-        prefix[etas] = etas
-        for start, end in zip(bounds[l + 1 : -1], bounds[l + 2 :]):
-            prefix[start:end] = prefix[space.parent[start:end]]
         for xi, i in zip(space.words_of_length(k), range(bounds[k], bounds[k + 1])):
             cases = np.where((lf[i] >= 0) & (lf[etas] == lf[i]), CASE_TWO, CASE_ONE)
-            corners = np.full(len(etas), i), etas, np.ones(len(etas), dtype=complex)
-            a = _concat(list(_chain(space, *corners)))
-            results = []
-            for check in checks:
-                expected, (row, col, data), width = check(k, l, cases[prefix[a[1]] - etas[0]], a)
-                col, data = _summed(row, col, data, space.dim * width)[1:]
-                residual = np.zeros(len(etas))
-                np.maximum.at(residual, prefix[col // width] - etas[0], np.abs(data))
-                results.append((expected, residual.tolist()))
-            for m, (eta, case) in enumerate(zip(space.words_of_length(l), cases.tolist())):
-                rows.append((k, l, xi, eta, case, [(e.get(case), r[m]) for e, r in results]))
-    return rows, max((r for row in rows for _, r in row[5]), default=0.0)
+            yield k, l, i, etas, cases, [(xi, *p) for p in zip(words, cases.tolist())]
 
 
-def _scaling_check(space: FockSpace, kernels, expected):
-    """The check that the kernel map scales each pair by expected(k, l, case)."""
-
-    def check(k, l, case, a):
-        lam = {c: expected(k, l, c) for c in (CASE_ONE, CASE_TWO) if (case == c).any()}
-        row, col, data = a
-        scale = np.where(case == CASE_TWO, lam.get(CASE_TWO, 0), lam.get(CASE_ONE, 0))
-        return lam, _concat(_apply(space, kernels, row, col, data) + [(row, col, -scale * data)]), 1
-
-    return check
+def _scaling_rows(space: FockSpace, max_word: int, max_pair_sum, parts):
+    """Rows (k, l, (xi, eta, case), [(expected, residual)]) and the worst
+    residual of the checks that each part (kernels, f) scales L_xi L_eta^* by
+    f(k + l, case).  Each entry of A (value 1) is appended from its parent,
+    up to the corners.  In T's kernel form (see _kernels) rho(A o dh) reaches
+    an entry from its strict ancestors and eps(A) o dk, chained, from itself
+    and its ancestors, so an entry e of level sum s and eps mask m has
+    T(A)[e] = w[s] + m dk[s] + P(e), with P zero at the corners and
+    P(child) = P(e) + dh[s] + m dk[s], handed down one depth at a time."""
+    lv, lf, rows = space.levels, space.last_factor, []
+    for k, l, i, etas, cases, pairs in _blocks(space, max_word, max_pair_sum):
+        lams = [[f(k + l, c) for _, f in parts] for c in cases.tolist()]
+        lam = np.array(lams).T
+        residual, carry = np.zeros(lam.shape), np.zeros(lam.shape, dtype=complex)
+        row, col, pair = np.full(len(etas), i), etas, np.arange(len(etas))  # the corners
+        while len(pair):
+            s, m = lv[row] + lv[col], (lf[row] >= 0) & (lf[row] == lf[col])
+            for res, acc, v, ((w, dh, dk), _) in zip(residual, carry, lam, parts):
+                own = np.where(m, dk[s], 0)
+                np.maximum.at(res, pair, np.abs(w[s] + own + acc - v[pair]))
+                acc += dh[s] + own
+            row, col, at = _rho_triplets(space, row, col, np.arange(len(row)))
+            pair, carry = pair.take(at), carry.take(at, axis=1)
+        rows += [(k, l, p, list(zip(e, r))) for p, e, r in zip(pairs, lams, residual.T.tolist())]
+    return rows, max((x for *_, r in rows for _, x in r), default=0.0)
 
 
 def verify_eigenaction(
@@ -294,12 +289,10 @@ def verify_eigenaction(
     letters lie in distinct factors, and phi(k+l-1) otherwise.  Residuals
     are measured entrywise.
     """
-    phi = cache(lambda n: evaluate(plan.symbol, n))
     kernels = _kernels(plan.symbol, space, plan.c, h=True, k=True)
-    check = _scaling_check(space, kernels, lambda k, l, case: phi(k + l - (case == CASE_TWO)))
-    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check])
-    records = [EigenRecord(xi, eta, case, k, l, *r[0]) for k, l, xi, eta, case, r in rows]
-    return EigenReport(records, worst)
+    parts = [(kernels, cache(lambda n, case: evaluate(plan.symbol, n - (case == CASE_TWO))))]
+    rows, worst = _scaling_rows(space, max_word, max_pair_sum, parts)
+    return EigenReport([EigenRecord(*p, k, l, *r[0]) for k, l, p, r in rows], worst)
 
 
 def verify_component_eigenaction(
@@ -313,21 +306,11 @@ def verify_component_eigenaction(
     T1 scales every pair by psi1(k+l); T2 scales by psi2(k+l) in the
     distinct-factor case and psi2(k+l-2) otherwise.
     """
-    sym = plan.symbol
-    t1, t2 = cache(lambda n: psi1(sym, n)), cache(lambda n: psi2(sym, n))
-    checks = [
-        _scaling_check(space, _kernels(sym, space, h=True), lambda k, l, case: t1(k + l)),
-        _scaling_check(
-            space,
-            _kernels(sym, space, k=True),
-            lambda k, l, case: t2(k + l - 2 * (case == CASE_TWO)),
-        ),
-    ]
-    rows, worst = _verify_pairs(space, max_word, max_pair_sum, checks)
-    records = [
-        ComponentRecord(xi, eta, case, k, l, *r[0], *r[1]) for k, l, xi, eta, case, r in rows
-    ]
-    return ComponentReport(records, worst)
+    t1, t2 = cache(lambda n: psi1(plan.symbol, n)), cache(lambda n: psi2(plan.symbol, n))
+    kh, kk = _kernels(plan.symbol, space, h=True), _kernels(plan.symbol, space, k=True)
+    parts = [(kh, lambda n, case: t1(n)), (kk, lambda n, case: t2(n - 2 * (case == CASE_TWO)))]
+    rows, worst = _scaling_rows(space, max_word, max_pair_sum, parts)
+    return ComponentReport([ComponentRecord(*p, k, l, *r[0], *r[1]) for k, l, p, r in rows], worst)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +377,13 @@ def tensor_shift(dim: int) -> np.ndarray:
     return np.eye(dim, k=-1, dtype=complex)
 
 
+def _check_tensor(space: FockSpace, tensor_dim: int, variant: int):
+    if variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
+    if tensor_dim < (need := space.max_len + 1):
+        raise DimensionMismatch(f"tensor_dim {tensor_dim} must be at least max_len + 1 = {need}")
+
+
 def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperator):
     """Apply the unital completely positive tensor extension to an operator.
 
@@ -404,12 +394,7 @@ def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperat
     n <= 0, and for n >= 1 rho^n(A) in variant 1 or rho^(n-1)(eps(A)) in
     variant 2, so the layers fill distinct slots.
     """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    if tensor_dim < space.max_len + 1:
-        raise DimensionMismatch(
-            f"tensor_dim {tensor_dim} must be at least max_len + 1 = {space.max_len + 1}"
-        )
+    _check_tensor(space, tensor_dim, variant)
     if op.space is not space and op.space.spec != space.spec:
         raise DimensionMismatch("operator lives on a different space")
     step = _eps_triplets if variant == 2 else _rho_triplets
@@ -426,6 +411,20 @@ def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperat
     return _concat(parts)
 
 
+def _tensor_difference(space: FockSpace, d: int, variant: int, k: int, l: int, a, case):
+    """The extension's image of A, a 1 at each position of a, minus A tensor
+    S^k S*^l, as triplets; its frame frees the parts before the join is summed.
+    The target goes first: built after the image, it pages in fresh memory."""
+    drop = (case == CASE_TWO) & (variant == 2)
+    # S^k S*^l has a 1 at (j + k, j + l) for j < d - max(k, l)
+    count = np.maximum(d - np.maximum(k - drop, l - drop), 0)
+    row, col, k, l = (np.repeat(t, count) for t in (*a, k - drop, l - drop))
+    j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    target = row * d + j + k, col * d + j + l, -np.ones(len(row), dtype=complex)
+    lhs = ucp_pi_apply(space, d, variant, FockOperator(space, (*a, np.ones(len(case)))))
+    return _concat([lhs, target])
+
+
 def verify_ucp_relations(
     space: FockSpace,
     tensor_dim: int,
@@ -439,19 +438,19 @@ def verify_ucp_relations(
     with both exponents lowered by one in the shared-last-factor case of
     variant 2.  Residuals are measured entrywise over every tensor slot.
     """
-    d = tensor_dim
+    _check_tensor(space, tensor_dim, variant)
+    d, records = tensor_dim, []
+    for k, l, i, etas, cases, pairs in _blocks(space, max_word, max_pair_sum):
+        # A with each entry's pair as data, and each column's pair (a column off
+        # A, which only a faulty extension reaches, counts toward the last pair)
+        corners = np.full(len(etas), i), etas, np.arange(len(etas))
+        row, col, pair = _concat(list(_chain(space, *corners)))
+        owner = np.full(space.dim, -1)
+        owner[col] = pair
+        diff = _tensor_difference(space, d, variant, k, l, (row, col), cases[pair])
+        col, diff = _summed(*diff, space.dim * d)[1:]
+        residual = np.zeros(len(etas))
+        np.maximum.at(residual, owner[col // d], np.abs(diff))
+        records += [TensorRecord(*p, r) for p, r in zip(pairs, residual.tolist())]
+    return TensorReport(variant, records, max((r.residual for r in records), default=0.0))
 
-    def check(k, l, case, a):
-        drop = (case == CASE_TWO) & (variant == 2)
-        k, l = k - drop, l - drop
-        # S^k S*^l has a 1 at (j + k, j + l) for j < d - max(k, l)
-        count = np.maximum(d - np.maximum(k, l), 0)
-        row, col, data, k, l = (np.repeat(t, count) for t in (*a, k, l))
-        j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-        target = (row * d + j + k, col * d + j + l, -data)
-        lhs = ucp_pi_apply(space, d, variant, FockOperator(space, a))
-        return {}, _concat([lhs, target]), d
-
-    rows, worst = _verify_pairs(space, max_word, max_pair_sum, [check])
-    records = [TensorRecord(xi, eta, case, res[0][1]) for k, l, xi, eta, case, res in rows]
-    return TensorReport(variant, records, worst)

@@ -381,7 +381,7 @@ def test_cs_bound_wrong_kraus_sum_exits_2(capsys, monkeypatch):
 
 
 def test_fock_verify_judges_a_valid_tolerance(capsys):
-    # the worst residual is about 1.6e-16: within the default, past 1e-300
+    # the worst residual is about 1.2e-16: within the default, past 1e-300
     argv = ("fock-verify", "-s", "geometric:-0.6+0.3i", "--space", '{"factors":[1,2],"max_len":5}')
     argv += ("--max-word", "3")
     code, out, _ = run_cli(capsys, *argv)

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -348,6 +349,34 @@ def test_negative_max_word_rejected(line5):
         verify_component_eigenaction(plan, line5, -1)
     with pytest.raises(ValueError, match="max_word"):
         verify_ucp_relations(line5, line5.max_len + 1, 1, -1)
+    # a negative pair-sum cap leaves no pair, which is no pass; the tensor
+    # arguments are checked before any pair is
+    with pytest.raises(ValueError, match="max_pair_sum"):
+        verify_eigenaction(plan, line5, 2, max_pair_sum=-1)
+    with pytest.raises(ValueError, match="max_pair_sum"):
+        verify_component_eigenaction(plan, line5, 2, max_pair_sum=-1)
+    with pytest.raises(ValueError, match="max_pair_sum"):
+        verify_ucp_relations(line5, line5.max_len + 1, 1, 2, max_pair_sum=-1)
+    with pytest.raises(ValueError, match="variant"):
+        verify_ucp_relations(line5, line5.max_len + 1, 5, 0, max_pair_sum=-1)
+    with pytest.raises(DimensionMismatch, match="tensor_dim"):
+        verify_ucp_relations(line5, line5.max_len, 1, 0, max_pair_sum=-1)
+
+
+def test_pair_check_memory_does_not_grow_with_the_chain():
+    # The eigen check on (1,1)/400 at max word 2 peaked at 26.3 MiB when it
+    # built T(A) as one rho chain per block, whose entries grow as max_len^2.
+    # The pass keeps one depth of A at a time; its 1.3 MiB peak is the
+    # space's word labels, which the records ask for.
+    space, plan = build_space(FockSpec((1, 1), 400)), build_plan(Geometric(0.5))
+    tracemalloc.start()
+    try:
+        report = verify_eigenaction(plan, space, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 25 and report.worst_residual <= 1e-15
+    assert peak < 4 * 2**20, peak
 
 
 def test_kraus_row_identity(pair4):
@@ -554,11 +583,14 @@ def keys(space, row, col):
 @example((build_space(FockSpec((3,), 4)), Geometric(-0.6 + 0.3j), 4, 3, 2))
 @example((build_space(FockSpec((1,), 4)), Indicator(2), 4, None, 0))
 def test_checked_maps_keep_word_pair_positions(case):
-    # The word-pair driver gives each pair the entries of the difference whose
-    # column starts with its eta.  That is each pair's own residual because T,
-    # T1, T2 and the tensor extension (slots aside) map L_xi L_eta^* onto its
-    # own positions (xi w, eta w), so truncation cuts it and its image alike.
-    # Two checks give that statement for every pair:
+    # The scaling checks read T(A) only at A's entries and give each entry's
+    # value to the corner (xi, eta) it was appended from; the tensor check
+    # gives each entry of its difference to the eta that starts its column.
+    # Both are each pair's own residual because T, T1, T2 and the tensor
+    # extension (slots aside) map L_xi L_eta^* onto its own positions
+    # (xi w, eta w), so truncation cuts it and its image alike, and because
+    # an entry's value in T(A) comes only from the entry and its ancestors
+    # under rho, which the pass sums.  Two checks give that for every pair:
     # (a) on each block A = sum_eta L_xi L_eta^*, eta of one length l, each
     #     map's image lies on A's positions;
     # (b) rho sends an entry (r, c) only to (r g, c g) for one letter g, and
@@ -699,29 +731,55 @@ def oracle_cases(draw):
     return space, draw(symbols), max_word, max_pair_sum, draw(st.integers(0, 2))
 
 
+def scaling_gap_bound(sym, max_len):
+    """How far apart two sums of one scaling residual's terms in different
+    orders can round: u (2 max_len + 3) 3 M each, with u = 2^-53.
+
+    An entry at depth t of its chain tree gets at most 2t + 3 terms (its
+    kernel w, each ancestor's d terms, its own eps term and -lambda), so at
+    most 2t + 3 roundings in either order, and t <= max_len.  A complex
+    addition rounds by at most u times its result.  Either order's partial
+    sums telescope to a phi or psi1 value, a difference of two, or a value
+    plus one d = phi(n) - phi(n+1), so none passes 3 M, where M bounds 1
+    and |phi| and |psi1| at every level sum the kernels read."""
+    n = range(2 * max_len + 3)
+    scale = max(1.0, *(abs(evaluate(sym, m)) for m in n), *(abs(psi1(sym, m)) for m in n))
+    return 2 * (2 * max_len + 3) * 3 * scale * 2.0**-53
+
+
 @settings(max_examples=30, deadline=None)
 @given(oracle_cases())
 @example((build_space(FockSpec((2, 2, 2), 3)), Geometric(-0.6 + 0.3j), 2, None, 0))
 @example((build_space(FockSpec((3,), 4)), Indicator(1), 4, 3, 2))
 @example((build_space(FockSpec((2, 1), 4)), TruncatedGeometric(0.7, 4), 3, 4, 1))
 def test_block_driver_matches_per_pair_oracle(case):
-    # records of all three verifiers bit for bit: order, case, expected and
-    # residual, and their types (repr shows np.float64 and exact digits);
-    # compared record by record, as a diff of the whole reprs is slow
+    # The records of all three verifiers against the oracle's: order, words,
+    # case, expected values and the types of every field (repr shows
+    # np.float64 and exact digits) exactly, and the tensor residuals bit for
+    # bit.  The scaling residuals sum the same terms in another order (the
+    # pass adds an entry's ancestors' terms from the corner down, the oracle
+    # from the entry up), so they agree up to scaling_gap_bound.
     space, sym, max_word, max_pair_sum, extra_slots = case
     plan = build_plan(sym)
     d = space.max_len + 1 + extra_slots
+    bound = scaling_gap_bound(sym, space.max_len)
     reports = [
         verify_eigenaction(plan, space, max_word, max_pair_sum),
         verify_component_eigenaction(plan, space, max_word, max_pair_sum),
         *(verify_ucp_relations(space, d, v, max_word, max_pair_sum) for v in (1, 2)),
     ]
-    got, want = (
-        [repr(x) for report in reps for x in (replace(report, records=[]), *report.records)]
-        for reps in (reports, per_pair_reports(space, plan, max_word, max_pair_sum, d))
-    )
-    assert len(got) == len(want)
-    assert not (diff := [(g, w) for g, w in zip(got, want) if g != w]), diff[:3]
+    for got, want in zip(reports, per_pair_reports(space, plan, max_word, max_pair_sum, d)):
+        assert len(got.records) == len(want.records)
+        scaling = not isinstance(got, TensorReport)
+        tops = replace(got, records=[]), replace(want, records=[])
+        for g, w in [tops, *zip(got.records, want.records)]:
+            moved = [f.name for f in fields(g) if scaling and "residual" in f.name]
+            assert repr(replace(g, **dict.fromkeys(moved, 0.0))) == repr(
+                replace(w, **dict.fromkeys(moved, 0.0))
+            )
+            for name in moved:
+                a, b = getattr(g, name), getattr(w, name)
+                assert type(a) is type(b) and abs(a - b) <= bound, (g, w, bound)
 
 
 # --- the Kraus row sum against the product of its Kraus operators -----------
