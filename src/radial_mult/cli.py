@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedRepresentation,
     UnsupportedTail,
 )
-from .fock import build_space, identity
+from .fock import build_space
 from .hankel import c_norm, cprime_norm
 from .integral import (
     representation_for,
@@ -29,7 +29,7 @@ from .integral import (
     verify_membership_bound,
     weight,
 )
-from .multiplier import build_plan, kraus_row_sum, plan_cb_bound, verify_eigenaction
+from .multiplier import _kraus_levels, build_plan, plan_cb_bound, verify_eigenaction
 from .schema import (
     SCHEMA,
     _cplx_in,
@@ -200,9 +200,8 @@ def cmd_fock_verify(args) -> int:
 
 
 def _kraus_residual(space, vec, norm_sq: float, variant: int) -> float:
-    """Largest entry of vec's Kraus row sum minus ||vec||^2 Id, over ||vec||^2."""
-    gap = kraus_row_sum(space, vec, variant) - norm_sq * identity(space)
-    return float(np.abs(gap.data).max(initial=0.0)) / norm_sq
+    """Largest gap of vec's Kraus row sum, level by level, to ||vec||^2, over ||vec||^2."""
+    return float(np.abs(_kraus_levels(space, vec, variant) - norm_sq).max()) / norm_sq
 
 
 def cmd_cs_bound(args) -> int:

@@ -72,8 +72,8 @@ def _word_count(spec: FockSpec) -> int:
 class FockSpace:
     """Word basis of a truncated product space, as index arrays: word i > 0 is
     word parent[i] plus letter letters()[letter[i]], of length levels[i] and last
-    factor last_factor[i] (-1 for the vacuum, word 0).  The tuple labels basis,
-    index and words_of_length and the append table are built on first use and
+    factor last_factor[i] (-1 for the vacuum, word 0).  The tuple labels (per
+    level, basis, index) and the append table are built on first use and
     memoized, so concurrent readers at worst duplicate work."""
 
     def __init__(self, spec: FockSpec, parent, letter, last_factor, level_offsets: list[int]):
@@ -85,6 +85,7 @@ class FockSpace:
         self.dim = len(parent)
         self.levels = np.repeat(np.arange(spec.max_len + 1), np.diff([*level_offsets, self.dim]))
         self._letter_maps: np.ndarray | None = None
+        self._words: dict[int, list[Word]] = {0: [VACUUM]}  # labels by level
 
     @property
     def max_len(self) -> int:
@@ -95,17 +96,21 @@ class FockSpace:
         return [(f, a) for f, d in enumerate(self.spec.factor_dims) for a in range(d)]
 
     def words_of_length(self, n: int) -> list[Word]:
-        if n < 0 or n > self.max_len:
+        """The words of length n, labelled level by level from their parents'."""
+        bounds, letters = [*self.level_offsets, self.dim], self.letters()
+        if n < 0 or n > self.max_len or bounds[n] == bounds[n + 1]:
             return []
-        start, end = [*self.level_offsets, self.dim][n : n + 2]
-        return self.basis[start:end]
+        for m in range(1, n + 1):
+            if m not in self._words:
+                level = slice(bounds[m], bounds[m + 1])
+                at = zip((self.parent[level] - bounds[m - 1]).tolist(), self.letter[level].tolist())
+                self._words[m] = [self._words[m - 1][p] + (letters[g],) for p, g in at]
+        return list(self._words[n])
 
     @cached_property
     def basis(self) -> list[Word]:
-        letters, basis = self.letters(), [VACUUM]
-        for p, g in zip(self.parent[1:].tolist(), self.letter[1:].tolist()):
-            basis.append(basis[p] + (letters[g],))
-        return basis
+        self.words_of_length(top := int(self.levels[-1]))
+        return [w for m in range(top + 1) for w in self._words[m]]
 
     @cached_property
     def index(self) -> dict[Word, int]:

@@ -249,23 +249,19 @@ def _indicator_decomposition(n0: int, offset: int, m: int) -> RankOneDecompositi
     vector (the sum of cos(theta_k (2j+1)) over j < n is
     sin(2n theta_k) / (2 sin theta_k) = 1/2), and u_k = B v_k / sigma_k is
     u_k[j] = c sin(theta_k (j + 1)), at j = n - 1 too.  In units of
-    pi / (2(2n+1)) these are the cosine at t = (2k-1)(2j+1) and the sine at
-    t = (2k-1)(2j+2), read off one period of each after reducing t mod
-    4(2n+1), which is exact integer arithmetic.
+    pi / (2(2n+1)) the sine is at t = (2k-1)(2j+2), read off one period after
+    reducing t mod 4(2n+1) in exact integer arithmetic.  As theta_k (n + 1/2)
+    = (2k-1) pi / 2, P v_k = (-1)^(k+1) u_k: each y is its x up to sign.
     """
     n = max(n0 - offset + 1, 0)
     x = np.zeros((n, m))
-    y = np.zeros((n, m))
     period = 4 * (2 * n + 1)
-    angle = np.arange(period) * (np.pi / (2 * (2 * n + 1)))
-    odd = 2 * np.arange(n, 0, -1) - 1
+    table = np.sin(np.arange(period) * (np.pi / (2 * (2 * n + 1))))
+    k = np.arange(n, 0, -1)
     sigma = 2.0 * np.sin(_chain_angles(n) / 2)
     root = np.sqrt(sigma)[:, None] * (2.0 / np.sqrt(2 * n + 1))
-    for out, table, factor in (
-        (x, np.sin(angle), 2 * np.arange(1, n + 1)),  # u at t = (2k-1)(2j+2)
-        (y, np.cos(angle), odd),  # P v at t = (2k-1)(2(n-j)-1)
-    ):
-        np.multiply(root, table[np.outer(odd, factor) % period], out=out[:, :n])
+    np.multiply(root, table[np.outer(2 * k - 1, 2 * np.arange(1, n + 1)) % period], out=x[:, :n])
+    y = x * np.where(k % 2, 1.0, -1.0)[:, None]
     return RankOneDecomposition(x, y, float(sigma.sum()))
 
 

@@ -15,8 +15,8 @@ its source's level sum, and each entry after eps the weight one below.
 ``apply_T`` reads w and d off the symbol, at O(max_len) scalar evaluations
 whatever the symbol's rank, and runs one rho chain.  The scaling checks
 read T(A) at each entry of A = sum_eta L_xi L_eta^* off the entry and its
-rho ancestors, in one pass down A's chain tree.  The tensor check compares
-the image's triplets, since the code that builds them is what it tests.
+rho ancestors, in one pass down A's chain tree.  The tensor check counts
+the extension's image of A, since the code that builds it is what it tests.
 
 A plan is the certificate that T is completely bounded: rank-one terms
 (x_i, y_i) and (z_i, w_i) of the two difference Hankel matrices plus the
@@ -52,7 +52,6 @@ from .fock import (
     _diagonal,
     _eps_triplets,
     _rho_triplets,
-    _summed,
 )
 from .hankel import RankOneDecomposition, _difference_row, difference_decompositions
 from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
@@ -330,6 +329,21 @@ def spectral_norm(op: FockOperator) -> float:
     return float(np.abs(op.data).max(initial=0.0))
 
 
+def _kraus_levels(space: FockSpace, vec, variant: int) -> np.ndarray:
+    """The row Kraus sum of one vector at each non-empty level 0, 1, ...
+    (see kraus_row_sum), which the sum takes at every word of that level."""
+    if variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
+    vec, size = np.asarray(vec, dtype=complex), space.max_len + 1
+    weight = np.pad((vec * vec.conj()).real, (0, max(size - len(vec), 0)))
+    # Level L gets weight[L:] from the shifted diagonals D_{(S*)^n vec} and
+    # weight[:L] from the appended words, which shift vec by -n at level n;
+    # the vacuum, which variant 2's projections drop, would carry vec[-1] = 0.
+    shifted = np.cumsum(weight[::-1])[::-1][:size]
+    appended = np.concatenate(([0.0], np.cumsum(weight[: size - 1])))
+    return (shifted + appended)[: space.levels[-1] + 1]
+
+
 def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
     """Sum u u^* over the row Kraus family of one vector, as a diagonal operator.
 
@@ -343,16 +357,7 @@ def kraus_row_sum(space: FockSpace, vec, variant: int) -> FockOperator:
     For any vector the sum telescopes to ||vec||^2 times the identity on the
     truncated space.
     """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    vec, size = np.asarray(vec, dtype=complex), space.max_len + 1
-    weight = np.pad((vec * vec.conj()).real, (0, max(size - len(vec), 0)))
-    # Level L gets weight[L:] from the shifted diagonals D_{(S*)^n vec} and
-    # weight[:L] from the appended words, which shift vec by -n at level n;
-    # the vacuum, which variant 2's projections drop, would carry vec[-1] = 0.
-    shifted = np.cumsum(weight[::-1])[::-1][:size]
-    appended = np.concatenate(([0.0], np.cumsum(weight[: size - 1])))
-    return _diagonal(space, (shifted + appended)[space.levels])
+    return _diagonal(space, _kraus_levels(space, vec, variant)[space.levels])
 
 
 def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]:
@@ -360,10 +365,9 @@ def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]
 
     The column family's Gram sum has the same form as the row sum built
     from y, so both sides reduce to one diagonal each, and each norm is the
-    largest entry of its diagonal.
+    largest value of its diagonal, which is one value per level.
     """
-    row = spectral_norm(kraus_row_sum(space, x, variant))
-    col = spectral_norm(kraus_row_sum(space, y, variant))
+    row, col = (float(_kraus_levels(space, v, variant).max()) for v in (x, y))
     return row, col, row * col
 
 
@@ -411,20 +415,6 @@ def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperat
     return _concat(parts)
 
 
-def _tensor_difference(space: FockSpace, d: int, variant: int, k: int, l: int, a, case):
-    """The extension's image of A, a 1 at each position of a, minus A tensor
-    S^k S*^l, as triplets; its frame frees the parts before the join is summed.
-    The target goes first: built after the image, it pages in fresh memory."""
-    drop = (case == CASE_TWO) & (variant == 2)
-    # S^k S*^l has a 1 at (j + k, j + l) for j < d - max(k, l)
-    count = np.maximum(d - np.maximum(k - drop, l - drop), 0)
-    row, col, k, l = (np.repeat(t, count) for t in (*a, k - drop, l - drop))
-    j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-    target = row * d + j + k, col * d + j + l, -np.ones(len(row), dtype=complex)
-    lhs = ucp_pi_apply(space, d, variant, FockOperator(space, (*a, np.ones(len(case)))))
-    return _concat([lhs, target])
-
-
 def verify_ucp_relations(
     space: FockSpace,
     tensor_dim: int,
@@ -436,21 +426,31 @@ def verify_ucp_relations(
 
     The extension must send L_xi L_eta^* to L_xi L_eta^* tensor S^k S*^l,
     with both exponents lowered by one in the shared-last-factor case of
-    variant 2.  Residuals are measured entrywise over every tensor slot.
+    variant 2.  Residuals are measured entrywise over every tensor slot: each
+    column of A = sum_eta L_xi L_eta^* holds one entry, whose image triplets
+    count at their row slots if on its row and slot diagonal (col slot - row
+    slot = l - k), and add their |data| if not.
     """
     _check_tensor(space, tensor_dim, variant)
-    d, records = tensor_dim, []
+    d, records, slots = tensor_dim, [], np.arange(tensor_dim)
     for k, l, i, etas, cases, pairs in _blocks(space, max_word, max_pair_sum):
-        # A with each entry's pair as data, and each column's pair (a column off
-        # A, which only a faulty extension reaches, counts toward the last pair)
         corners = np.full(len(etas), i), etas, np.arange(len(etas))
         row, col, pair = _concat(list(_chain(space, *corners)))
-        owner = np.full(space.dim, -1)
-        owner[col] = pair
-        diff = _tensor_difference(space, d, variant, k, l, (row, col), cases[pair])
-        col, diff = _summed(*diff, space.dim * d)[1:]
+        # each column's entry; -1 off A (a faulty image) counts toward the last pair
+        entry = np.full(space.dim, -1)
+        entry[col] = np.arange(len(col))
+        low = k - ((cases[pair] == CASE_TWO) & (variant == 2))  # k' per entry
+        a = FockOperator(space, (row, col, np.ones(len(row))))
+        out_row, out_col, data = ucp_pi_apply(space, d, variant, a)
+        (out_row, slot), (out_col, col_slot) = np.divmod(out_row, d), np.divmod(out_col, d)
+        e = entry[out_col]
+        on = (e >= 0) & (out_row == row[e]) & (col_slot - slot == l - k)
+        count = np.zeros((len(row), d), dtype=complex)
+        np.add.at(count, (e[on], slot[on]), data[on])
+        # S^k' S*^l' is 1 at row slots k' .. d - max(0, l - k) - 1 on the slot diagonal
+        count[(slots >= low[:, None]) & (slots < d - max(l - k, 0))] -= 1
         residual = np.zeros(len(etas))
-        np.maximum.at(residual, owner[col // d], np.abs(diff))
+        np.maximum.at(residual, pair, np.abs(count).max(axis=1))
+        np.maximum.at(residual, np.append(pair, -1)[e[~on]], np.abs(data[~on]))
         records += [TensorRecord(*p, r) for p, r in zip(pairs, residual.tolist())]
     return TensorReport(variant, records, max((r.residual for r in records), default=0.0))
-

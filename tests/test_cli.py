@@ -355,13 +355,13 @@ def test_cs_bound_rows_are_the_vector_norms(capsys, symbol, space):
 
 
 def test_cs_bound_checks_the_kraus_identity_once_per_variant(capsys, monkeypatch):
-    kraus_row_sum, calls = cli.kraus_row_sum, []
+    kraus_levels, calls = cli._kraus_levels, []
 
     def counted(space, vec, variant):
         calls.append(variant)
-        return kraus_row_sum(space, vec, variant)
+        return kraus_levels(space, vec, variant)
 
-    monkeypatch.setattr(cli, "kraus_row_sum", counted)
+    monkeypatch.setattr(cli, "_kraus_levels", counted)
     code, _, _ = run_cli(capsys, "cs-bound", "-s", "truncgeom:0.95,400", "--space", BOUND_SPACE)
     assert code == 0
     # 801 terms, one Kraus sum for each side of the largest term per variant
@@ -369,12 +369,12 @@ def test_cs_bound_checks_the_kraus_identity_once_per_variant(capsys, monkeypatch
 
 
 def test_cs_bound_wrong_kraus_sum_exits_2(capsys, monkeypatch):
-    kraus_row_sum = cli.kraus_row_sum
+    kraus_levels = cli._kraus_levels
 
     def wrong(space, vec, variant):
-        return 1.001 * kraus_row_sum(space, vec, variant)
+        return 1.001 * kraus_levels(space, vec, variant)
 
-    monkeypatch.setattr(cli, "kraus_row_sum", wrong)
+    monkeypatch.setattr(cli, "_kraus_levels", wrong)
     code, out, _ = run_cli(capsys, "cs-bound", "-s", "geometric:-0.5", "--space", SPACE)
     assert code == 2
     assert abs(json.loads(out)["kraus_residual"] - 1e-3) < 1e-12

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radial_mult import multiplier
 from radial_mult import (
     CASE_ONE,
     CASE_TWO,
@@ -366,8 +367,8 @@ def test_negative_max_word_rejected(line5):
 def test_pair_check_memory_does_not_grow_with_the_chain():
     # The eigen check on (1,1)/400 at max word 2 peaked at 26.3 MiB when it
     # built T(A) as one rho chain per block, whose entries grow as max_len^2.
-    # The pass keeps one depth of A at a time; its 1.3 MiB peak is the
-    # space's word labels, which the records ask for.
+    # The pass keeps one depth of A at a time; its peak is under 0.1 MiB, as
+    # only the words up to max_word get tuple labels.
     space, plan = build_space(FockSpec((1, 1), 400)), build_plan(Geometric(0.5))
     tracemalloc.start()
     try:
@@ -467,6 +468,40 @@ def test_ucp_relations_and_dimension_guard(line5):
         assert report.worst_residual < 1e-12
     with pytest.raises(DimensionMismatch):
         ucp_pi_apply(line5, line5.max_len, 1, identity(line5))
+
+
+@pytest.mark.parametrize("fault", ["shifted slot", "wrong row", "dropped", "duplicated", "off A"])
+def test_tensor_check_counts_every_fault(pair4, monkeypatch, fault):
+    # Each fault touches the image of the vacuum column at col slot 0, the
+    # corner of (xi, ()) in a block with eta empty; a block with l >= 1 has
+    # no vacuum column, and the off-A fault writes there instead, which
+    # counts toward the block's last pair.
+    def faulty(space, d, variant, op):
+        triplets = ucp_pi_apply(space, d, variant, op)
+        at = np.flatnonzero(triplets[1] == 0)  # one triplet, or none when l >= 1
+        if fault == "off A":
+            return _concat([triplets, ([0], [0], [1.0])]) if not len(at) else triplets
+        if fault == "dropped":
+            return tuple(np.delete(t, at) for t in triplets)
+        if fault == "duplicated":
+            return tuple(np.append(t, t[at]) for t in triplets)
+        row, col, data = (t.copy() for t in triplets)
+        if fault == "shifted slot":
+            col[at] += 1  # col slot 1, off the slot diagonal
+        else:
+            row[at] += d  # the same slot of the next word's row
+        return row, col, data
+
+    monkeypatch.setattr(multiplier, "ucp_pi_apply", faulty)
+    last = {l: pair4.words_of_length(l)[-1] for l in range(3)}
+    for variant in (1, 2):
+        report = verify_ucp_relations(pair4, pair4.max_len + 1, variant, max_word=2)
+        for r in report.records:
+            if fault == "off A":
+                hit = len(r.eta) > 0 and r.eta == last[len(r.eta)]
+            else:
+                hit = r.eta == ()
+            assert (r.residual >= 1) if hit else (r.residual == 0), (fault, variant, r)
 
 
 def test_ucp_positivity_spot_check(pair4):
