@@ -251,12 +251,13 @@ def _letter_maps(space: FockSpace) -> np.ndarray:
     return space._letter_maps
 
 
-def _append_targets(space: FockSpace, word: Word) -> np.ndarray:
-    """Index of w + word for every basis word w (-1 where that is no word of the space)."""
-    append, columns, out = _letter_maps(space), space.letters(), np.arange(space.dim)
+def _append_targets(space: FockSpace, word: Word, start):
+    """Index of w + word for each basis index w in start (-1 where that is no
+    word of the space), one append-table lookup per letter."""
+    append, columns = _letter_maps(space), space.letters()
     for letter in word:
-        out = append[out, columns.index(letter)]
-    return out
+        start = append[start, columns.index(letter)]
+    return start
 
 
 def _checked(space: FockSpace, word: Word) -> Word:
@@ -288,7 +289,7 @@ def left_word(space: FockSpace, word: Word) -> FockOperator:
 def right_word(space: FockSpace, word: Word) -> FockOperator:
     """Operator appending the whole word at the right end (identity for the vacuum):
     e_w -> e_{w + word}, zero where that is no word of the space."""
-    targets = _append_targets(space, _checked(space, word))
+    targets = _append_targets(space, _checked(space, word), np.arange(space.dim))
     ok = targets >= 0
     return FockOperator(space, (targets[ok], np.flatnonzero(ok), np.ones(int(ok.sum()))))
 
@@ -298,10 +299,10 @@ def word_operator(space: FockSpace, xi: Word, eta: Word) -> FockOperator:
 
     It is sum_n rho^n(e_xi e_eta^*), the rho chain from its corner entry
     (xi, eta), and zero when either word is no word of the space.  A word's
-    index is the vacuum's append target.
+    index is the vacuum's append target, one lookup per letter.
     """
     xi, eta = _checked(space, xi), _checked(space, eta)
-    i, j = _append_targets(space, xi)[0], _append_targets(space, eta)[0]
+    i, j = (_append_targets(space, w, 0) for w in (xi, eta))
     if i < 0 or j < 0:
         return zero(space)
     corner = np.array([i]), np.array([j]), np.ones(1, dtype=complex)

@@ -16,7 +16,7 @@ its source's level sum, and each entry after eps the weight one below.
 whatever the symbol's rank, and runs one rho chain.  The scaling checks
 read T(A) at each entry of A = sum_eta L_xi L_eta^* off the entry and its
 rho ancestors, in one pass down A's chain tree.  The tensor check counts
-the extension's image of A, since the code that builds it is what it tests.
+the extension's image of A layer by layer, as the code under test builds it.
 
 A plan is the certificate that T is completely bounded: rank-one terms
 (x_i, y_i) and (z_i, w_i) of the two difference Hankel matrices plus the
@@ -388,31 +388,34 @@ def _check_tensor(space: FockSpace, tensor_dim: int, variant: int):
         raise DimensionMismatch(f"tensor_dim {tensor_dim} must be at least max_len + 1 = {need}")
 
 
+def _tensor_layers(space: FockSpace, d: int, variant: int, row, col, data):
+    """The tensor extension's image of A's triplets, one layer at a time, as
+    (row, col, data, row slot, col slot).  Layer n puts level m in slot m - n,
+    kept below d; it carries A for n <= 0, and for n >= 1 rho^n(A) in variant
+    1 or rho^(n-1)(eps(A)) in variant 2, so the layers fill distinct slots."""
+    top = np.maximum(lr := space.levels[row], lc := space.levels[col])
+    for n in range(1 - d, 1):
+        ok = top < d + n
+        yield row[ok], col[ok], data[ok], lr[ok] - n, lc[ok] - n
+    step = _eps_triplets if variant == 2 else _rho_triplets
+    # layer n >= 1 sits at levels n .. max_len, so at slots below max_len < d
+    for n, (r, c, x) in enumerate(_chain(space, *step(space, row, col, data)), start=1):
+        yield r, c, x, space.levels[r] - n, space.levels[c] - n
+
+
 def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperator):
     """Apply the unital completely positive tensor extension to an operator.
 
     Returns the triplets (row, col, data) of the image on the product of
-    the word space with C^d (index word * d + slot), one per position.
-    Requires tensor_dim >= max_len + 1 so that every level has a tensor
-    slot.  Layer n puts level m in tensor slot m - n; it carries A for
-    n <= 0, and for n >= 1 rho^n(A) in variant 1 or rho^(n-1)(eps(A)) in
-    variant 2, so the layers fill distinct slots.
+    the word space with C^d (index word * d + slot), one per position, layer
+    by layer.  Requires tensor_dim >= max_len + 1 so that every level has a
+    tensor slot.
     """
     _check_tensor(space, tensor_dim, variant)
     if op.space is not space and op.space.spec != space.spec:
         raise DimensionMismatch("operator lives on a different space")
-    step = _eps_triplets if variant == 2 else _rho_triplets
-    deep = _chain(space, *step(space, *op.triplets))
-    layers = [(n, *op.triplets) for n in range(1 - tensor_dim, 1)]
-    layers += [(n, *t) for n, t in enumerate(deep, start=1)]
-    lv, d = space.levels, tensor_dim
-    parts = []
-    for n, row, col, data in layers:
-        # slots lv - n are never negative: layer n >= 1 sits at levels >= n
-        slot_r, slot_c = lv[row] - n, lv[col] - n
-        ok = (slot_r < d) & (slot_c < d)
-        parts.append((row[ok] * d + slot_r[ok], col[ok] * d + slot_c[ok], data[ok]))
-    return _concat(parts)
+    d, layers = tensor_dim, _tensor_layers(space, tensor_dim, variant, *op.triplets)
+    return _concat([(r * d + sr, c * d + sc, x) for r, c, x, sr, sc in layers])
 
 
 def verify_ucp_relations(
@@ -429,28 +432,25 @@ def verify_ucp_relations(
     variant 2.  Residuals are measured entrywise over every tensor slot: each
     column of A = sum_eta L_xi L_eta^* holds one entry, whose image triplets
     count at their row slots if on its row and slot diagonal (col slot - row
-    slot = l - k), and add their |data| if not.
+    slot = l - k), and add their |data| if not, layer by layer.
     """
     _check_tensor(space, tensor_dim, variant)
     d, records, slots = tensor_dim, [], np.arange(tensor_dim)
     for k, l, i, etas, cases, pairs in _blocks(space, max_word, max_pair_sum):
         corners = np.full(len(etas), i), etas, np.arange(len(etas))
         row, col, pair = _concat(list(_chain(space, *corners)))
-        # each column's entry; -1 off A (a faulty image) counts toward the last pair
-        entry = np.full(space.dim, -1)
+        entry = np.full(space.dim, -1)  # each column's entry, -1 off A (a faulty image)
         entry[col] = np.arange(len(col))
-        low = k - ((cases[pair] == CASE_TWO) & (variant == 2))  # k' per entry
-        a = FockOperator(space, (row, col, np.ones(len(row))))
-        out_row, out_col, data = ucp_pi_apply(space, d, variant, a)
-        (out_row, slot), (out_col, col_slot) = np.divmod(out_row, d), np.divmod(out_col, d)
-        e = entry[out_col]
-        on = (e >= 0) & (out_row == row[e]) & (col_slot - slot == l - k)
-        count = np.zeros((len(row), d), dtype=complex)
-        np.add.at(count, (e[on], slot[on]), data[on])
+        owner = np.append(pair, -1)  # each entry's pair; off A counts toward the last pair
+        count, residual = np.zeros((len(row), d)), np.zeros(len(etas))
+        for r, c, x, sr, sc in _tensor_layers(space, d, variant, row, col, np.ones(len(row))):
+            e = entry[c]
+            on = (e >= 0) & (r == row[e]) & (sc - sr == l - k) & (sr >= 0) & (sr < d)
+            np.add.at(count, (e[on], sr[on]), x[on])
+            np.maximum.at(residual, owner[e[~on]], np.abs(x[~on]))
         # S^k' S*^l' is 1 at row slots k' .. d - max(0, l - k) - 1 on the slot diagonal
-        count[(slots >= low[:, None]) & (slots < d - max(l - k, 0))] -= 1
-        residual = np.zeros(len(etas))
-        np.maximum.at(residual, pair, np.abs(count).max(axis=1))
-        np.maximum.at(residual, np.append(pair, -1)[e[~on]], np.abs(data[~on]))
+        low = k - ((cases[pair] == CASE_TWO) & (variant == 2))  # k' per entry
+        count -= (slots >= low[:, None]) & (slots < d - max(l - k, 0))
+        np.maximum.at(residual, pair, np.abs(count, out=count).max(axis=1))
         records += [TensorRecord(*p, r) for p, r in zip(pairs, residual.tolist())]
     return TensorReport(variant, records, max((r.residual for r in records), default=0.0))

@@ -57,6 +57,7 @@ from radial_mult.fock import (
     _concat,
     _diagonal,
     _eps_triplets,
+    _letter_maps,
     _rho_triplets,
     _summed,
     eps,
@@ -380,6 +381,24 @@ def test_pair_check_memory_does_not_grow_with_the_chain():
     assert peak < 4 * 2**20, peak
 
 
+def test_tensor_check_memory_holds_one_layer():
+    # The tensor check on (1,1)/400, variant 2, at max word 2 peaked at 47.4
+    # MiB when it built each block's whole d-fold image and took image-sized
+    # temporaries of it.  It reads the image one layer at a time, so what
+    # remains is each block's (entries x d) slot count.
+    space = build_space(FockSpec((1, 1), 400))
+    space.words_of_length(2)  # the labels and the append table are the space's, built once
+    _letter_maps(space)
+    tracemalloc.start()
+    try:
+        report = verify_ucp_relations(space, space.max_len + 1, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 25 and report.worst_residual == 0.0
+    assert peak < 20 * 2**20, peak
+
+
 def test_kraus_row_identity(pair4):
     rng = np.random.default_rng(42)
     for variant in (1, 2):
@@ -470,29 +489,38 @@ def test_ucp_relations_and_dimension_guard(line5):
         ucp_pi_apply(line5, line5.max_len, 1, identity(line5))
 
 
-@pytest.mark.parametrize("fault", ["shifted slot", "wrong row", "dropped", "duplicated", "off A"])
+@pytest.mark.parametrize(
+    "fault", ["shifted slot", "wrapped slot", "wrong row", "dropped", "duplicated", "off A"]
+)
 def test_tensor_check_counts_every_fault(pair4, monkeypatch, fault):
     # Each fault touches the image of the vacuum column at col slot 0, the
-    # corner of (xi, ()) in a block with eta empty; a block with l >= 1 has
-    # no vacuum column, and the off-A fault writes there instead, which
-    # counts toward the block's last pair.
-    def faulty(space, d, variant, op):
-        triplets = ucp_pi_apply(space, d, variant, op)
-        at = np.flatnonzero(triplets[1] == 0)  # one triplet, or none when l >= 1
-        if fault == "off A":
-            return _concat([triplets, ([0], [0], [1.0])]) if not len(at) else triplets
-        if fault == "dropped":
-            return tuple(np.delete(t, at) for t in triplets)
-        if fault == "duplicated":
-            return tuple(np.append(t, t[at]) for t in triplets)
-        row, col, data = (t.copy() for t in triplets)
-        if fault == "shifted slot":
-            col[at] += 1  # col slot 1, off the slot diagonal
-        else:
-            row[at] += d  # the same slot of the next word's row
-        return row, col, data
+    # corner of (xi, ()) in a block with eta empty, in layer 0; a block with
+    # l >= 1 has no vacuum column, and the off-A fault writes there instead,
+    # once per block, which counts toward the block's last pair.
+    layers = multiplier._tensor_layers
 
-    monkeypatch.setattr(multiplier, "ucp_pi_apply", faulty)
+    def faulty(space, d, variant, row, col, data):
+        if fault == "off A" and not (col == 0).any():
+            yield tuple(np.array([v]) for v in (0, 0, 1.0, 0, 0))
+        for layer in layers(space, d, variant, row, col, data):
+            at = np.flatnonzero((layer[1] == 0) & (layer[4] == 0))  # one triplet, or none
+            if fault == "dropped":
+                layer = tuple(np.delete(t, at) for t in layer)
+            elif fault == "duplicated":
+                layer = tuple(np.append(t, t[at]) for t in layer)
+            elif fault != "off A":
+                row_, col_, data_, slot, col_slot = (t.copy() for t in layer)
+                if fault == "shifted slot":
+                    col_slot[at] += 1  # col slot 1, off the slot diagonal
+                elif fault == "wrapped slot":
+                    slot[at] -= d  # on the diagonal, but below slot 0 by d
+                    col_slot[at] -= d
+                else:
+                    row_[at] += 1  # the same slot of the next word's row
+                layer = row_, col_, data_, slot, col_slot
+            yield layer
+
+    monkeypatch.setattr(multiplier, "_tensor_layers", faulty)
     last = {l: pair4.words_of_length(l)[-1] for l in range(3)}
     for variant in (1, 2):
         report = verify_ucp_relations(pair4, pair4.max_len + 1, variant, max_word=2)
