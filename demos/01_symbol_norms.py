@@ -2,8 +2,8 @@
 
 A radial symbol assigns a complex value to every word length.  Its norm is
 the sum of the trace norms of the two difference Hankel matrices plus the
-absolute tail constant.  The library computes it exactly: one SVD at
-support + 2 for finite-support symbols (at most 4096 rows; indicators in
+absolute tail constant.  The library computes it exactly: one SVD at the
+support for finite-support symbols (at most 4096 rows; indicators in
 closed form), and for
 geometric and measure symbols a small matrix from a QR factorization of the
 Vandermonde matrix of the atoms, cut where the powers fall below rounding.  Each report names its

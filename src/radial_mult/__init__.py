@@ -50,7 +50,6 @@ from .hankel import (
     hankel_k,
     rank_one_decompose,
     singular_values,
-    trace_norm,
 )
 from .integral import (
     DoublingReport,
@@ -74,7 +73,6 @@ from .multiplier import (
     kraus_row_sum,
     plan_cb_bound,
     spectral_norm,
-    tensor_shift,
     ucp_pi_apply,
     verify_component_eigenaction,
     verify_eigenaction,
@@ -83,7 +81,6 @@ from .multiplier import (
 from .schema import (
     fock_spec_from_obj,
     measure_from_obj,
-    operator_to_csv,
     symbol_from_obj,
     to_csv,
     to_obj,

@@ -5,11 +5,11 @@ norms of its difference Hankel matrices:
 
 * support route: finite-support symbols (indicators, truncated geometrics,
   finite data, parity tails, and the Doubled form of any of these) have
-  differences that vanish beyond the support, so one SVD at support + 2
-  holds the whole spectrum (heights past SUPPORT_HEIGHT_CAP raise
-  TooLarge), each matrix read off one difference row per step (real when
-  the row is).  Indicators skip the SVD: their difference matrices are
-  signed shifts with singular values and vectors in closed form;
+  differences that vanish from the support on, so one SVD at the support
+  holds the whole spectrum (past SUPPORT_HEIGHT_CAP, TooLarge), each matrix
+  a read-only Hankel view of one difference row per step (real when the
+  row is).  Indicators skip the SVD: their difference matrices are signed
+  shifts with singular values and vectors in closed form;
 * Vandermonde route: a measure symbol phi(n) = c + sum_a w_a s_a**n has
   H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
   theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
@@ -58,10 +58,11 @@ SUPPORT_HEIGHT_CAP = 4096
 class HankelReport:
     """Trace norms of the first-difference Hankel matrices and their total.
 
-    ``truncation`` is the matrix height the route used: support + 2 on the
-    support route, the Vandermonde horizon M otherwise.  ``error_bound``
-    bounds what the rows past that height add to the trace norms (zero on
-    the support route).  ``converged`` is always True: both routes are exact.
+    ``truncation`` is the matrix height the route used: the support (at
+    least 1) on the support route, the Vandermonde horizon M otherwise.
+    ``error_bound`` bounds what the rows past that height add to the trace
+    norms (zero on the support route).  ``converged`` is always True: both
+    routes are exact.
     """
 
     truncation: int
@@ -129,13 +130,15 @@ def _difference_row(sym: RadialSymbol, length: int, offset: int, step: int) -> n
 
 def _difference_matrices(sym: RadialSymbol, m: int, matrices) -> list[np.ndarray]:
     """The m x m (offset, step) difference matrices d[i+j+offset], with
-    d(n) = phi(n) - phi(n+step) for n < 2m: one row per step, real when it is."""
+    d(n) = phi(n) - phi(n+step) for n < 2m: read-only Hankel views of one
+    row per step, real when it is.  Offsets are 0 or 1, so every view stays
+    inside its row."""
     if m < 1:
         raise ValueError("truncation must be at least 1")
-    index = np.add.outer(np.arange(m), np.arange(m))
     steps = {step for _, step in matrices}
     rows = {step: _real_if_real(_difference_row(sym, 2 * m, 0, step))[0] for step in steps}
-    return [rows[step][index + offset] for offset, step in matrices]
+    view = np.lib.stride_tricks.as_strided
+    return [view(rows[s][o:], (m, m), rows[s].strides * 2, writeable=False) for o, s in matrices]
 
 
 def hankel_h(sym: RadialSymbol, m: int) -> np.ndarray:
@@ -161,17 +164,12 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(singular_values(a).sum())
-
-
 def exact_route(sym: RadialSymbol) -> tuple[str, int]:
     """The symbol's exact route and its matrix height.
 
-    ("support", support + 2) for finite-support symbols, ("vandermonde", M)
-    for measure symbols.  Raises TooLarge when the support route would need
-    a matrix taller than SUPPORT_HEIGHT_CAP.
+    ("support", max(support, 1)) for finite-support symbols,
+    ("vandermonde", M) for measure symbols.  Raises TooLarge when the
+    support route would need a matrix taller than SUPPORT_HEIGHT_CAP.
     """
     return _route(sym)[:2]
 
@@ -182,7 +180,7 @@ def _route(sym: RadialSymbol):
     if length is None:
         s, w = atom_arrays(sym)
         return "vandermonde", vandermonde_horizon(s), (s, w)
-    m = length + 2
+    m = max(length, 1)
     if m > SUPPORT_HEIGHT_CAP:
         raise TooLarge(
             f"support route would need {m} x {m} matrices (cap {SUPPORT_HEIGHT_CAP})"
@@ -296,7 +294,7 @@ def _exact_spectra(sym: RadialSymbol, matrices):
 def c_norm(sym: RadialSymbol) -> HankelReport:
     """Symbol norm: trace norms of both difference Hankel matrices plus |tail|.
 
-    Finite-support symbols take one SVD per matrix at support + 2 (TooLarge
+    Finite-support symbols take one SVD per matrix at the support (TooLarge
     past SUPPORT_HEIGHT_CAP; indicators use the closed form); measure
     symbols take the Vandermonde route with d = w(1-s) for h and w s(1-s)
     for k.  A symbol whose even and odd tails differ raises UnsupportedTail.

@@ -128,7 +128,7 @@ class TensorReport:
 def build_plan(sym: RadialSymbol) -> MultiplierPlan:
     """Decompose both difference Hankel matrices into rank-one terms.
 
-    The vectors are as long as the symbol's exact route needs: support + 2,
+    The vectors are as long as the symbol's exact route needs: the support,
     or the Vandermonde horizon M of a measure symbol.  Past that height the
     differences vanish, or lie below rounding, so the plan applies on a
     space of any length.  Raises TooLarge when the vectors would need more
@@ -376,11 +376,6 @@ def cs_bound(space: FockSpace, x, y, variant: int) -> tuple[float, float, float]
 # ---------------------------------------------------------------------------
 
 
-def tensor_shift(dim: int) -> np.ndarray:
-    """Truncated coordinate shift e_i -> e_{i+1} on C^dim, as a dense matrix."""
-    return np.eye(dim, k=-1, dtype=complex)
-
-
 def _check_tensor(space: FockSpace, tensor_dim: int, variant: int):
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
@@ -452,5 +447,6 @@ def verify_ucp_relations(
         low = k - ((cases[pair] == CASE_TWO) & (variant == 2))  # k' per entry
         count -= (slots >= low[:, None]) & (slots < d - max(l - k, 0))
         np.maximum.at(residual, pair, np.abs(count, out=count).max(axis=1))
+        del count  # the next block's count is allocated before this name is rebound
         records += [TensorRecord(*p, r) for p, r in zip(pairs, residual.tolist())]
     return TensorReport(variant, records, max((r.residual for r in records), default=0.0))

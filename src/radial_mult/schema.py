@@ -20,7 +20,7 @@ from typing import get_args
 
 import numpy as np
 
-from .fock import FockOperator, FockSpec, word_label
+from .fock import FockSpec, word_label
 from .multiplier import EigenReport
 from .symbols import (
     DiscreteMeasure,
@@ -97,13 +97,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
-
-
-def operator_to_csv(op: FockOperator) -> str:
-    """Triplet dump (row, col, re, im), row-major, for inspection."""
-    row, col, data = (t.tolist() for t in op.triplets)
-    rows = ((r, c, v.real, v.imag) for r, c, v in zip(row, col, data))
-    return to_csv(["row", "col", "re", "im"], rows)
 
 
 def _int_in(obj) -> int:

@@ -26,7 +26,6 @@ from radial_mult import (
     identity,
     left_word,
     level_projection,
-    operator_to_csv,
     rho,
     rho_power,
     right_creation,
@@ -391,21 +390,10 @@ def test_operator_algebra_and_mismatch(two_line, triple):
     assert np.array_equal(dense(op), np.eye(7))
 
 
-def test_spec_serialization_and_csv(two_line):
+def test_spec_serialization(two_line):
     spec = fock_spec_from_obj(json.loads('{"factors":[1,1],"max_len":3}'))
     assert spec == two_line.spec
     assert to_obj(spec) == {"factors": [1, 1], "max_len": 3}
-    text = operator_to_csv(creation(two_line, (0, 0)))
-    lines = text.strip().split("\n")
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + creation(two_line, (0, 0)).nnz
-    # every row reads as int,int,float,float and the rows rebuild the matrix
-    op = creation(two_line, (0, 0)) + (0.1 - 1j / 3) * identity(two_line)
-    rebuilt = np.zeros((two_line.dim,) * 2, dtype=complex)
-    for line in operator_to_csv(op).strip().split("\n")[1:]:
-        r, c, re, im = line.split(",")
-        rebuilt[int(r), int(c)] += complex(float(re), float(im))
-    assert np.array_equal(rebuilt, dense(op))
 
 
 def test_right_word_appends(two_line):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,12 +28,17 @@ from radial_mult import (
     hankel_hhat,
     hankel_k,
     rank_one_decompose,
+    singular_values,
     to_obj,
-    trace_norm,
 )
-from radial_mult.symbols import atom_arrays, measure_atoms
+from radial_mult.symbols import atom_arrays, measure_atoms, parity_tails, support_length
 
 SQRT5 = math.sqrt(5.0)
+
+
+def trace_norm(a):
+    # dense oracle: the sum of the singular values
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def brute_hankel(phi, m, offset, step):
@@ -67,13 +73,13 @@ def test_hankel_matches_brute_force():
 
 
 def test_trace_norm_examples():
-    assert abs(trace_norm(np.array([[1.0, 0.0], [0.0, 0.0]])) - 1.0) < 1e-14
-    assert abs(trace_norm(np.array([[-1.0, 1.0], [1.0, 0.0]])) - SQRT5) < 1e-14
+    assert abs(singular_values(np.array([[1.0, 0.0], [0.0, 0.0]])).sum() - 1.0) < 1e-14
+    assert abs(singular_values(np.array([[-1.0, 1.0], [1.0, 0.0]])).sum() - SQRT5) < 1e-14
     rng = np.random.default_rng(3)
     u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     assert abs(
-        trace_norm(np.outer(u, v.conj())) - np.linalg.norm(u) * np.linalg.norm(v)
+        singular_values(np.outer(u, v.conj())).sum() - np.linalg.norm(u) * np.linalg.norm(v)
     ) < 1e-12
 
 
@@ -125,14 +131,14 @@ def test_c_norm_divergence():
 def test_c_norm_late_indicator(n0):
     rep = c_norm(Indicator(n0))
     oracle = brute_norm(lambda n: 1.0 if n == n0 else 0.0, n0 + 10)
-    assert rep.converged and rep.truncation == n0 + 3
+    assert rep.converged and rep.truncation == n0 + 1
     assert abs(rep.total - oracle) <= 1e-10 * oracle
 
 
 @pytest.mark.parametrize("n0", [0, 1, 2, 7, 40, 129])
 def test_indicator_closed_form_matches_svd(n0):
     sym = Indicator(n0)
-    m = n0 + 3
+    m = n0 + 1
     rep, crep = c_norm(sym), cprime_norm(sym)
     pairs = (
         (rep.singular_values_h, hankel_h),
@@ -165,13 +171,13 @@ def test_cprime_norm_near_unit_circle():
 
 def test_support_route_height_cap():
     cap = hankel_mod.SUPPORT_HEIGHT_CAP
-    assert hankel_mod.exact_route(Indicator(cap - 3)) == ("support", cap)
+    assert hankel_mod.exact_route(Indicator(cap - 1)) == ("support", cap)
     with pytest.raises(TooLarge):
-        hankel_mod.exact_route(Indicator(cap - 2))
+        hankel_mod.exact_route(Indicator(cap))
     with pytest.raises(TooLarge):
         c_norm(Indicator(100_000))
     with pytest.raises(TooLarge):
-        cprime_norm(ParityTail((0.0,) * (cap - 1), 0.0, 0.0))
+        cprime_norm(ParityTail((0.0,) * (cap + 1), 0.0, 0.0))
 
 
 def test_c_norm_unsupported_tail():
@@ -367,7 +373,7 @@ def test_difference_sum_bounded_by_norms():
 def test_reports_record_route():
     rep = to_obj(c_norm(Indicator(3)))
     assert rep["route"] == "support" and rep["error_bound"] == 0.0
-    assert rep["truncation"] == 6
+    assert rep["truncation"] == 4
     rep = to_obj(cprime_norm(Geometric(0.5)))
     assert rep["route"] == "vandermonde" and 0.0 < rep["error_bound"] < 1e-15
 
@@ -543,3 +549,102 @@ def test_difference_decompositions_property(sym):
             assert abs(dec.nuclear_sum - tn) <= 1e-12 * scale
         norms_x, norms_y = np.linalg.norm(dec.x, axis=1), np.linalg.norm(dec.y, axis=1)
         assert np.abs(norms_x - norms_y).max(initial=0.0) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# Support route: Hankel views of one difference row, at the support's height
+# ---------------------------------------------------------------------------
+
+
+def test_difference_matrices_are_views_of_one_row():
+    sym = Finite((1.0, 2j, -3.0, 0.5), 0.25)
+    values = [evaluate(sym, n) for n in range(12)]
+    pairs = (hankel_mod.H, hankel_mod.K, hankel_mod.HHAT)
+    h, k, hhat = hankel_mod._difference_matrices(sym, 4, pairs)
+    assert np.shares_memory(h, k) and not np.shares_memory(h, hhat)
+    assert not any(a.flags.writeable for a in (h, k, hhat))
+    for a, offset, step in ((h, 0, 1), (k, 1, 1), (hhat, 0, 2)):
+        assert np.array_equal(a, brute_hankel(values.__getitem__, 4, offset, step))
+
+
+def test_support_route_memory_holds_no_index_arrays():
+    # m x m index arrays and the matrices gathered through them peaked at
+    # 69.0 MiB on each of these; the views of one row need a few rows.
+    rng = np.random.default_rng(0)
+    values = tuple(complex(a, b) for a, b in rng.standard_normal((1500, 2)))
+    cases = ((c_norm, TruncatedGeometric(0.99, 1500)), (cprime_norm, Finite(values, 0.5j)))
+    for norm, sym in cases:
+        tracemalloc.start()
+        try:
+            rep = norm(sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.route == "support" and rep.truncation == support_length(sym)
+        assert peak <= 5 * 2**20, peak
+
+
+finite_bases = st.one_of(
+    st.builds(Finite, st.lists(complexes, max_size=20).map(tuple), complexes),
+    st.builds(TruncatedGeometric, st.floats(0.0, 0.99, exclude_min=True), st.integers(0, 30)),
+    st.builds(Indicator, st.integers(0, 30)),
+    st.builds(FromMeasure, complexes, st.just(DiscreteMeasure(()))),
+)
+finite_support = st.one_of(
+    finite_bases,
+    st.builds(ParityTail, st.lists(complexes, max_size=20).map(tuple), complexes, complexes),
+    st.builds(Doubled, finite_bases),
+)
+
+
+def dense_spectra(sym, matrices):
+    """Singular values of the difference matrices built whole at support + 2."""
+    m = support_length(sym) + 2
+    values = [evaluate(sym, n) for n in range(2 * m + 2)]
+    return [
+        np.linalg.svd(brute_hankel(values.__getitem__, m, *pair), compute_uv=False)
+        for pair in matrices
+    ]
+
+
+def assert_spectrum_matches(sv, dense, height, scale):
+    # the support route drops two zero rows and columns: the same nonzero values
+    assert sv.shape == (height,)
+    assert np.abs(sv - dense[:height]).max() <= 1e-12 * scale
+    assert dense[height:].max() <= 1e-12 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_support)
+@example(Indicator(0))
+@example(Finite((), 1.0 - 2j))
+@example(FromMeasure(0.5j, DiscreteMeasure(())))
+@example(Doubled(Finite((), 0.0)))
+@example(Doubled(Indicator(0)))
+@example(ParityTail((1j,), 1.0, -1.0))
+@example(TruncatedGeometric(0.99, 40))
+def test_support_route_matches_dense_oracle(sym):
+    height = max(support_length(sym), 1)
+    even, odd = parity_tails(sym)
+    crep = cprime_norm(sym)
+    (dense_hhat,) = dense_spectra(sym, ((0, 2),))
+    oracle = abs((even + odd) / 2) + abs((even - odd) / 2) + dense_hhat.sum()
+    assert crep.route == "support" and crep.truncation == height
+    assert abs(crep.total - oracle) <= 1e-12 * oracle
+    assert_spectrum_matches(crep.singular_values_hhat, dense_hhat, height, oracle)
+    if even != odd:
+        with pytest.raises(UnsupportedTail):
+            c_norm(sym)
+        return
+    rep, plan = c_norm(sym), build_plan(sym)
+    dense_h, dense_k = dense_spectra(sym, ((0, 1), (1, 1)))
+    oracle = dense_h.sum() + dense_k.sum() + abs(even)
+    assert rep.route == "support" and rep.truncation == height
+    assert abs(rep.total - oracle) <= 1e-12 * oracle
+    for sv, dense, tn, dec in (
+        (rep.singular_values_h, dense_h, rep.trace_norm_h, plan.decomposition_h),
+        (rep.singular_values_k, dense_k, rep.trace_norm_k, plan.decomposition_k),
+    ):
+        assert_spectrum_matches(sv, dense, height, oracle)
+        assert dec.x.shape[1] == height
+        assert abs(dec.nuclear_sum - tn) <= 1e-12 * oracle

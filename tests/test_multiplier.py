@@ -43,7 +43,6 @@ from radial_mult import (
     psi2,
     right_word,
     spectral_norm,
-    tensor_shift,
     to_obj,
     ucp_pi_apply,
     verify_component_eigenaction,
@@ -463,7 +462,7 @@ def test_ucp_identity_and_examples(line5):
     gamma = ((0, 0),)
     a = word_operator(line5, gamma, ())
     out = dense_from(line5.dim * d, ucp_pi_apply(line5, d, 1, a))
-    expected = np.kron(a.to_dense(), tensor_shift(d))
+    expected = np.kron(a.to_dense(), np.eye(d, k=-1))  # the shift e_i -> e_{i+1} on C^d
     assert np.abs(out - expected).max() < 1e-14
 
 
