@@ -3,7 +3,9 @@
 Subcommands dispatch the library's norm computations and verification
 suites and emit deterministic JSON (or CSV) reports.  Exit codes: 0 on
 success, 1 on usage/configuration errors, 2 on mathematical failure
-(divergence, non-convergence, or a violated bound).
+(divergence, non-convergence, or a violated bound).  Each command returns
+its report and verdict; ``main`` alone writes the report and picks the
+exit code.
 """
 
 from __future__ import annotations
@@ -14,22 +16,17 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    NonConvergent,
-    NumericalFailure,
-    TooLarge,
-    UnsupportedRepresentation,
-    UnsupportedTail,
-)
+from .errors import NonConvergent, NumericalFailure, TooLarge, UnsupportedTail
 from .fock import build_space
 from .hankel import c_norm, cprime_norm
-from .integral import (
-    representation_for,
-    verify_doubling,
-    verify_membership_bound,
-    weight,
+from .integral import verify_doubling, verify_membership_bound
+from .multiplier import (
+    _kraus_levels,
+    build_plan,
+    cb_rounding_bound,
+    plan_cb_bound,
+    verify_eigenaction,
 )
-from .multiplier import _kraus_levels, build_plan, plan_cb_bound, verify_eigenaction
 from .schema import (
     SCHEMA,
     _cplx_in,
@@ -47,8 +44,6 @@ from .symbols import (
     TruncatedGeometric,
     eigenvalue_lower_bound,
 )
-
-HEADROOM = 8.0 / np.pi
 
 
 class CliError(Exception):
@@ -152,26 +147,33 @@ def _emit(args, obj: dict, header: list[str], rows):
         sys.stdout.write(payload)
 
 
-def cmd_norm(args) -> int:
+# Each cmd_* returns (obj, header, rows, holds): the report without its
+# schema/command envelope, its CSV table, and whether the mathematics holds.
+
+
+def cmd_norm(args):
     sym = parse_symbol(args.symbol)
-    report = c_norm(sym)
-    obj = {
-        "schema": SCHEMA,
-        "command": "norm",
-        "symbol": to_obj(sym),
-        "report": to_obj(report),
-    }
-    sections = {"h": report.singular_values_h, "k": report.singular_values_k}
+    try:
+        report, failure = c_norm(sym), None
+    except UnsupportedTail as exc:
+        if not args.cprime:
+            raise
+        report, failure = None, exc  # h and k are not trace class, hhat is
+    obj = {"symbol": to_obj(sym), "report": to_obj(report)}
+    sections = {}
+    if report is not None:
+        sections = {"h": report.singular_values_h, "k": report.singular_values_k}
     if args.cprime:
         creport = cprime_norm(sym)
         obj["cprime_report"] = to_obj(creport)
         sections["hhat"] = creport.singular_values_hhat
+    if failure is not None:
+        print(f"radial-mult: mathematical failure: {failure}", file=sys.stderr)
     rows = ((name, i, sigma) for name, sv in sections.items() for i, sigma in enumerate(sv))
-    _emit(args, obj, ["matrix", "index", "sigma"], rows)
-    return 0
+    return obj, ["matrix", "index", "sigma"], rows, failure is None
 
 
-def cmd_fock_verify(args) -> int:
+def cmd_fock_verify(args):
     sym = parse_symbol(args.symbol)
     spec = parse_space(args.space)
     if args.max_word > spec.max_len:
@@ -183,8 +185,6 @@ def cmd_fock_verify(args) -> int:
     plan = build_plan(sym)
     report = verify_eigenaction(plan, space, args.max_word)
     obj = {
-        "schema": SCHEMA,
-        "command": "fock-verify",
         "symbol": to_obj(sym),
         "space": to_obj(spec),
         "max_word": args.max_word,
@@ -195,8 +195,7 @@ def cmd_fock_verify(args) -> int:
         (p["xi"], p["eta"], p["case"], p["k"], p["l"], *p["expected"], p["residual"])
         for p in obj["report"]["pairs"]
     )
-    _emit(args, obj, header, rows)
-    return 0 if report.worst_residual <= args.tol else 2
+    return obj, header, rows, report.worst_residual <= args.tol + report.rounding_bound
 
 
 def _kraus_residual(space, vec, norm_sq: float, variant: int) -> float:
@@ -204,7 +203,7 @@ def _kraus_residual(space, vec, norm_sq: float, variant: int) -> float:
     return float(np.abs(_kraus_levels(space, vec, variant) - norm_sq).max()) / norm_sq
 
 
-def cmd_cs_bound(args) -> int:
+def cmd_cs_bound(args):
     sym = parse_symbol(args.symbol)
     space = build_space(parse_space(args.space))
     plan = build_plan(sym)
@@ -224,18 +223,18 @@ def cmd_cs_bound(args) -> int:
             )
     bound_total = plan_cb_bound(plan)
     lower = eigenvalue_lower_bound(sym)
+    rounding = cb_rounding_bound(lower, bound_total)
     obj = {
-        "schema": SCHEMA,
-        "command": "cs-bound",
         "symbol": to_obj(sym),
         "terms": terms,
         "plan_cb_bound": bound_total,
         "eigenvalue_lower_bound": lower,
         "kraus_residual": kraus_residual,
+        "rounding_bound": rounding,
     }
     header = ["kind", "index", "row", "col", "bound"]
-    _emit(args, obj, header, ([t[key] for key in header] for t in terms))
-    return 0 if lower <= bound_total + args.tol and kraus_residual <= args.tol else 2
+    holds = lower <= bound_total + args.tol + rounding and kraus_residual <= args.tol
+    return obj, header, ([t[key] for key in header] for t in terms), holds
 
 
 def _random_measure(rng: np.random.Generator, n_atoms: int) -> DiscreteMeasure:
@@ -253,66 +252,32 @@ def _random_measure(rng: np.random.Generator, n_atoms: int) -> DiscreteMeasure:
     return DiscreteMeasure(atoms)
 
 
-def cmd_integral_check(args) -> int:
+def _check(name: str, left: float, right: float, rep, **extra) -> dict:
+    """One integral-check entry: both sides, rep's verdict and its rounding_bound."""
+    entry = {"check": name, "left": left, "right": right, "holds": rep.holds}
+    return {**entry, "rounding_bound": rep.rounding_bound, **extra}
+
+
+def cmd_integral_check(args):
+    """The membership bound for --measure and --random-atoms; for --symbol,
+    that doubling keeps the norm."""
     if not (args.symbol or args.measure or args.random_atoms):
         raise CliError("need --symbol, --measure, or --random-atoms")
     checks = []
-    all_hold = True
-
-    def record(name, left, right, holds, extra=None):
-        nonlocal all_hold
-        entry = {"check": name, "left": left, "right": right, "holds": holds}
-        if extra:
-            entry.update(extra)
-        checks.append(entry)
-        all_hold = all_hold and holds
-
     if args.measure:
-        c, measure = parse_measure(args.measure)
-        rep = verify_membership_bound(c, measure, args.tol)
-        record(
-            "membership",
-            rep.difference_norms,
-            rep.weight,
-            rep.holds,
-            {"rounding_bound": rep.rounding_bound},
-        )
+        rep = verify_membership_bound(*parse_measure(args.measure), args.tol)
+        checks.append(_check("membership", rep.difference_norms, rep.weight, rep))
     if args.random_atoms:
-        rng = np.random.default_rng(args.seed)
-        measure = _random_measure(rng, args.random_atoms)
+        measure = _random_measure(np.random.default_rng(args.seed), args.random_atoms)
         rep = verify_membership_bound(0.0, measure, args.tol)
-        record(
-            "membership_random",
-            rep.difference_norms,
-            rep.weight,
-            rep.holds,
-            {
-                "measure": to_obj(measure),
-                "seed": args.seed,
-                "rounding_bound": rep.rounding_bound,
-            },
-        )
+        extra = {"measure": to_obj(measure), "seed": args.seed}
+        checks.append(_check("membership_random", rep.difference_norms, rep.weight, rep, **extra))
     if args.symbol:
-        sym = parse_symbol(args.symbol)
-        dbl = verify_doubling(sym, args.tol)
-        record(
-            "doubling",
-            dbl.base_total,
-            dbl.doubled_total,
-            dbl.holds,
-            {"rounding_bound": dbl.rounding_bound},
-        )
-        try:
-            c, measure = representation_for(sym)
-            mass = abs(c) + weight(measure)
-            base = dbl.base_total
-            record("headroom", mass, HEADROOM * base, mass <= HEADROOM * base + args.tol)
-        except UnsupportedRepresentation:
-            checks.append({"check": "representation", "holds": True, "note": "unsupported"})
-    obj = {"schema": SCHEMA, "command": "integral-check", "checks": checks}
+        rep = verify_doubling(parse_symbol(args.symbol), args.tol)
+        checks.append(_check("doubling", rep.base_total, rep.doubled_total, rep))
     header = ["check", "left", "right", "holds"]
-    _emit(args, obj, header, ([entry.get(key) for key in header] for entry in checks))
-    return 0 if all_hold else 2
+    rows = ([entry[key] for key in header] for entry in checks)
+    return {"checks": checks}, header, rows, all(entry["holds"] for entry in checks)
 
 
 def build_parser() -> _Parser:
@@ -360,7 +325,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        obj, header, rows, holds = args.func(args)
+        _emit(args, {"schema": SCHEMA, "command": args.command, **obj}, header, rows)
+        return 0 if holds else 2
     except (CliError, TooLarge, OSError, ValueError) as exc:
         print(f"radial-mult: error: {exc}", file=sys.stderr)
         return 1

@@ -54,7 +54,17 @@ from .fock import (
     _rho_triplets,
 )
 from .hankel import RankOneDecomposition, _difference_row, difference_decompositions
-from .symbols import RadialSymbol, evaluate, psi1, psi2, tail_constant
+from .symbols import (
+    ROUNDING,
+    RadialSymbol,
+    atom_arrays,
+    evaluate,
+    parity_tails,
+    psi1,
+    psi2,
+    support_length,
+    tail_constant,
+)
 
 
 @dataclass
@@ -80,10 +90,15 @@ class EigenRecord:
 
 @dataclass
 class EigenReport:
-    """Residuals of T against its expected word-pair eigenvalues."""
+    """Residuals of T against its expected word-pair eigenvalues.
+
+    Each residual is zero in exact arithmetic; ``rounding_bound`` bounds
+    what rounding leaves of any of them (see _scaling_rounding).
+    """
 
     records: list[EigenRecord]
     worst_residual: float
+    rounding_bound: float
 
 
 @dataclass
@@ -146,6 +161,28 @@ def plan_cb_bound(plan: MultiplierPlan) -> float:
     decompositions' nuclear_sum.
     """
     return abs(plan.c) + plan.decomposition_h.nuclear_sum + plan.decomposition_k.nuclear_sum
+
+
+# Units of ROUNDING * (lower + bound) that cb_rounding_bound forgives: the
+# gap lower - bound was at most 7.4 of them over about 1500 seeded positive
+# measure symbols of 1 to 5 atoms, 1 - s from 3e-5 to 1, w and c to 1e9.
+CB_BOUND_ULPS = 64
+
+
+def cb_rounding_bound(lower: float, bound: float) -> float:
+    """How far rounding may push sup |phi| (``lower``) past plan_cb_bound.
+
+    In exact arithmetic lower <= bound, and the two meet for a positive
+    measure: atoms in [0, 1) with weights >= 0 and c >= 0 make H and K
+    positive semidefinite, so their trace norms are their traces psi1(0)
+    and psi1(1), and c + psi1(0) + psi1(1) = phi(0) = sup |phi|.  There the
+    powers, the Vandermonde QR, the positive core's SVD and the atom sums
+    of phi(0) add terms of one sign, so each side is within a few roundings
+    of itself per atom, and the comparison forgives CB_BOUND_ULPS roundings
+    of lower + bound.  Away from equality the gap is the symbol's, not
+    rounding's.
+    """
+    return CB_BOUND_ULPS * ROUNDING * (lower + bound)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +313,57 @@ def _scaling_rows(space: FockSpace, max_word: int, max_pair_sum, parts):
     return rows, max((x for *_, r in rows for _, x in r), default=0.0)
 
 
+def _scaling_rounding(sym: RadialSymbol, space: FockSpace) -> float:
+    """A bound on what rounding leaves of any residual verify_eigenaction
+    reads on the space; each is zero in exact arithmetic.  With
+    u = ROUNDING / 2 and top = 2 max_len + 1:
+
+    * phi(n) evaluates within e(n) = u a(n), a(n) = |phi(n)|, for a
+      finite-support symbol (stored values or one real power), and within
+      e(n) = u (8n + N + 11) a(n) for a measure symbol of N atoms, with
+      a(n) = max(|c_even|, |c_odd|) + sum |w| |s|**n: a complex power s**n
+      carries up to (7.3n + 4) u of relative error (the modulus raised to
+      n, the angle times n), its product with w 2.3 u, and each of the N
+      additions u a(n).
+    * A residual w[s] + m dk[s] + P(e) - lambda (see _scaling_rows) reads
+      each difference d(n) = phi(n) - phi(n+1), n <= top, at most once:
+      psi[s] + psi[s+1] in w the d(i) for i >= s, m dk[s] and P(e) those
+      below.  Each d(n) is within e(n) + e(n+1) + u (a(n) + a(n+1)).
+    * Each parity's cumsum in psi starts from psi1(top + 1) or
+      psi1(top + 2).  A measure symbol's is within u (8n + N + 17) b(n),
+      b(n) = sum |w| |s|**n / |1 + s| >= |psi1(n)| (a power, a product, a
+      sum and a quotient per atom).  A finite-support symbol's is a sum of
+      differences d(i), i >= n of its parity, each within 2 u (a(i) + a(i+1)),
+      whose additions round by at most u times the running sum of |d(i)|.
+    * Additions of values of size at most M, with M >= |phi|, |psi1| up to
+      top + 2: the cumsums' max_len + 1 per parity (each partial sum is a
+      psi1 value), the two of w = c + psi[s] + psi[s+1] (at most 3M), and as
+      in the tests' scaling_gap_bound, 2t + 3 <= 2 max_len + 3 of partial
+      sums at most 3M (a value, a difference of two, or a value plus one d).
+    * lambda = phi(n), n <= 2 max_len, is within e(n).
+    """
+    u, top, length = ROUNDING / 2, 2 * space.max_len + 1, support_length(sym)
+    n = np.arange(top + 3 if length is None else max(top + 3, length + 2))
+    if length is None:
+        s, w = atom_arrays(sym)
+        terms = np.abs(w)[:, None] * np.abs(s)[:, None] ** n
+        a = max(map(abs, parity_tails(sym))) + terms.sum(axis=0)
+        e = u * (8 * n + s.size + 11) * a
+        b = (terms / np.abs(1 + s)[:, None]).sum(axis=0)
+        psi_rounding = u * (8 * n + s.size + 17) * b
+        tails, big = psi_rounding[top + 1] + psi_rounding[top + 2], max(a.max(), b.max())
+    else:
+        phi = np.array([evaluate(sym, m) for m in n.tolist()])
+        a, diff = np.abs(phi), np.abs(phi[:-1] - phi[1:])
+        e, pairs = u * a, a[:-1] + a[1:]
+        run = [(pairs[m:length:2], diff[m:length:2]) for m in (top + 1, top + 2)]
+        tails = u * sum(2 * p.sum() + np.cumsum(d).sum() for p, d in run)
+        big = max(a.max(), diff[:length].sum())  # |psi1| is at most the variation
+    kernels = (e[: top + 1] + e[1 : top + 2] + u * (a[: top + 1] + a[1 : top + 2])).sum()
+    additions = 2 * (space.max_len + 1) + 2 * 3 + 3 * (2 * space.max_len + 3)
+    return float(kernels + tails + e[:top].max() + u * big * additions)
+
+
 def verify_eigenaction(
     plan: MultiplierPlan,
     space: FockSpace,
@@ -291,7 +379,8 @@ def verify_eigenaction(
     kernels = _kernels(plan.symbol, space, plan.c, h=True, k=True)
     parts = [(kernels, cache(lambda n, case: evaluate(plan.symbol, n - (case == CASE_TWO))))]
     rows, worst = _scaling_rows(space, max_word, max_pair_sum, parts)
-    return EigenReport([EigenRecord(*p, k, l, *r[0]) for k, l, p, r in rows], worst)
+    records = [EigenRecord(*p, k, l, *r[0]) for k, l, p, r in rows]
+    return EigenReport(records, worst, _scaling_rounding(plan.symbol, space))
 
 
 def verify_component_eigenaction(

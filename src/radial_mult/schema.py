@@ -6,10 +6,11 @@ tuples become lists, nested dataclasses recurse, and array fields are left
 to the CSV tables.  A symbol also carries ``"family"``, the snake case of
 its class name.  Three types are written their own way: a
 ``DiscreteMeasure`` as a list of ``{"s", "w"}`` atoms, a ``FockSpec`` with
-the key ``factors``, and an ``EigenReport`` as its ``pairs``, each word by
-its ``word_label``.  ``to_csv`` writes every table.  The readers accept
-complex numbers as ``[re, im]``, ``{"re", "im"}`` or bare reals, and reject
-booleans and strings where numbers are due.
+the key ``factors``, and an ``EigenReport`` as its ``worst_residual``,
+``rounding_bound`` and ``pairs``, each word by its ``word_label``.
+``to_csv`` writes every table.  The readers accept complex numbers as
+``[re, im]``, ``{"re", "im"}`` or bare reals, and reject booleans and
+strings where numbers are due.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def to_obj(x):
     if isinstance(x, EigenReport):
         return {
             "worst_residual": x.worst_residual,
+            "rounding_bound": x.rounding_bound,
             "pairs": [
                 {
                     "xi": word_label(r.xi),

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import radial_mult
 from radial_mult import cli
 from radial_mult.cli import main, parse_symbol
+from radial_mult.hankel import cprime_norm
 from radial_mult.multiplier import build_plan
 from radial_mult.schema import to_obj
 from radial_mult.symbols import (
@@ -222,13 +224,14 @@ def test_geometric_past_atom_margin_exits_1(capsys, command):
     assert "too close to or outside the unit circle" in err
 
 
-def test_integral_check_csv_leaves_missing_cells_empty(capsys):
-    code, out, _ = run_cli(capsys, "integral-check", "-s", "indicator:2", "--format", "csv")
+def test_integral_check_csv_has_one_row_per_theorem(capsys):
+    argv = ("integral-check", "-s", "indicator:2", "--measure", '[{"s":[0.5,0],"w":[1,0]}]')
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "check,left,right,holds"
-    assert lines[1].startswith("doubling,")
-    assert lines[2] == "representation,,,True"
+    assert [line.split(",")[0] for line in lines[1:]] == ["membership", "doubling"]
+    assert all(line.endswith(",True") for line in lines[1:])
 
 
 def test_fock_verify(capsys):
@@ -380,15 +383,24 @@ def test_cs_bound_wrong_kraus_sum_exits_2(capsys, monkeypatch):
     assert abs(json.loads(out)["kraus_residual"] - 1e-3) < 1e-12
 
 
-def test_fock_verify_judges_a_valid_tolerance(capsys):
-    # the worst residual is about 1.2e-16: within the default, past 1e-300
+def test_fock_verify_judges_a_valid_tolerance(capsys, monkeypatch):
+    # the worst residual is about 1.2e-16, within its rounding bound (3e-14)
+    # at any tolerance; a residual 1e-12 past the bound fails at 1e-13 only
     argv = ("fock-verify", "-s", "geometric:-0.6+0.3i", "--space", '{"factors":[1,2],"max_len":5}')
     argv += ("--max-word", "3")
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-300")
     assert code == 0
-    assert 0.0 < json.loads(out)["report"]["worst_residual"] <= 1e-15
-    code, _, _ = run_cli(capsys, *argv, "--tol", "1e-300")
-    assert code == 2
+    report = json.loads(out)["report"]
+    assert 0.0 < report["worst_residual"] <= report["rounding_bound"] <= 1e-13
+    verify = cli.verify_eigenaction
+
+    def off(*args):
+        got = verify(*args)
+        return replace(got, worst_residual=got.rounding_bound + 1e-12)
+
+    monkeypatch.setattr(cli, "verify_eigenaction", off)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--tol", "1e-13")[0] == 2
 
 
 def test_space_longer_than_the_level_cap_exits_1_at_once(capsys):
@@ -463,8 +475,7 @@ def test_integral_check_measure_and_doubling(capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    names = {c["check"] for c in obj["checks"]}
-    assert {"membership", "doubling", "headroom"} <= names
+    assert [c["check"] for c in obj["checks"]] == ["membership", "doubling"]
     assert all(c["holds"] for c in obj["checks"])
 
 
@@ -482,7 +493,101 @@ def test_integral_check_identities_near_unit_circle_hold(capsys, args):
     assert code == 0
     checks = json.loads(out)["checks"]
     assert all(c["holds"] for c in checks)
-    assert all(c["rounding_bound"] > 0 for c in checks if c["check"] != "headroom")
+    assert all(c["rounding_bound"] > 0 for c in checks)
+
+
+# --- verdicts at scale, and on a valid symbol the class still holds ---------
+
+CLOSE_ATOMS = '{"family":"from_measure","c":0,"measure":[{"s":[0.5,0],"w":[1,0]},{"s":[0.5001,0],"w":[-1,0]}]}'
+PARITY_TAIL = 'parity_tail:{"values":[1,[0,2],3],"tail_even":1,"tail_odd":-1}'
+
+
+def test_integral_check_judges_only_its_theorems(capsys):
+    # distinct atoms give a unique representation; their mass (2.0) far
+    # exceeds the norm (7.2e-4), and that breaks no theorem
+    code, out, _ = run_cli(capsys, "integral-check", "-s", CLOSE_ATOMS)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["check"] == "doubling" and check["holds"]
+    assert abs(check["left"] - check["right"]) <= 1e-15
+
+
+def test_cs_bound_forgives_rounding_at_scale(capsys):
+    # one real positive atom: plan_cb_bound equals sup |phi| = w, and rounds one ulp below it
+    sym = '{"family":"from_measure","c":0,"measure":[{"s":[0.4346471881870116,0],"w":[92515726.36262478,0]}]}'
+    code, out, _ = run_cli(capsys, "cs-bound", "-s", sym, "--space", SPACE)
+    assert code == 0
+    obj = json.loads(out)
+    gap = obj["eigenvalue_lower_bound"] - obj["plan_cb_bound"]
+    assert 0 < gap <= obj["rounding_bound"] <= 1e-5
+
+
+def test_fock_verify_forgives_rounding_at_scale(capsys):
+    sym = '{"family":"from_measure","c":0,"measure":[{"s":[0.5,0.3],"w":[1e8,0]}]}'
+    argv = ("fock-verify", "-s", sym, "--space", '{"factors":[1,1],"max_len":4}', "--max-word", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert 1e-10 < report["worst_residual"] <= report["rounding_bound"] <= 1e-5
+
+
+def test_rounding_bounds_stay_far_below_the_tolerance_at_scale_one(capsys):
+    deep = '{"factors":[1,1],"max_len":1500}'
+    _, out, _ = run_cli(capsys, "fock-verify", "-s", "geometric:0.5", "--space", deep)
+    assert json.loads(out)["report"]["rounding_bound"] <= 1e-11
+    _, out, _ = run_cli(capsys, "cs-bound", "-s", "geometric:0.5", "--space", SPACE)
+    assert json.loads(out)["rounding_bound"] <= 1e-13
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_norm_cprime_reports_the_two_step_norm_of_parity_tails(capsys, fmt):
+    code, out, err = run_cli(capsys, "norm", "-s", PARITY_TAIL, "--cprime", "--format", fmt)
+    assert code == 2
+    assert err.startswith("radial-mult: mathematical failure:") and "2-periodic" in err
+    if fmt == "csv":
+        rows = out.strip().split("\n")
+        assert rows[0] == "matrix,index,sigma"
+        assert {row.split(",")[0] for row in rows[1:]} == {"hhat"}
+        return
+    obj = json.loads(out)
+    assert obj["report"] is None
+    assert obj["cprime_report"]["total"] == cprime_norm(parse_symbol(PARITY_TAIL)).total
+    # plain norm stays a failure with no report
+    code, out, err = run_cli(capsys, "norm", "-s", PARITY_TAIL)
+    assert code == 2 and out == "" and "2-periodic" in err
+
+
+def test_norm_cprime_on_parity_tails_past_the_cap_exits_1(capsys):
+    # the two-step norm cannot be computed, so no mathematical verdict is given
+    spec = {"family": "parity_tail", "values": [0] * 5000, "tail_even": 1, "tail_odd": 0}
+    spec = json.dumps(spec)
+    code, out, err = run_cli(capsys, "norm", "-s", spec, "--cprime")
+    assert code == 1 and out == ""
+    assert err.startswith("radial-mult: error:")
+
+
+scaled_atoms = st.lists(
+    st.tuples(
+        st.one_of(
+            st.floats(0.05, 0.99).map(complex),  # a positive atom: the cs-bound sides meet
+            st.builds(cmath.rect, st.floats(0.05, 0.99), st.floats(-math.pi, math.pi)),
+        ),
+        st.builds(cmath.rect, st.floats(1e-3, 1e9), st.sampled_from([0.0, 0.0, 1.0, -2.5])),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_atoms, st.sampled_from([0.0, 0.0, 1e6, -3.0]))
+def test_measure_symbols_at_scale_pass_cs_bound_and_fock_verify(atoms, c):
+    sym = json.dumps(to_obj(FromMeasure(c, DiscreteMeasure(tuple(atoms)))))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        bound = main(["cs-bound", "-s", sym, "--space", SPACE])
+        verify = main(["fock-verify", "-s", sym, "--space", '{"factors":[1,2],"max_len":4}'])
+    assert (bound, verify) == (0, 0), (out.getvalue()[-2000:], err.getvalue())
 
 
 @pytest.mark.parametrize("measure", ["5", '"x"', "null", "true"])

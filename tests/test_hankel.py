@@ -27,8 +27,11 @@ from radial_mult import (
     hankel_h,
     hankel_hhat,
     hankel_k,
+    psi1,
+    psi2,
     rank_one_decompose,
     singular_values,
+    tail_constant,
     to_obj,
 )
 from radial_mult.symbols import atom_arrays, measure_atoms, parity_tails, support_length
@@ -368,6 +371,50 @@ def test_difference_sum_bounded_by_norms():
             abs(evaluate(sym, n) - evaluate(sym, n + 1)) for n in range(rep.truncation)
         )
         assert total <= rep.trace_norm_h + rep.trace_norm_k + 1e-10
+
+
+# --- properties: late-support indicators and complex tails ------------------
+
+cplx = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+in_disk = st.builds(cmath.rect, st.floats(0, 0.95), st.floats(-math.pi, math.pi))
+late_or_complex_tail = st.one_of(
+    st.builds(Indicator, st.integers(100, 3000)),
+    st.builds(Finite, st.lists(cplx, max_size=40).map(tuple), cplx),
+    st.builds(ParityTail, st.lists(cplx, max_size=40).map(tuple), st.shared(cplx, key="tail"),
+              st.shared(cplx, key="tail")),
+    st.builds(
+        FromMeasure,
+        cplx,
+        st.lists(st.tuples(in_disk, cplx), min_size=1, max_size=4).map(tuple).map(DiscreteMeasure),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(late_or_complex_tail, st.data())
+def test_psi_parts_and_tail_add_up_to_phi(sym, data):
+    # psi1(n) + psi2(n) sums every difference from n on, which telescopes to phi(n) - c
+    length = support_length(sym)
+    top = 60 if length is None else length + 2
+    n = data.draw(st.integers(0, top))
+    c = tail_constant(sym)
+    if length is None:  # psi1 in closed form, sum w s**n / (1 + s)
+        scale = abs(c) + sum(abs(w) * max(1, 1 / abs(1 + s)) for s, w in measure_atoms(sym))
+    else:  # psi1 sums up to length differences of stored values
+        scale = max(abs(evaluate(sym, m)) for m in range(top))
+    got = psi1(sym, n) + psi2(sym, n) + c
+    assert abs(got - evaluate(sym, n)) <= 1e-14 * scale * (top + 1)
+    if isinstance(sym, Indicator):  # sums of 0 and +-1 are exact
+        assert psi1(sym, n) + psi2(sym, n) + c == evaluate(sym, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(late_or_complex_tail)
+def test_cprime_norm_at_most_c_norm_when_tails_agree(sym):
+    # hhat = H + K, so ||hhat||_1 <= ||H||_1 + ||K||_1, and equal tails give c1 = c, c2 = 0
+    base, two_step = c_norm(sym), cprime_norm(sym)
+    assert two_step.c2 == 0 and two_step.c1 == tail_constant(sym)
+    assert two_step.total <= base.total * (1 + 1e-12) + two_step.error_bound + base.error_bound
 
 
 def test_reports_record_route():

@@ -130,19 +130,6 @@ def test_representation_for():
         representation_for(TruncatedGeometric(0.5, 3))
 
 
-def test_headroom_for_representable_symbols():
-    headroom = 8.0 / math.pi
-    for sym in (
-        Geometric(0.5),
-        Geometric(-0.5),
-        Geometric(0.3 + 0.4j),
-        FromMeasure(0.25, DiscreteMeasure(((0.6, 0.5), (-0.2 + 0.1j, 1.0)))),
-    ):
-        c, measure = representation_for(sym)
-        mass = abs(c) + weight(measure)
-        assert mass <= headroom * c_norm(sym).total + 1e-8
-
-
 def test_doubling_examples():
     rep = verify_doubling(Geometric(0.5))
     assert rep.holds and abs(rep.base_total - 1.0) < 1e-8

@@ -555,6 +555,7 @@ def test_eigen_report_serialization(line5):
     report = verify_eigenaction(plan, line5, max_word=1)
     obj = to_obj(report)
     assert obj["worst_residual"] == report.worst_residual and obj["pairs"]
+    assert obj["rounding_bound"] == report.rounding_bound
     assert obj["pairs"] == [
         {
             "xi": word_label(r.xi),
@@ -780,7 +781,8 @@ def per_pair_reports(space, plan, max_word, max_pair_sum, tensor_dim):
         TensorReport(v, [TensorRecord(*row[2:5], row[5][2 + v][1]) for row in rows], worst(2 + v))
         for v in (1, 2)
     ]
-    return [EigenReport(eigen, worst(0)), ComponentReport(parts, worst(1, 2)), *tensors]
+    rounding = multiplier._scaling_rounding(sym, space)
+    return [EigenReport(eigen, worst(0), rounding), ComponentReport(parts, worst(1, 2)), *tensors]
 
 
 @st.composite
@@ -830,7 +832,10 @@ def test_block_driver_matches_per_pair_oracle(case):
         verify_component_eigenaction(plan, space, max_word, max_pair_sum),
         *(verify_ucp_relations(space, d, v, max_word, max_pair_sum) for v in (1, 2)),
     ]
-    for got, want in zip(reports, per_pair_reports(space, plan, max_word, max_pair_sum, d)):
+    # every scaling residual, in either order, is rounding within the a-priori bound
+    oracle = per_pair_reports(space, plan, max_word, max_pair_sum, d)
+    assert max(reports[0].worst_residual, oracle[0].worst_residual) <= reports[0].rounding_bound
+    for got, want in zip(reports, oracle):
         assert len(got.records) == len(want.records)
         scaling = not isinstance(got, TensorReport)
         tops = replace(got, records=[]), replace(want, records=[])

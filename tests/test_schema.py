@@ -74,7 +74,7 @@ def test_report_key_sets():
     spec = FockSpec((1, 2), 3)
     assert dumped(spec) == {"factors": [1, 2], "max_len": 3}
     eigen = dumped(verify_eigenaction(build_plan(sym), build_space(spec), 1))
-    assert set(eigen) == {"worst_residual", "pairs"}
+    assert set(eigen) == {"worst_residual", "rounding_bound", "pairs"}
     assert {frozenset(pair) for pair in eigen["pairs"]} == {
         frozenset({"xi", "eta", "case", "k", "l", "expected", "residual"})
     }
