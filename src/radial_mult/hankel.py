@@ -1,27 +1,26 @@
 """Hankel matrices of symbol differences and their exact trace norms.
 
-Every symbol family has one exact, finite-dimensional route to the trace
-norms of its difference Hankel matrices:
+Each symbol is read through its normal form (``symbols.form``: a head of
+values, even and odd tails, atoms w s**n), which picks one exact,
+finite-dimensional route to the trace norms of its difference matrices:
 
-* support route: finite-support symbols (indicators, truncated geometrics,
-  finite data, parity tails, and the Doubled form of any of these) have
-  differences that vanish from the support on, so one SVD at the support
-  holds the whole spectrum (past SUPPORT_HEIGHT_CAP, TooLarge), each matrix
-  a read-only Hankel view of one difference row per step (real when the
-  row is).  Indicators skip the SVD: their difference matrices are signed
-  shifts with singular values and vectors in closed form;
-* Vandermonde route: a measure symbol phi(n) = c + sum_a w_a s_a**n has
+* support route: without atoms the differences vanish from the end of the
+  head on, so one SVD at the head's length holds the whole spectrum (past
+  SUPPORT_HEIGHT_CAP, TooLarge), each matrix a read-only Hankel view of one
+  difference row per step (real when the row is).  An indicator shape (a
+  head of one 1 among zeros, zero tails) skips the SVD: its difference
+  matrices are signed shifts with singular values and vectors in closed form;
+* Vandermonde route: with atoms, phi(n) = c + sum_a w_a s_a**n has
   H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
   theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
   below rounding, the nonzero singular values of H are those of the small
   matrix R diag(d) R^T, and the rows dropped past M move the trace norm by
-  at most the reported geometric-tail bound.  The Doubled form of a
-  measure symbol is the measure with atoms +-sqrt(s) and weights w/2.
+  at most the reported geometric-tail bound.
 
-The measure arithmetic (atoms, exact powers, 1 - |s|**2, horizon) is in
-``symbols``.  The same routes feed the rank-one decompositions that certify
-the multiplier map completely bounded.  The map itself is read off the
-symbol's difference row, not through these terms.
+The form and the measure arithmetic (exact powers, 1 - |s|**2, horizon) are
+in ``symbols``.  The same routes feed the rank-one decompositions that
+certify the multiplier map completely bounded.  The map itself is read off
+the symbol's difference row, not through these terms.
 """
 
 from __future__ import annotations
@@ -33,16 +32,12 @@ import numpy as np
 from .errors import NumericalFailure, TooLarge
 from .symbols import (
     VECTOR_HORIZON_CAP,
-    Indicator,
+    Form,
     RadialSymbol,
     _squares,
-    atom_arrays,
     atom_powers,
-    evaluate,
+    form,
     one_minus_abs_squared,
-    parity_tails,
-    support_length,
-    tail_constant,
     vandermonde_horizon,
 )
 
@@ -123,12 +118,12 @@ class RankOneDecomposition:
 H, K, HHAT = (0, 1), (1, 1), (0, 2)
 
 
-def _difference_row(sym: RadialSymbol, length: int, offset: int, step: int) -> np.ndarray:
-    values = np.array([evaluate(sym, offset + m) for m in range(length + step)])
+def _difference_row(f: Form, length: int, offset: int, step: int) -> np.ndarray:
+    values = np.array([f.value(offset + m) for m in range(length + step)])
     return values[:length] - values[step : length + step]
 
 
-def _difference_matrices(sym: RadialSymbol, m: int, matrices) -> list[np.ndarray]:
+def _difference_matrices(f: Form, m: int, matrices) -> list[np.ndarray]:
     """The m x m (offset, step) difference matrices d[i+j+offset], with
     d(n) = phi(n) - phi(n+step) for n < 2m: read-only Hankel views of one
     row per step, real when it is.  Offsets are 0 or 1, so every view stays
@@ -136,24 +131,24 @@ def _difference_matrices(sym: RadialSymbol, m: int, matrices) -> list[np.ndarray
     if m < 1:
         raise ValueError("truncation must be at least 1")
     steps = {step for _, step in matrices}
-    rows = {step: _real_if_real(_difference_row(sym, 2 * m, 0, step))[0] for step in steps}
+    rows = {step: _real_if_real(_difference_row(f, 2 * m, 0, step))[0] for step in steps}
     view = np.lib.stride_tricks.as_strided
     return [view(rows[s][o:], (m, m), rows[s].strides * 2, writeable=False) for o, s in matrices]
 
 
 def hankel_h(sym: RadialSymbol, m: int) -> np.ndarray:
     """Matrix with entry (i, j) = phi(i+j) - phi(i+j+1), size m x m."""
-    return _difference_matrices(sym, m, (H,))[0]
+    return _difference_matrices(form(sym), m, (H,))[0]
 
 
 def hankel_k(sym: RadialSymbol, m: int) -> np.ndarray:
     """Matrix with entry (i, j) = phi(i+j+1) - phi(i+j+2), size m x m."""
-    return _difference_matrices(sym, m, (K,))[0]
+    return _difference_matrices(form(sym), m, (K,))[0]
 
 
 def hankel_hhat(sym: RadialSymbol, m: int) -> np.ndarray:
     """Matrix with entry (i, j) = phi(i+j) - phi(i+j+2), size m x m."""
-    return _difference_matrices(sym, m, (HHAT,))[0]
+    return _difference_matrices(form(sym), m, (HHAT,))[0]
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -168,24 +163,23 @@ def exact_route(sym: RadialSymbol) -> tuple[str, int]:
     """The symbol's exact route and its matrix height.
 
     ("support", max(support, 1)) for finite-support symbols,
-    ("vandermonde", M) for measure symbols.  Raises TooLarge when the
+    ("vandermonde", M) for symbols with atoms.  Raises TooLarge when the
     support route would need a matrix taller than SUPPORT_HEIGHT_CAP.
     """
-    return _route(sym)[:2]
+    return _route(form(sym))[:2]
 
 
-def _route(sym: RadialSymbol):
-    """exact_route(sym) and the atom arrays (s, w) it read, None on the support route."""
-    length = support_length(sym)
-    if length is None:
-        s, w = atom_arrays(sym)
-        return "vandermonde", vandermonde_horizon(s), (s, w)
-    m = max(length, 1)
+def _route(f: Form) -> tuple[str, int, int | None]:
+    """exact_route, and n0 when f has the shape of Indicator(n0): a head of
+    one 1 among zeros, zero tails and no atoms (else None)."""
+    if f.s.size:
+        return "vandermonde", vandermonde_horizon(f.s), None
+    m, head = max(len(f.head), 1), f.head
     if m > SUPPORT_HEIGHT_CAP:
-        raise TooLarge(
-            f"support route would need {m} x {m} matrices (cap {SUPPORT_HEIGHT_CAP})"
-        )
-    return "support", m, None
+        raise TooLarge(f"support route would need {m} x {m} matrices (cap {SUPPORT_HEIGHT_CAP})")
+    # complex literals keep these scans on the complex-with-complex fast path
+    shape = not (f.even or f.odd) and head.count(0j) == len(head) - 1 and 1 + 0j in head
+    return "support", m, head.index(1 + 0j) if shape else None
 
 
 def _vandermonde_r(s: np.ndarray, m: int) -> np.ndarray:
@@ -263,24 +257,24 @@ def _indicator_decomposition(n0: int, offset: int, m: int) -> RankOneDecompositi
     return RankOneDecomposition(x, y, float(sigma.sum()))
 
 
-def _exact_spectra(sym: RadialSymbol, matrices):
+def _exact_spectra(f: Form, matrices):
     """Route, matrix height, spectra and error bound of some difference matrices.
 
     ``matrices`` holds the (offset, step) of each matrix: the support route
-    takes the SVD of each of _difference_matrices, or for indicators the
-    closed form, and the Vandermonde route uses d = w s**offset (1 - s**step).
+    takes the SVD of each of _difference_matrices, or for an indicator shape
+    the closed form, and the Vandermonde route uses d = w s**offset (1 - s**step).
     There, Q and conj(Q) are isometries, so Q R diag(d) R^T Q^T has the
     singular values of the small matrix R diag(d) R^T.  For one atom, the
     rows past M change d v v^T in trace norm by at most
     2 |d| ||v|| ||v past M|| = 2 |d| |s|**M / (1 - |s|^2); the bound sums
     these over atoms and matrices.
     """
-    route, m, atoms = _route(sym)
-    if isinstance(sym, Indicator):
-        return route, m, [_indicator_spectrum(sym.n0, *pair, m) for pair in matrices], 0.0
+    route, m, n0 = _route(f)
+    if n0 is not None:
+        return route, m, [_indicator_spectrum(n0, *pair, m) for pair in matrices], 0.0
     if route == "support":
-        return route, m, [singular_values(a) for a in _difference_matrices(sym, m, matrices)], 0.0
-    s, w = atoms
+        return route, m, [singular_values(a) for a in _difference_matrices(f, m, matrices)], 0.0
+    s, w = f.s, f.w
     r = _vandermonde_r(s, m)
     tail = 2.0 * np.abs(s) ** m / np.array([one_minus_abs_squared(z) for z in s.tolist()])
     spectra, bound = [], 0.0
@@ -295,12 +289,13 @@ def c_norm(sym: RadialSymbol) -> HankelReport:
     """Symbol norm: trace norms of both difference Hankel matrices plus |tail|.
 
     Finite-support symbols take one SVD per matrix at the support (TooLarge
-    past SUPPORT_HEIGHT_CAP; indicators use the closed form); measure
-    symbols take the Vandermonde route with d = w(1-s) for h and w s(1-s)
+    past SUPPORT_HEIGHT_CAP; indicator shapes use the closed form); symbols
+    with atoms take the Vandermonde route with d = w(1-s) for h and w s(1-s)
     for k.  A symbol whose even and odd tails differ raises UnsupportedTail.
     """
-    tail_abs = abs(tail_constant(sym))
-    route, m, (sv_h, sv_k), bound = _exact_spectra(sym, (H, K))
+    f = form(sym)
+    tail_abs = abs(f.tail_constant())
+    route, m, (sv_h, sv_k), bound = _exact_spectra(f, (H, K))
     tn_h = float(sv_h.sum())
     tn_k = float(sv_k.sum())
     return HankelReport(
@@ -328,10 +323,10 @@ def cprime_norm(sym: RadialSymbol) -> CPrimeReport:
     c (1 + (-1)**n)/2 part is annihilated by the two-step difference and
     enters only as c1 = c2 = c/2.
     """
-    even, odd = parity_tails(sym)
-    c1 = (even + odd) / 2
-    c2 = (even - odd) / 2
-    route, m, (sv,), bound = _exact_spectra(sym, (HHAT,))
+    f = form(sym)
+    c1 = (f.even + f.odd) / 2
+    c2 = (f.even - f.odd) / 2
+    route, m, (sv,), bound = _exact_spectra(f, (HHAT,))
     tn = float(sv.sum())
     return CPrimeReport(
         truncation=m,
@@ -436,29 +431,32 @@ def _atom_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDe
     return out
 
 
-def difference_decompositions(
-    sym: RadialSymbol,
-) -> tuple[RankOneDecomposition, RankOneDecomposition]:
+def difference_decompositions(sym: RadialSymbol) -> tuple[RankOneDecomposition, ...]:
     """Rank-one terms of h and k with vectors as long as exact_route(sym)'s
     height m, which carry the whole operators (TooLarge past VECTOR_HORIZON_CAP).
 
     Finite-support symbols decompose the m x m truncations through one
-    stacked SVD of both, indicators in closed form.  Measure symbols reuse the Vandermonde factorization, and
-    a single atom reads its one term per matrix off its powers.  A
-    symbol whose even and odd tails differ raises UnsupportedTail: its
-    differences do not vanish, so h and k are not trace class.
+    stacked SVD of both, indicator shapes in closed form.  Symbols with
+    atoms reuse the Vandermonde factorization, and a single atom reads its
+    one term per matrix off its powers.  A symbol whose even and odd tails
+    differ raises UnsupportedTail: its differences do not vanish, so h and
+    k are not trace class.
     """
-    tail_constant(sym)
-    route, m, atoms = _route(sym)
-    if isinstance(sym, Indicator):
-        return tuple(_indicator_decomposition(sym.n0, offset, m) for offset in (0, 1))
+    return _decompositions(form(sym))
+
+
+def _decompositions(f: Form) -> tuple[RankOneDecomposition, ...]:
+    f.tail_constant()
+    route, m, n0 = _route(f)
+    if n0 is not None:
+        return tuple(_indicator_decomposition(n0, offset, m) for offset in (0, 1))
     if route == "support":
-        return tuple(_rank_one_terms(*_svd(np.stack(_difference_matrices(sym, m, (H, K))))))
+        return tuple(_rank_one_terms(*_svd(np.stack(_difference_matrices(f, m, (H, K))))))
     if m > VECTOR_HORIZON_CAP:
         raise TooLarge(
             f"plan vectors would need {m} entries (cap {VECTOR_HORIZON_CAP}): "
             "atoms too close to the unit circle"
         )
-    s, w = atoms
+    s, w = f.s, f.w
     decompose = _atom_decompositions if s.size == 1 else _measure_decompositions
     return tuple(decompose(s, w, m))

@@ -17,16 +17,13 @@ from .hankel import CPrimeReport, HankelReport, c_norm, cprime_norm
 from .symbols import (
     ROUNDING,
     DiscreteMeasure,
-    Finite,
+    Form,
     FromMeasure,
-    Geometric,
-    ParityTail,
     RadialSymbol,
     double,
     evaluate,
-    measure_atoms,
+    form,
     one_minus_abs_squared,
-    support_length,
 )
 
 __all__ = [
@@ -112,31 +109,23 @@ def verify_membership_bound(
 
 
 def representation_for(sym: RadialSymbol) -> tuple[complex, DiscreteMeasure]:
-    """Exact finitely-atomic representation, where one is known.
+    """Exact finitely-atomic representation (c, atoms), where the form has one.
 
-    Geometric symbols are a single unit atom; measure symbols return their
-    own data; constant symbols are an empty measure.  Everything else
-    (indicators in particular) raises UnsupportedRepresentation rather
-    than guessing.
+    A form with one tail c whose head (if it has one, then without atoms)
+    holds only c is c plus its atoms: a geometric symbol is one unit atom,
+    a constant an empty measure, and a doubled measure symbol has the atoms
+    +-sqrt(s) with weights w/2.  Everything else (indicators in particular)
+    raises UnsupportedRepresentation rather than guessing.
     """
-    if isinstance(sym, Geometric):
-        return 0.0 + 0.0j, DiscreteMeasure(((sym.s, 1.0 + 0.0j),))
-    if isinstance(sym, FromMeasure):
-        return sym.c, sym.measure
-    if isinstance(sym, Finite) and all(v == sym.tail for v in sym.values):
-        return sym.tail, DiscreteMeasure(())
-    if (
-        isinstance(sym, ParityTail)
-        and sym.tail_even == sym.tail_odd
-        and all(v == sym.tail_even for v in sym.values)
-    ):
-        return sym.tail_even, DiscreteMeasure(())
-    raise UnsupportedRepresentation(
-        f"no exact finitely-atomic representation stored for {type(sym).__name__}"
-    )
+    f = form(sym)
+    if f.even != f.odd or any(v != f.even for v in f.head) or (f.head and f.s.size):
+        raise UnsupportedRepresentation(
+            f"no exact finitely-atomic representation for {type(sym).__name__}"
+        )
+    return f.even, DiscreteMeasure(f.atoms)
 
 
-def _doubling_rounding(doubled: RadialSymbol, total: float) -> float:
+def _doubling_rounding(doubled: Form, total: float) -> float:
     """How far rounding the atoms r = +-sqrt(s) of a doubled symbol moves its norm.
 
     Rounding r moves 1 - |r|**2 = 1 - |s| by about ROUNDING, and an atom's
@@ -144,9 +133,9 @@ def _doubling_rounding(doubled: RadialSymbol, total: float) -> float:
     moves by up to ROUNDING / (1 - max|s|) of itself.  Finite-support
     symbols double exactly.
     """
-    if support_length(doubled) is not None:
+    if not doubled.s.size:
         return 0.0
-    gap = min(one_minus_abs_squared(r) for r, _ in measure_atoms(doubled))
+    gap = min(one_minus_abs_squared(r) for r in doubled.s.tolist())
     return ROUNDING * total / gap
 
 
@@ -161,7 +150,7 @@ def verify_doubling(sym: RadialSymbol, tol: float = 1e-8) -> DoublingReport:
     base = c_norm(sym)
     doubled_sym = double(sym)
     doubled = cprime_norm(doubled_sym)
-    rounding = _doubling_rounding(doubled_sym, base.total)
+    rounding = _doubling_rounding(form(doubled_sym), base.total)
     slack = tol + rounding + base.error_bound + doubled.error_bound
     return DoublingReport(
         base_total=base.total,

@@ -53,18 +53,8 @@ from .fock import (
     _eps_triplets,
     _rho_triplets,
 )
-from .hankel import RankOneDecomposition, _difference_row, difference_decompositions
-from .symbols import (
-    ROUNDING,
-    RadialSymbol,
-    atom_arrays,
-    evaluate,
-    parity_tails,
-    psi1,
-    psi2,
-    support_length,
-    tail_constant,
-)
+from .hankel import RankOneDecomposition, _decompositions, _difference_row
+from .symbols import ROUNDING, Form, RadialSymbol, form
 
 
 @dataclass
@@ -149,9 +139,9 @@ def build_plan(sym: RadialSymbol) -> MultiplierPlan:
     space of any length.  Raises TooLarge when the vectors would need more
     than symbols.VECTOR_HORIZON_CAP entries.
     """
-    c = tail_constant(sym)
-    dec_h, dec_k = difference_decompositions(sym)
-    return MultiplierPlan(symbol=sym, decomposition_h=dec_h, decomposition_k=dec_k, c=c)
+    f = form(sym)
+    dec_h, dec_k = _decompositions(f)
+    return MultiplierPlan(sym, dec_h, dec_k, f.tail_constant())
 
 
 def plan_cb_bound(plan: MultiplierPlan) -> float:
@@ -190,7 +180,7 @@ def cb_rounding_bound(lower: float, bound: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernels(sym: RadialSymbol, space: FockSpace, c=0.0, h=False, k=False):
+def _kernels(f: Form, space: FockSpace, c=0.0, h=False, k=False):
     """(w, dh, dk), indexed by the level sum s of an entry, of the map
     c A + the chosen parts of T:
 
@@ -210,10 +200,10 @@ def _kernels(sym: RadialSymbol, space: FockSpace, c=0.0, h=False, k=False):
     and psi2(s) = psi1(s + 1) for k.  As psi1(n) = d(n) + psi1(n + 2),
     each parity class of psi1 is a reversed cumulative sum of d."""
     top = 2 * space.max_len + 1  # level sums 0 .. 2 max_len
-    d = _difference_row(sym, top + 1, 0, 1)
+    d = _difference_row(f, top + 1, 0, 1)
     psi = np.empty(top + 1, dtype=complex)
     for parity in (0, 1):
-        run = np.append(d[parity::2], psi1(sym, top + 1 + parity))
+        run = np.append(d[parity::2], f.psi1(top + 1 + parity))
         psi[parity::2] = np.cumsum(run[::-1])[::-1][:-1]
     zero = np.zeros(top, dtype=complex)
     w = (psi[:top] if h else zero) + (psi[1:] if k else zero)
@@ -250,17 +240,17 @@ def _apply_map(space: FockSpace, op: FockOperator, kernels) -> FockOperator:
 
 def apply_T(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """T(A) = T1(A) + T2(A) + c A."""
-    return _apply_map(space, op, _kernels(plan.symbol, space, plan.c, h=True, k=True))
+    return _apply_map(space, op, _kernels(form(plan.symbol), space, plan.c, h=True, k=True))
 
 
 def apply_T1(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """T1(A), the first-difference part of T."""
-    return _apply_map(space, op, _kernels(plan.symbol, space, h=True))
+    return _apply_map(space, op, _kernels(form(plan.symbol), space, h=True))
 
 
 def apply_T2(plan: MultiplierPlan, space: FockSpace, op: FockOperator) -> FockOperator:
     """T2(A), the shifted-difference part of T."""
-    return _apply_map(space, op, _kernels(plan.symbol, space, k=True))
+    return _apply_map(space, op, _kernels(form(plan.symbol), space, k=True))
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +303,14 @@ def _scaling_rows(space: FockSpace, max_word: int, max_pair_sum, parts):
     return rows, max((x for *_, r in rows for _, x in r), default=0.0)
 
 
-def _scaling_rounding(sym: RadialSymbol, space: FockSpace) -> float:
+def _scaling_rounding(f: Form, space: FockSpace) -> float:
     """A bound on what rounding leaves of any residual verify_eigenaction
     reads on the space; each is zero in exact arithmetic.  With
     u = ROUNDING / 2 and top = 2 max_len + 1:
 
     * phi(n) evaluates within e(n) = u a(n), a(n) = |phi(n)|, for a
       finite-support symbol (stored values or one real power), and within
-      e(n) = u (8n + N + 11) a(n) for a measure symbol of N atoms, with
+      e(n) = u (8n + N + 11) a(n) for a form with N atoms, with
       a(n) = max(|c_even|, |c_odd|) + sum |w| |s|**n: a complex power s**n
       carries up to (7.3n + 4) u of relative error (the modulus raised to
       n, the angle times n), its product with w 2.3 u, and each of the N
@@ -342,18 +332,18 @@ def _scaling_rounding(sym: RadialSymbol, space: FockSpace) -> float:
       sums at most 3M (a value, a difference of two, or a value plus one d).
     * lambda = phi(n), n <= 2 max_len, is within e(n).
     """
-    u, top, length = ROUNDING / 2, 2 * space.max_len + 1, support_length(sym)
+    u, top, length = ROUNDING / 2, 2 * space.max_len + 1, f.support_length
     n = np.arange(top + 3 if length is None else max(top + 3, length + 2))
     if length is None:
-        s, w = atom_arrays(sym)
+        s, w = f.s, f.w
         terms = np.abs(w)[:, None] * np.abs(s)[:, None] ** n
-        a = max(map(abs, parity_tails(sym))) + terms.sum(axis=0)
+        a = max(abs(f.even), abs(f.odd)) + terms.sum(axis=0)
         e = u * (8 * n + s.size + 11) * a
         b = (terms / np.abs(1 + s)[:, None]).sum(axis=0)
         psi_rounding = u * (8 * n + s.size + 17) * b
         tails, big = psi_rounding[top + 1] + psi_rounding[top + 2], max(a.max(), b.max())
     else:
-        phi = np.array([evaluate(sym, m) for m in n.tolist()])
+        phi = np.array([f.value(m) for m in n.tolist()])
         a, diff = np.abs(phi), np.abs(phi[:-1] - phi[1:])
         e, pairs = u * a, a[:-1] + a[1:]
         run = [(pairs[m:length:2], diff[m:length:2]) for m in (top + 1, top + 2)]
@@ -376,11 +366,12 @@ def verify_eigenaction(
     letters lie in distinct factors, and phi(k+l-1) otherwise.  Residuals
     are measured entrywise.
     """
-    kernels = _kernels(plan.symbol, space, plan.c, h=True, k=True)
-    parts = [(kernels, cache(lambda n, case: evaluate(plan.symbol, n - (case == CASE_TWO))))]
+    f = form(plan.symbol)
+    kernels = _kernels(f, space, plan.c, h=True, k=True)
+    parts = [(kernels, cache(lambda n, case: f.value(n - (case == CASE_TWO))))]
     rows, worst = _scaling_rows(space, max_word, max_pair_sum, parts)
     records = [EigenRecord(*p, k, l, *r[0]) for k, l, p, r in rows]
-    return EigenReport(records, worst, _scaling_rounding(plan.symbol, space))
+    return EigenReport(records, worst, _scaling_rounding(f, space))
 
 
 def verify_component_eigenaction(
@@ -394,8 +385,9 @@ def verify_component_eigenaction(
     T1 scales every pair by psi1(k+l); T2 scales by psi2(k+l) in the
     distinct-factor case and psi2(k+l-2) otherwise.
     """
-    t1, t2 = cache(lambda n: psi1(plan.symbol, n)), cache(lambda n: psi2(plan.symbol, n))
-    kh, kk = _kernels(plan.symbol, space, h=True), _kernels(plan.symbol, space, k=True)
+    f = form(plan.symbol)
+    t1, t2 = cache(f.psi1), cache(lambda n: f.psi1(n + 1))
+    kh, kk = _kernels(f, space, h=True), _kernels(f, space, k=True)
     parts = [(kh, lambda n, case: t1(n)), (kk, lambda n, case: t2(n - 2 * (case == CASE_TWO)))]
     rows, worst = _scaling_rows(space, max_word, max_pair_sum, parts)
     return ComponentReport([ComponentRecord(*p, k, l, *r[0], *r[1]) for k, l, p, r in rows], worst)

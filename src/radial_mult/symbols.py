@@ -1,12 +1,14 @@
 """Radial symbols: complex-valued functions on the non-negative integers.
 
 A symbol is given either by a closed-form family (geometric, indicator,
-truncated geometric) or by finite data plus explicit tail behaviour.  The
-module evaluates symbols, extracts their tail constants, bounds sup |phi|
-from below, sums the alternating difference series ``psi1``/``psi2``, and
-implements index doubling, phi~(2n) = phi(n) and phi~(2n+1) = 0, as the
-``Doubled`` family.  It is the one home of measure arithmetic: atom arrays,
-the Vandermonde horizon, and exact squares, powers and 1 - |s|**2 of atoms.
+truncated geometric) or by finite data plus explicit tail behaviour, and
+``Doubled`` is the index doubling phi~(2n) = phi(n), phi~(2n+1) = 0.
+Every family is read through one normal form (``form``, a ``Form``): a head
+of values, even and odd tails, and atoms w s**n.  The module's reads of a
+symbol (values, tail constants, support length, atoms, sup |phi| from
+below and the alternating difference series ``psi1``/``psi2``) are reads of
+that form.  It is also the one home of measure arithmetic: the Vandermonde
+horizon, and exact squares, powers and 1 - |s|**2 of atoms.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, UnsupportedTail
+from .errors import NonConvergent, TooLarge, UnsupportedTail
 
 # Margin keeping measure atoms away from the unit circle, where the
 # weight |1-s|/(1-|s|) blows up.
@@ -31,7 +33,8 @@ ROUNDING = float(np.finfo(float).eps)
 # Significant bits kept by the exact squarings behind atom_powers.
 POWER_BITS = 128
 
-# Longest power sequences built; atoms with |s| above about 1 - 3.4e-5 need more.
+# Longest power sequences built (atoms with |s| above about 1 - 3.4e-5 need
+# more) and longest heads of indicators and truncated geometrics.
 VECTOR_HORIZON_CAP = 1 << 20
 
 
@@ -115,9 +118,7 @@ class Finite:
     tail: complex
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(_finite_complex(v, "value") for v in self.values)
-        )
+        object.__setattr__(self, "values", tuple(_finite_complex(v, "value") for v in self.values))
         object.__setattr__(self, "tail", _finite_complex(self.tail, "tail"))
 
 
@@ -144,9 +145,7 @@ class ParityTail:
     tail_odd: complex
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(_finite_complex(v, "value") for v in self.values)
-        )
+        object.__setattr__(self, "values", tuple(_finite_complex(v, "value") for v in self.values))
         object.__setattr__(self, "tail_even", _finite_complex(self.tail_even, "even tail"))
         object.__setattr__(self, "tail_odd", _finite_complex(self.tail_odd, "odd tail"))
 
@@ -177,76 +176,126 @@ RadialSymbol = (
 )
 
 
+@dataclass(frozen=True, eq=False)
+class Form:
+    """The normal form every symbol is read through (Kronecker's finite-rank
+    Hankel theorem): phi(n) = head[n] for n < len(head), and from there on
+    phi(n) = t(n) + sum_a w_a s_a**n, with t(n) the even or odd tail.
+
+    The atoms (s, w) have distinct locations and nonzero weights.  After k
+    doublings they are the 2**k-th roots of ``base_atoms``, with stride =
+    2**k: their sum is sum_b v_b b**(n / stride) where stride divides n and
+    0 elsewhere, which ``value`` reads with the rounding of the base.
+    """
+
+    head: tuple[complex, ...]
+    even: complex
+    odd: complex
+    s: np.ndarray
+    w: np.ndarray
+    stride: int
+    base_atoms: tuple[tuple[complex, complex], ...]
+
+    @property
+    def atoms(self) -> tuple[tuple[complex, complex], ...]:
+        return tuple(zip(self.s.tolist(), self.w.tolist()))
+
+    @property
+    def support_length(self) -> int | None:
+        return None if self.s.size else len(self.head)
+
+    def value(self, n: int) -> complex:
+        if n < len(self.head):
+            return self.head[n]
+        acc = self.odd if n % 2 else self.even
+        if n % self.stride == 0:
+            for b, v in self.base_atoms:
+                acc += v * b ** (n // self.stride)
+        return acc
+
+    def tail_constant(self) -> complex:
+        if self.even != self.odd:
+            raise UnsupportedTail(
+                "symbol is 2-periodic at infinity; use parity_tails() for its "
+                f"even/odd limits ({self.even}, {self.odd})"
+            )
+        return self.even
+
+    def psi1(self, n: int) -> complex:
+        if n < 0:
+            raise ValueError("index must be non-negative")
+        if self.even != self.odd:
+            raise NonConvergent(
+                f"difference terms tend to +-{self.even - self.odd} (even/odd tails "
+                "differ), so the series diverges"
+            )
+        if self.s.size:
+            return sum((w * s**n / (1.0 + s) for s, w in self.atoms), 0.0 + 0.0j)
+        terms = (self.value(i) - self.value(i + 1) for i in range(n, len(self.head), 2))
+        return sum(terms, 0.0 + 0.0j)
+
+
+def form(sym: RadialSymbol) -> Form:
+    """The normal form of sym: the one reading of the families' fields.
+
+    A Doubled symbol is a transform of its base's form: the head is
+    interleaved with exact zeros, each atom s becomes +-sqrt(s) with weight
+    w/2, and a tail c becomes the tails (c, 0).  Atoms at equal locations
+    (such as +-sqrt(0)) are merged into the first, and zero weights dropped.
+    """
+    head, tails, atoms, stride = (), (0j, 0j), (), 1
+    if isinstance(sym, (Indicator, TruncatedGeometric)) and sym.n0 >= VECTOR_HORIZON_CAP:
+        raise TooLarge(f"a head of {sym.n0 + 1} values (cap {VECTOR_HORIZON_CAP})")
+    if isinstance(sym, Doubled):
+        base = form(sym.base)
+        head = [v for x in base.head for v in (x, 0j)]
+        roots = [(cmath.sqrt(s), w / 2) for s, w in base.atoms]
+        atoms = [atom for r, w in roots for atom in ((r, w), (-r, w))]
+        tails, stride = (base.even, 0j), 2 * base.stride
+    elif isinstance(sym, Geometric):
+        atoms = ((sym.s, 1.0 + 0.0j),)
+    elif isinstance(sym, Indicator):
+        head = (0j,) * sym.n0 + (1.0 + 0.0j,)
+    elif isinstance(sym, TruncatedGeometric):
+        head = [complex(sym.r**n) for n in range(sym.n0 + 1)]
+    elif isinstance(sym, Finite):
+        head, tails = sym.values, (sym.tail, sym.tail)
+    elif isinstance(sym, FromMeasure):
+        tails, atoms = (sym.c, sym.c), sym.measure.atoms
+    elif isinstance(sym, ParityTail):
+        head, tails = sym.values, (sym.tail_even, sym.tail_odd)
+    else:
+        raise TypeError(f"not a radial symbol: {sym!r}")
+    merged: dict[complex, complex] = {}
+    for s, w in atoms:
+        merged[s] = merged[s] + w if s in merged else w
+    atoms = tuple((s, w) for s, w in merged.items() if w)
+    s, w = np.array(atoms, dtype=complex).reshape(-1, 2).T.copy()
+    return Form(tuple(head), *tails, s, w, stride, base.base_atoms if stride > 1 else atoms)
+
+
 def evaluate(sym: RadialSymbol, n: int) -> complex:
-    """Return phi(n) for the represented family."""
+    """Return phi(n)."""
     if n < 0:
         raise ValueError("symbols are defined on non-negative integers")
-    if isinstance(sym, Geometric):
-        return sym.s**n
-    if isinstance(sym, Indicator):
-        return 1.0 + 0.0j if n == sym.n0 else 0.0 + 0.0j
-    if isinstance(sym, TruncatedGeometric):
-        return complex(sym.r**n) if n <= sym.n0 else 0.0 + 0.0j
-    if isinstance(sym, Finite):
-        return sym.values[n] if n < len(sym.values) else sym.tail
-    if isinstance(sym, FromMeasure):
-        acc = sym.c
-        for s, w in sym.measure.atoms:
-            acc += w * s**n
-        return acc
-    if isinstance(sym, ParityTail):
-        if n < len(sym.values):
-            return sym.values[n]
-        return sym.tail_even if n % 2 == 0 else sym.tail_odd
-    if isinstance(sym, Doubled):
-        return 0j if n % 2 else evaluate(sym.base, n // 2)
-    raise TypeError(f"not a radial symbol: {sym!r}")
+    return form(sym).value(n)
 
 
 def parity_tails(sym: RadialSymbol) -> tuple[complex, complex]:
     """Limits of phi along even and odd indices."""
-    if isinstance(sym, (Geometric, Indicator, TruncatedGeometric)):
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    if isinstance(sym, Finite):
-        return sym.tail, sym.tail
-    if isinstance(sym, FromMeasure):
-        return sym.c, sym.c
-    if isinstance(sym, ParityTail):
-        return sym.tail_even, sym.tail_odd
-    if isinstance(sym, Doubled):
-        return parity_tails(sym.base)[0], 0j
-    raise TypeError(f"not a radial symbol: {sym!r}")
+    f = form(sym)
+    return f.even, f.odd
 
 
 def tail_constant(sym: RadialSymbol) -> complex:
     """The limit of phi(n); raises UnsupportedTail if even/odd limits differ."""
-    even, odd = parity_tails(sym)
-    if even != odd:
-        raise UnsupportedTail(
-            "symbol is 2-periodic at infinity; use parity_tails() for its "
-            f"even/odd limits ({even}, {odd})"
-        )
-    return even
+    return form(sym).tail_constant()
 
 
 def support_length(sym: RadialSymbol) -> int | None:
-    """Index from which phi is constant on the even and on the odd indices.
-
-    Every difference of a finite-support symbol vanishes from there on.
-    Measure symbols with atoms never settle and give None.
-    """
-    if isinstance(sym, (Indicator, TruncatedGeometric)):
-        return sym.n0 + 1
-    if isinstance(sym, (Finite, ParityTail)):
-        return len(sym.values)
-    if isinstance(sym, FromMeasure) and not sym.measure.atoms:
-        return 0
-    if isinstance(sym, (Geometric, FromMeasure)):
-        return None
-    if isinstance(sym, Doubled):
-        length = support_length(sym.base)
-        return None if length is None else 2 * length
-    raise TypeError(f"not a radial symbol: {sym!r}")
+    """Index from which phi is constant on the even and on the odd indices, so
+    that every difference vanishes; None for symbols with atoms, which never settle."""
+    return form(sym).support_length
 
 
 def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
@@ -262,19 +311,17 @@ def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
     horizon past VECTOR_HORIZON_CAP stops the scan there, which still gives
     a lower bound.
     """
-    length = support_length(sym)
-    if length is not None:
-        return max(abs(evaluate(sym, n)) for n in range(length + 2))
-    even, odd = parity_tails(sym)
-    s, w = atom_arrays(sym)
-    radius, size = np.abs(s), np.abs(w)
-    limit = max(abs(even), abs(odd))
-    horizon = min(vandermonde_horizon(s), VECTOR_HORIZON_CAP)
+    f = form(sym)
+    if (length := f.support_length) is not None:
+        return max(abs(f.value(n)) for n in range(length + 2))
+    radius, size = np.abs(f.s), np.abs(f.w)
+    limit = max(abs(f.even), abs(f.odd))
+    horizon = min(vandermonde_horizon(f.s), VECTOR_HORIZON_CAP)
     n = 32
     while True:
-        phi = atom_powers(s, n) @ w
-        phi[0::2] += even
-        phi[1::2] += odd
+        phi = atom_powers(f.s, n) @ f.w
+        phi[0::2] += f.even
+        phi[1::2] += f.odd
         best = max(limit, float(np.abs(phi).max()))
         if limit + size @ radius**n <= best or n >= horizon:
             return best
@@ -282,29 +329,15 @@ def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
 
 
 def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
-    """Atoms (s, w) with phi(n) = tail + sum w * s**n, for the measure families.
-
-    A doubled measure symbol has the atoms (+-sqrt(s), w/2): w s**(m/2) for
-    even m and 0 for odd m is (w/2) (r**m + (-r)**m) with r**2 = s.  Its
-    tail c doubles to c (1 + (-1)**m)/2, which the parity tails carry, not
-    the atoms.
-    """
-    if isinstance(sym, Geometric):
-        return ((sym.s, 1.0 + 0.0j),)
-    if isinstance(sym, FromMeasure):
-        return sym.measure.atoms
-    if isinstance(sym, Doubled):
-        roots = [(cmath.sqrt(s), w / 2) for s, w in measure_atoms(sym.base)]
-        return tuple(atom for r, w in roots for atom in ((r, w), (-r, w)))
-    raise TypeError(f"{type(sym).__name__} has no measure representation")
+    """Atoms (s, w) with phi(n) = tail + sum w * s**n past the head (see form):
+    w s**(m/2) for even m and 0 for odd m is (w/2) (r**m + (-r)**m), r**2 = s."""
+    return form(sym).atoms
 
 
 def atom_arrays(sym: RadialSymbol) -> tuple[np.ndarray, np.ndarray]:
     """The locations s and weights w of measure_atoms(sym), as complex arrays."""
-    atoms = measure_atoms(sym)
-    s = np.array([a for a, _ in atoms], dtype=complex)
-    w = np.array([b for _, b in atoms], dtype=complex)
-    return s, w
+    f = form(sym)
+    return f.s, f.w
 
 
 def vandermonde_horizon(s: np.ndarray) -> int:
@@ -372,27 +405,13 @@ def atom_powers(s: np.ndarray, m: int) -> np.ndarray:
 def psi1(sym: RadialSymbol, n: int) -> complex:
     """Sum of the alternating difference series starting at index n.
 
-    psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)), in closed form: a measure
-    symbol gives sum_j w_j s_j**n / (1 + s_j), and a finite-support symbol a
-    finite sum up to its support length.  When the even and odd tails differ
-    the terms tend to +-(even - odd), so the series diverges and
-    NonConvergent is raised.
+    psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)), in closed form: a symbol
+    with atoms gives sum_j w_j s_j**n / (1 + s_j), and a finite-support
+    symbol a finite sum up to its support length.  When the even and odd
+    tails differ the terms tend to +-(even - odd), so the series diverges
+    and NonConvergent is raised.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    even, odd = parity_tails(sym)
-    if even != odd:
-        raise NonConvergent(
-            f"difference terms tend to +-{even - odd} (even/odd tails differ), "
-            "so the series diverges"
-        )
-    length = support_length(sym)
-    if length is None:
-        return sum((w * s**n / (1.0 + s) for s, w in measure_atoms(sym)), 0.0 + 0.0j)
-    return sum(
-        (evaluate(sym, i) - evaluate(sym, i + 1) for i in range(n, length, 2)),
-        0.0 + 0.0j,
-    )
+    return form(sym).psi1(n)
 
 
 def psi2(sym: RadialSymbol, n: int) -> complex:
@@ -404,8 +423,8 @@ def double(sym: RadialSymbol) -> RadialSymbol:
     """The symbol with phi~(2n) = phi(n) and phi~(2n+1) = 0.
 
     Indicators keep their closed form, Indicator(2 n0); every other symbol
-    becomes Doubled(sym), which evaluates, and takes its exact norm route,
-    through its base.
+    becomes Doubled(sym), which is read through the doubling of its base's
+    form.
     """
     if isinstance(sym, Indicator):
         return Indicator(2 * sym.n0)

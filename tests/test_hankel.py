@@ -34,7 +34,7 @@ from radial_mult import (
     tail_constant,
     to_obj,
 )
-from radial_mult.symbols import atom_arrays, measure_atoms, parity_tails, support_length
+from radial_mult.symbols import atom_arrays, form, measure_atoms, parity_tails, support_length
 
 SQRT5 = math.sqrt(5.0)
 
@@ -98,6 +98,23 @@ def test_c_norm_geometric_closed_form():
 def test_c_norm_indicator_exact():
     assert abs(c_norm(Indicator(0)).total - 1.0) < 1e-12
     assert abs(c_norm(Indicator(1)).total - (1.0 + SQRT5)) < 1e-12
+
+
+def test_merged_atoms_take_the_route_of_what_is_left():
+    # Atoms at one location merge and zero weights drop.  This phi is 0, so
+    # the support route at height 1 reads 0 (64 Vandermonde rows read 3.8e-16).
+    zero = FromMeasure(0.0, DiscreteMeasure(((0.5, 1.0), (0.5, -1.0))))
+    rep = c_norm(zero)
+    assert (rep.route, rep.truncation, rep.total, rep.error_bound) == ("support", 1, 0.0, 0.0)
+    twice = FromMeasure(0.0, DiscreteMeasure(((0.5, 1.0), (0.5, 1.0))))
+    assert measure_atoms(twice) == ((0.5, 2.0),)
+    assert c_norm(twice).total == c_norm(FromMeasure(0.0, DiscreteMeasure(((0.5, 2.0),)))).total
+    # +-sqrt(0) are one atom: Doubled(Geometric(0)) is the delta at 0, as Geometric(0) is
+    doubled = Doubled(Geometric(0))
+    assert measure_atoms(doubled) == ((0j, 1 + 0j),)
+    assert hankel_mod.exact_route(doubled) == ("vandermonde", 1)
+    assert c_norm(doubled).total == c_norm(Geometric(0)).total == 1.0
+    assert cprime_norm(doubled).total == 1.0
 
 
 def test_c_norm_report_invariants():
@@ -607,7 +624,7 @@ def test_difference_matrices_are_views_of_one_row():
     sym = Finite((1.0, 2j, -3.0, 0.5), 0.25)
     values = [evaluate(sym, n) for n in range(12)]
     pairs = (hankel_mod.H, hankel_mod.K, hankel_mod.HHAT)
-    h, k, hhat = hankel_mod._difference_matrices(sym, 4, pairs)
+    h, k, hhat = hankel_mod._difference_matrices(form(sym), 4, pairs)
     assert np.shares_memory(h, k) and not np.shares_memory(h, hhat)
     assert not any(a.flags.writeable for a in (h, k, hhat))
     for a, offset, step in ((h, 0, 1), (k, 1, 1), (hhat, 0, 2)):

@@ -124,10 +124,23 @@ def test_representation_for():
     c, measure = representation_for(Finite((), 3.0))
     assert c == 3.0 and len(measure) == 0
 
-    with pytest.raises(UnsupportedRepresentation):
-        representation_for(Indicator(1))
-    with pytest.raises(UnsupportedRepresentation):
-        representation_for(TruncatedGeometric(0.5, 3))
+    # a doubled measure is its form's atoms +-sqrt(s) with weights w/2
+    c, measure = representation_for(Doubled(Geometric(0.5)))
+    root = cmath.sqrt(0.5)
+    assert c == 0 and measure.atoms == ((root, 0.5 + 0j), (-root, 0.5 + 0j))
+    c, measure = representation_for(ParityTail((2.0, 2.0), 2.0, 2.0))
+    assert c == 2.0 and len(measure) == 0
+
+    # a head that differs from the tail has no such representation
+    for sym in (
+        Indicator(1),
+        TruncatedGeometric(0.5, 3),
+        Doubled(Indicator(1)),
+        Doubled(TruncatedGeometric(0.5, 3)),
+        Doubled(Finite((), 1.0)),
+    ):
+        with pytest.raises(UnsupportedRepresentation):
+            representation_for(sym)
 
 
 def test_doubling_examples():

@@ -73,6 +73,7 @@ from radial_mult.multiplier import (
     _apply,
     _kernels,
 )
+from radial_mult.symbols import form
 
 SYMBOLS = [
     Geometric(0.5),
@@ -666,9 +667,9 @@ def test_checked_maps_keep_word_pair_positions(case):
     space, sym, max_word, max_pair_sum, extra_slots = case
     plan = build_plan(sym)
     kernels = [
-        _kernels(sym, space, plan.c, h=True, k=True),
-        _kernels(sym, space, h=True),
-        _kernels(sym, space, k=True),
+        _kernels(form(sym), space, plan.c, h=True, k=True),
+        _kernels(form(sym), space, h=True),
+        _kernels(form(sym), space, k=True),
     ]
     d = space.max_len + 1 + extra_slots
     bounds, top = [*space.level_offsets, space.dim], min(max_word, space.max_len)
@@ -759,12 +760,12 @@ def per_pair_reports(space, plan, max_word, max_pair_sum, tensor_dim):
 
     checks = [
         scaling(
-            _kernels(sym, space, plan.c, h=True, k=True),
+            _kernels(form(sym), space, plan.c, h=True, k=True),
             lambda k, l, case: evaluate(sym, k + l - (case == CASE_TWO)),
         ),
-        scaling(_kernels(sym, space, h=True), lambda k, l, case: psi1(sym, k + l)),
+        scaling(_kernels(form(sym), space, h=True), lambda k, l, case: psi1(sym, k + l)),
         scaling(
-            _kernels(sym, space, k=True),
+            _kernels(form(sym), space, k=True),
             lambda k, l, case: psi2(sym, k + l - 2 * (case == CASE_TWO)),
         ),
         tensor(1),
@@ -781,7 +782,7 @@ def per_pair_reports(space, plan, max_word, max_pair_sum, tensor_dim):
         TensorReport(v, [TensorRecord(*row[2:5], row[5][2 + v][1]) for row in rows], worst(2 + v))
         for v in (1, 2)
     ]
-    rounding = multiplier._scaling_rounding(sym, space)
+    rounding = multiplier._scaling_rounding(form(sym), space)
     return [EigenReport(eigen, worst(0), rounding), ComponentReport(parts, worst(1, 2)), *tensors]
 
 
@@ -960,7 +961,7 @@ def test_kernel_psi_matches_psi1(sym):
     """The kernels' one-pass psi sequence against psi1/psi2 at every level sum."""
     space = build_space(FockSpec((1, 1), 8))
     for part, psi in (({"h": True}, psi1), ({"k": True}, psi2)):
-        w, _, _ = _kernels(sym, space, **part)
+        w, _, _ = _kernels(form(sym), space, **part)
         expected = np.array([psi(sym, n) for n in range(2 * space.max_len + 1)])
         assert len(w) == len(expected)
         assert np.abs(w - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())

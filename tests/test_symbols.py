@@ -1,8 +1,13 @@
+import cmath
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_hankel import decomposed_symbols, finite_support, late_or_complex_tail, tail_free
 
 from radial_mult import (
     DiscreteMeasure,
@@ -24,6 +29,7 @@ from radial_mult import (
     tail_constant,
     to_obj,
 )
+from radial_mult.symbols import atom_arrays, form, measure_atoms, support_length
 
 FAMILIES = [
     Geometric(0.5),
@@ -227,3 +233,131 @@ def test_serialization_accepts_re_im_objects():
 def test_finite_requires_explicit_tail():
     with pytest.raises(TypeError):
         Finite((1.0, 2.0))  # no tail given
+
+
+# ---------------------------------------------------------------------------
+# The normal form against the per-family formulas it replaced
+# ---------------------------------------------------------------------------
+
+# The reads each family had before every symbol went through symbols.form,
+# kept literally as a reference.
+
+
+def reference_value(sym, n):
+    if isinstance(sym, Geometric):
+        return sym.s**n
+    if isinstance(sym, Indicator):
+        return 1.0 + 0.0j if n == sym.n0 else 0.0 + 0.0j
+    if isinstance(sym, TruncatedGeometric):
+        return complex(sym.r**n) if n <= sym.n0 else 0.0 + 0.0j
+    if isinstance(sym, Finite):
+        return sym.values[n] if n < len(sym.values) else sym.tail
+    if isinstance(sym, FromMeasure):
+        acc = sym.c
+        for s, w in sym.measure.atoms:
+            acc += w * s**n
+        return acc
+    if isinstance(sym, ParityTail):
+        if n < len(sym.values):
+            return sym.values[n]
+        return sym.tail_even if n % 2 == 0 else sym.tail_odd
+    return 0j if n % 2 else reference_value(sym.base, n // 2)  # Doubled
+
+
+def reference_parity_tails(sym):
+    if isinstance(sym, (Geometric, Indicator, TruncatedGeometric)):
+        return 0.0 + 0.0j, 0.0 + 0.0j
+    if isinstance(sym, Finite):
+        return sym.tail, sym.tail
+    if isinstance(sym, FromMeasure):
+        return sym.c, sym.c
+    if isinstance(sym, ParityTail):
+        return sym.tail_even, sym.tail_odd
+    return reference_parity_tails(sym.base)[0], 0j  # Doubled
+
+
+def reference_support_length(sym):
+    if isinstance(sym, (Indicator, TruncatedGeometric)):
+        return sym.n0 + 1
+    if isinstance(sym, (Finite, ParityTail)):
+        return len(sym.values)
+    if isinstance(sym, FromMeasure) and not sym.measure.atoms:
+        return 0
+    if isinstance(sym, (Geometric, FromMeasure)):
+        return None
+    length = reference_support_length(sym.base)  # Doubled
+    return None if length is None else 2 * length
+
+
+def reference_atoms(sym):
+    """The atoms before merging; () for the families without atoms."""
+    if isinstance(sym, Geometric):
+        return ((sym.s, 1.0 + 0.0j),)
+    if isinstance(sym, FromMeasure):
+        return sym.measure.atoms
+    if isinstance(sym, Doubled):
+        roots = [(cmath.sqrt(s), w / 2) for s, w in reference_atoms(sym.base)]
+        return tuple(atom for r, w in roots for atom in ((r, w), (-r, w)))
+    return ()
+
+
+def merges(sym):
+    """Whether form(sym) merges atoms or drops a zero weight, here or in a base."""
+    atoms = reference_atoms(sym)
+    clash = len({s for s, _ in atoms}) < len(atoms) or any(w == 0 for _, w in atoms)
+    return clash or (isinstance(sym, Doubled) and merges(sym.base))
+
+
+def bits(z, signed_zeros=True):
+    """The bit pattern of a complex; z + 0j turns a zero part's sign to +."""
+    z = complex(z) if signed_zeros else complex(z) + 0j
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def root_family(sym):
+    while isinstance(sym, Doubled):
+        sym = sym.base
+    return type(sym)
+
+
+every_symbol = st.one_of(
+    decomposed_symbols,
+    late_or_complex_tail,
+    finite_support,
+    tail_free.map(Doubled).map(Doubled),
+    tail_free.map(Doubled).map(Doubled).map(Doubled),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(every_symbol)
+@example(Doubled(Doubled(Geometric(0.5j))))
+@example(Doubled(FromMeasure(0j, DiscreteMeasure(((0.5, 1.0), (0.5, 1.0), (0.3, 0.0))))))
+@example(Doubled(Doubled(Doubled(TruncatedGeometric(0.7, 4)))))
+def test_form_reads_match_the_family_formulas(sym):
+    # Bit for bit, with two exceptions.  A geometric symbol is read as the
+    # measure 0 + 1 s**n, whose sum turns a -0.0 part of s**n into 0.0.
+    # Merged atoms sum their weights before the powers, so those values are
+    # within 2 e(n): each side is within e(n) = u (8n + N + 11) a(n) of
+    # phi(n), the per-value bound in multiplier._scaling_rounding.
+    f = form(sym)
+    assert f is not form(sym)  # built per call, never cached on the symbol
+    assert list(map(bits, parity_tails(sym))) == list(map(bits, reference_parity_tails(sym)))
+    raw, atoms = reference_atoms(sym), measure_atoms(sym)
+    s, w = atom_arrays(sym)
+    assert atoms == tuple(zip(s.tolist(), w.tolist()))
+    merged = merges(sym)
+    if not merged:
+        assert [tuple(map(bits, a)) for a in atoms] == [tuple(map(bits, a)) for a in raw]
+    length = reference_support_length(sym)
+    assert support_length(sym) == (length if atoms or not raw else 0)
+    signed = root_family(sym) is not Geometric
+    u, even, odd = 2.0**-53, *reference_parity_tails(sym)
+    for n in range(300):
+        got, want = f.value(n), reference_value(sym, n)
+        if merged:
+            a = max(abs(even), abs(odd)) + sum(abs(wj) * abs(sj) ** n for sj, wj in raw)
+            assert abs(got - want) <= 2 * u * (8 * n + len(raw) + 11) * a
+        else:
+            assert bits(got, signed) == bits(want, signed), n
+    assert bits(evaluate(sym, 299)) == bits(f.value(299))
