@@ -13,13 +13,10 @@ from radial_mult import (
     build_space,
     classify_case,
     creation,
+    diagonal,
     eps,
     factor_end_projection,
-    identity,
-    level_projection,
     rho,
-    rho_power,
-    tail_projection,
     word_label,
     word_operator,
 )
@@ -34,32 +31,31 @@ print("sample words:", [word_label(w) for w in space.basis[:9]])
 L = creation(space, (0, 0))
 print("L L* L = L deviation:", np.abs((L @ L.H @ L - L).to_dense()).max())
 
-# --- projections ---------------------------------------------------------------
+# --- projections: diagonals of 0/1 masks over the levels -------------------------
 
-I = identity(space)
-total = sum(level_projection(space, n).to_dense() for n in range(3))
+levels = np.arange(space.max_len + 1)
+I = diagonal(space, levels >= 0)
+Q1 = diagonal(space, levels >= 1).to_dense()  # the words of length >= 1
+total = sum(diagonal(space, levels == n).to_dense() for n in levels)
 print("sum of level projections = identity:", np.array_equal(total, np.eye(space.dim)))
 q_total = sum(
     factor_end_projection(space, i).to_dense() for i in range(3)
 )
-print(
-    "sum of last-letter projections = off-vacuum projection:",
-    np.array_equal(q_total, tail_projection(space, 1).to_dense()),
-)
+print("sum of last-letter projections = off-vacuum projection:", np.array_equal(q_total, Q1))
 
 # --- rho and eps ----------------------------------------------------------------
 
-print("rho(identity) = Q1:", np.array_equal(rho(space, I).to_dense(),
-                                            tail_projection(space, 1).to_dense()))
+print("rho(identity) = Q1:", np.array_equal(rho(space, I).to_dense(), Q1))
 
 # iterating rho on a word-pair operator just multiplies by a tail projection
 xi = ((0, 0),)
 eta = ((1, 1),)
 a = word_operator(space, xi, eta)
+power = a
 for n in range(3):
-    lhs = rho_power(space, a, n).to_dense()
-    rhs = (a @ tail_projection(space, len(eta) + n)).to_dense()
-    print(f"rho^{n} identity exact:", np.array_equal(lhs, rhs))
+    rhs = (a @ diagonal(space, levels >= len(eta) + n)).to_dense()
+    print(f"rho^{n} identity exact:", np.array_equal(power.to_dense(), rhs))
+    power = rho(space, power)
 
 # eps acts by case: distinct last factors reduce to rho, shared ones fix the operator
 case1 = (((0, 0),), ((1, 1),))

@@ -7,6 +7,8 @@ value at the combined length (shifted by one when the last letters share
 a factor).
 """
 
+import numpy as np
+
 from radial_mult import (
     FockSpec,
     Geometric,
@@ -16,8 +18,8 @@ from radial_mult import (
     apply_T2,
     build_plan,
     build_space,
+    diagonal,
     evaluate,
-    identity,
     psi1,
     psi2,
     verify_component_eigenaction,
@@ -35,7 +37,7 @@ print(
 )
 
 # T on the identity returns phi(0) times the identity
-out = apply_T(plan, space, identity(space))
+out = apply_T(plan, space, diagonal(space, np.ones(space.max_len + 1)))
 print("T(identity) diagonal value:", out.to_dense()[0, 0], "= phi(0) =", evaluate(sym, 0))
 
 # two pairs with the same lengths but different case

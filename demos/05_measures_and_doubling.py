@@ -10,12 +10,14 @@ import numpy as np
 
 from radial_mult import (
     DiscreteMeasure,
+    Doubled,
     FromMeasure,
     Geometric,
     Indicator,
-    eval_measure,
+    TruncatedGeometric,
     evaluate,
-    representation_for,
+    measure_atoms,
+    tail_constant,
     verify_doubling,
     verify_membership_bound,
     weight,
@@ -25,7 +27,7 @@ from radial_mult import (
 
 delta = DiscreteMeasure(((0.5, 1.0),))
 print("atom at 0.5 vs geometric 0.5:",
-      all(eval_measure(0.0, delta, n) == evaluate(Geometric(0.5), n) for n in range(64)))
+      all(evaluate(FromMeasure(0.0, delta), n) == evaluate(Geometric(0.5), n) for n in range(64)))
 print("weight of the atom:", weight(delta))
 
 rep = verify_membership_bound(0.0, delta)
@@ -46,10 +48,18 @@ for trial in range(3):
     rep = verify_membership_bound(0.0, measure)
     print(f"trial {trial}: {rep.difference_norms:.6f} <= {rep.weight:.6f} -> {rep.holds}")
 
-# --- recovering the stored representation ------------------------------------------
+# --- reading a symbol's representation c + sum_j w_j s_j^n ----------------------------
 
-c, measure = representation_for(Geometric(-0.5))
-print("representation of geometric -0.5:", c, measure.atoms)
+# The tail is c and the atoms are those of the symbol's normal form.  A doubled
+# symbol has the atoms +-sqrt(s) with weights w/2.  A finite-support symbol,
+# such as a truncated geometric, has no atoms: it is its head of values, then c.
+for sym, name in (
+    (Geometric(-0.5), "geometric -0.5"),
+    (FromMeasure(1.0, delta), "atom plus constant"),
+    (Doubled(Geometric(0.25)), "doubled geometric 0.25"),
+    (TruncatedGeometric(0.5, 3), "truncated geometric 0.5 to n = 3"),
+):
+    print(f"{name}: c = {tail_constant(sym)}, atoms {measure_atoms(sym)}")
 
 # --- doubling preserves the norm ----------------------------------------------------
 

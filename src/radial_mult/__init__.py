@@ -9,11 +9,9 @@ checked as a concrete matrix equation.
 
 from .errors import (
     DimensionMismatch,
-    NonConvergent,
     NumericalFailure,
     RadialMultError,
     TooLarge,
-    UnsupportedRepresentation,
     UnsupportedTail,
 )
 from .fock import (
@@ -28,14 +26,8 @@ from .fock import (
     diagonal,
     eps,
     factor_end_projection,
-    identity,
-    left_word,
-    level_projection,
     rho,
-    rho_power,
-    right_creation,
     right_word,
-    tail_projection,
     word_label,
     word_operator,
 )
@@ -54,8 +46,6 @@ from .hankel import (
 from .integral import (
     DoublingReport,
     MembershipReport,
-    eval_measure,
-    representation_for,
     verify_doubling,
     verify_membership_bound,
     weight,
@@ -98,6 +88,7 @@ from .symbols import (
     double,
     eigenvalue_lower_bound,
     evaluate,
+    measure_atoms,
     parity_tails,
     psi1,
     psi2,

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import NonConvergent, NumericalFailure, TooLarge, UnsupportedTail
+from .errors import NumericalFailure, TooLarge, UnsupportedTail
 from .fock import build_space
 from .hankel import c_norm, cprime_norm
 from .integral import verify_doubling, verify_membership_bound
@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except (CliError, TooLarge, OSError, ValueError) as exc:
         print(f"radial-mult: error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergent, UnsupportedTail, NumericalFailure) as exc:
+    except (UnsupportedTail, NumericalFailure) as exc:
         print(f"radial-mult: mathematical failure: {exc}", file=sys.stderr)
         return 2
 

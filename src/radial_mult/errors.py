@@ -5,10 +5,6 @@ class RadialMultError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NonConvergent(RadialMultError):
-    """A series diverges: its terms do not tend to zero."""
-
-
 class UnsupportedTail(RadialMultError):
     """The symbol has no single limit at infinity (even/odd tails differ)."""
 
@@ -23,7 +19,3 @@ class TooLarge(RadialMultError):
 
 class DimensionMismatch(RadialMultError):
     """Operands live on incompatible spaces or dimensions."""
-
-
-class UnsupportedRepresentation(RadialMultError):
-    """No exact finitely-atomic measure representation is available."""

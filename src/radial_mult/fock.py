@@ -229,10 +229,6 @@ def _diagonal(space: FockSpace, values) -> FockOperator:
     return FockOperator(space, (index, index, values))
 
 
-def identity(space: FockSpace) -> FockOperator:
-    return _diagonal(space, np.ones(space.dim))
-
-
 def zero(space: FockSpace) -> FockOperator:
     return _diagonal(space, np.zeros(space.dim))
 
@@ -270,20 +266,7 @@ def _checked(space: FockSpace, word: Word) -> Word:
 
 def creation(space: FockSpace, letter: Letter) -> FockOperator:
     """Prepend a letter; zero on words starting in its factor or of full length."""
-    return left_word(space, (letter,))
-
-
-def right_creation(space: FockSpace, letter: Letter) -> FockOperator:
-    """Append a letter; zero on words ending in its factor or of full length."""
-    return right_word(space, (letter,))
-
-
-def left_word(space: FockSpace, word: Word) -> FockOperator:
-    """Product of left creations along the word (identity for the vacuum).
-
-    The first letter of the word is the outermost factor of the product.
-    """
-    return word_operator(space, word, VACUUM)
+    return word_operator(space, (letter,), VACUUM)
 
 
 def right_word(space: FockSpace, word: Word) -> FockOperator:
@@ -295,7 +278,8 @@ def right_word(space: FockSpace, word: Word) -> FockOperator:
 
 
 def word_operator(space: FockSpace, xi: Word, eta: Word) -> FockOperator:
-    """The rank-style operator L_xi L_eta^*, a 1 at (xi w, eta w) for every w.
+    """The rank-style operator L_xi L_eta^*, a 1 at (xi w, eta w) for every w;
+    with eta the vacuum it is L_xi, the left creations along xi.
 
     It is sum_n rho^n(e_xi e_eta^*), the rho chain from its corner entry
     (xi, eta), and zero when either word is no word of the space.  A word's
@@ -310,25 +294,13 @@ def word_operator(space: FockSpace, xi: Word, eta: Word) -> FockOperator:
 
 
 def diagonal(space: FockSpace, a) -> FockOperator:
-    """Operator multiplying every word of length n by a[n]."""
+    """Operator multiplying every word of length n by a[n]; a 0/1 mask over
+    the levels np.arange(max_len + 1) gives a projection, such as the
+    identity, the words of one length or those of lengths >= n."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or len(a) < space.max_len + 1:
         raise ValueError(f"need at least {space.max_len + 1} diagonal values")
     return _diagonal(space, a[space.levels])
-
-
-def level_projection(space: FockSpace, n: int) -> FockOperator:
-    """Orthogonal projection onto words of length exactly n."""
-    if not 0 <= n <= space.max_len:
-        raise ValueError(f"level must lie in [0, {space.max_len}]")
-    return _diagonal(space, space.levels == n)
-
-
-def tail_projection(space: FockSpace, n: int) -> FockOperator:
-    """Projection onto words of length >= n (empty sum, i.e. zero, beyond the cap)."""
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    return _diagonal(space, space.levels >= n)
 
 
 def factor_end_projection(space: FockSpace, factor: int) -> FockOperator:
@@ -376,16 +348,6 @@ def rho(space: FockSpace, op: FockOperator) -> FockOperator:
     remapped triplets.
     """
     return FockOperator(space, _rho_triplets(space, *op.triplets))
-
-
-def rho_power(space: FockSpace, op: FockOperator, n: int) -> FockOperator:
-    """n-fold iteration of rho."""
-    if n < 0:
-        raise ValueError("power must be non-negative")
-    out = op
-    for _ in range(n):
-        out = rho(space, out)
-    return out
 
 
 def eps(space: FockSpace, op: FockOperator) -> FockOperator:

@@ -8,8 +8,9 @@ finite-dimensional route to the trace norms of its difference matrices:
   head on, so one SVD at the head's length holds the whole spectrum (past
   SUPPORT_HEIGHT_CAP, TooLarge), each matrix a read-only Hankel view of one
   difference row per step (real when the row is).  An indicator shape (a
-  head of one 1 among zeros, zero tails) skips the SVD: its difference
-  matrices are signed shifts with singular values and vectors in closed form;
+  head of one 1 among zeros, zero tails) skips the SVD and the cap: its
+  difference matrices are signed shifts with singular values and vectors in
+  closed form, though its plan vectors stay capped;
 * Vandermonde route: with atoms, phi(n) = c + sum_a w_a s_a**n has
   H = V diag(d) V^T with V[i, a] = s_a**i (Kronecker's finite-rank Hankel
   theorem).  With the thin QR V = QR cut at a horizon M where max|s|**M is
@@ -164,7 +165,8 @@ def exact_route(sym: RadialSymbol) -> tuple[str, int]:
 
     ("support", max(support, 1)) for finite-support symbols,
     ("vandermonde", M) for symbols with atoms.  Raises TooLarge when the
-    support route would need a matrix taller than SUPPORT_HEIGHT_CAP.
+    support route would need a matrix taller than SUPPORT_HEIGHT_CAP; an
+    indicator shape, which takes the closed form, needs none.
     """
     return _route(form(sym))[:2]
 
@@ -175,10 +177,10 @@ def _route(f: Form) -> tuple[str, int, int | None]:
     if f.s.size:
         return "vandermonde", vandermonde_horizon(f.s), None
     m, head = max(len(f.head), 1), f.head
-    if m > SUPPORT_HEIGHT_CAP:
-        raise TooLarge(f"support route would need {m} x {m} matrices (cap {SUPPORT_HEIGHT_CAP})")
     # complex literals keep these scans on the complex-with-complex fast path
     shape = not (f.even or f.odd) and head.count(0j) == len(head) - 1 and 1 + 0j in head
+    if m > SUPPORT_HEIGHT_CAP and not shape:
+        raise TooLarge(f"support route would need {m} x {m} matrices (cap {SUPPORT_HEIGHT_CAP})")
     return "support", m, head.index(1 + 0j) if shape else None
 
 
@@ -289,9 +291,10 @@ def c_norm(sym: RadialSymbol) -> HankelReport:
     """Symbol norm: trace norms of both difference Hankel matrices plus |tail|.
 
     Finite-support symbols take one SVD per matrix at the support (TooLarge
-    past SUPPORT_HEIGHT_CAP; indicator shapes use the closed form); symbols
-    with atoms take the Vandermonde route with d = w(1-s) for h and w s(1-s)
-    for k.  A symbol whose even and odd tails differ raises UnsupportedTail.
+    past SUPPORT_HEIGHT_CAP; indicator shapes use the closed form at any
+    height up to symbols.VECTOR_HORIZON_CAP); symbols with atoms take the
+    Vandermonde route with d = w(1-s) for h and w s(1-s) for k.  A symbol
+    whose even and odd tails differ raises UnsupportedTail.
     """
     f = form(sym)
     tail_abs = abs(f.tail_constant())
@@ -431,24 +434,26 @@ def _atom_decompositions(s: np.ndarray, w: np.ndarray, m: int) -> list[RankOneDe
     return out
 
 
-def difference_decompositions(sym: RadialSymbol) -> tuple[RankOneDecomposition, ...]:
-    """Rank-one terms of h and k with vectors as long as exact_route(sym)'s
-    height m, which carry the whole operators (TooLarge past VECTOR_HORIZON_CAP).
+def _decompositions(f: Form) -> tuple[RankOneDecomposition, ...]:
+    """Rank-one terms of h and k with vectors as long as the exact route's
+    height m, which carry the whole operators (the terms of build_plan).
 
     Finite-support symbols decompose the m x m truncations through one
-    stacked SVD of both, indicator shapes in closed form.  Symbols with
-    atoms reuse the Vandermonde factorization, and a single atom reads its
-    one term per matrix off its powers.  A symbol whose even and odd tails
-    differ raises UnsupportedTail: its differences do not vanish, so h and
-    k are not trace class.
+    stacked SVD of both, indicator shapes in closed form; either raises
+    TooLarge past SUPPORT_HEIGHT_CAP, as an indicator's vectors fill an
+    n0 x n0 array.  Symbols with atoms reuse the Vandermonde factorization
+    (TooLarge past VECTOR_HORIZON_CAP), and a single atom reads its one term
+    per matrix off its powers.  A symbol whose even and odd tails differ
+    raises UnsupportedTail: its differences do not vanish, so h and k are
+    not trace class.
     """
-    return _decompositions(form(sym))
-
-
-def _decompositions(f: Form) -> tuple[RankOneDecomposition, ...]:
     f.tail_constant()
     route, m, n0 = _route(f)
     if n0 is not None:
+        if m > SUPPORT_HEIGHT_CAP:
+            raise TooLarge(
+                f"indicator plan vectors would need {m} x {m} entries (cap {SUPPORT_HEIGHT_CAP})"
+            )
         return tuple(_indicator_decomposition(n0, offset, m) for offset in (0, 1))
     if route == "support":
         return tuple(_rank_one_terms(*_svd(np.stack(_difference_matrices(f, m, (H, K))))))

@@ -2,17 +2,17 @@
 
 A symbol of the form phi(n) = c + sum_j w_j * s_j**n (atoms strictly inside
 the unit disk) always has finite difference-Hankel trace norms, bounded by
-the weighted mass sum_j |w_j| |1-s_j| / (1-|s_j|).  This module evaluates
-such representations, checks the membership bound numerically, and
-verifies that index doubling preserves the norm (the two-step-difference
-norm of the doubled symbol equals the original symbol norm).
+the weighted mass sum_j |w_j| |1-s_j| / (1-|s_j|).  This module checks the
+membership bound numerically and verifies that index doubling preserves
+the norm (the two-step-difference norm of the doubled symbol equals the
+original symbol norm).  A symbol's representation is its normal form's
+atoms (``symbols.measure_atoms``) and its tail (``symbols.tail_constant``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedRepresentation
 from .hankel import CPrimeReport, HankelReport, c_norm, cprime_norm
 from .symbols import (
     ROUNDING,
@@ -21,7 +21,6 @@ from .symbols import (
     FromMeasure,
     RadialSymbol,
     double,
-    evaluate,
     form,
     one_minus_abs_squared,
 )
@@ -30,8 +29,6 @@ __all__ = [
     "DiscreteMeasure",
     "DoublingReport",
     "MembershipReport",
-    "eval_measure",
-    "representation_for",
     "verify_doubling",
     "verify_membership_bound",
     "weight",
@@ -75,11 +72,6 @@ class DoublingReport:
     rounding_bound: float
 
 
-def eval_measure(c: complex, measure: DiscreteMeasure, n: int) -> complex:
-    """phi(n) = c + sum_j w_j * s_j**n (same arithmetic path as evaluate)."""
-    return evaluate(FromMeasure(c, measure), n)
-
-
 def weight(measure: DiscreteMeasure) -> float:
     """sum_j |w_j| * |1 - s_j| / (1 - |s_j|), with 1 - |s_j| taken as
     (1 - |s_j|**2) / (1 + |s_j|), which does not cancel near the circle."""
@@ -106,23 +98,6 @@ def verify_membership_bound(
         hankel=report,
         rounding_bound=rounding,
     )
-
-
-def representation_for(sym: RadialSymbol) -> tuple[complex, DiscreteMeasure]:
-    """Exact finitely-atomic representation (c, atoms), where the form has one.
-
-    A form with one tail c whose head (if it has one, then without atoms)
-    holds only c is c plus its atoms: a geometric symbol is one unit atom,
-    a constant an empty measure, and a doubled measure symbol has the atoms
-    +-sqrt(s) with weights w/2.  Everything else (indicators in particular)
-    raises UnsupportedRepresentation rather than guessing.
-    """
-    f = form(sym)
-    if f.even != f.odd or any(v != f.even for v in f.head) or (f.head and f.s.size):
-        raise UnsupportedRepresentation(
-            f"no exact finitely-atomic representation for {type(sym).__name__}"
-        )
-    return f.even, DiscreteMeasure(f.atoms)
 
 
 def _doubling_rounding(doubled: Form, total: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, TooLarge, UnsupportedTail
+from .errors import TooLarge, UnsupportedTail
 
 # Margin keeping measure atoms away from the unit circle, where the
 # weight |1-s|/(1-|s|) blows up.
@@ -225,7 +225,7 @@ class Form:
         if n < 0:
             raise ValueError("index must be non-negative")
         if self.even != self.odd:
-            raise NonConvergent(
+            raise UnsupportedTail(
                 f"difference terms tend to +-{self.even - self.odd} (even/odd tails "
                 "differ), so the series diverges"
             )
@@ -330,14 +330,10 @@ def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
 
 def measure_atoms(sym: RadialSymbol) -> tuple[tuple[complex, complex], ...]:
     """Atoms (s, w) with phi(n) = tail + sum w * s**n past the head (see form):
-    w s**(m/2) for even m and 0 for odd m is (w/2) (r**m + (-r)**m), r**2 = s."""
+    w s**(m/2) for even m and 0 for odd m is (w/2) (r**m + (-r)**m), r**2 = s.
+    A symbol without a head is the measure symbol tail_constant(sym) plus
+    these atoms; form(sym).s and .w hold them as arrays."""
     return form(sym).atoms
-
-
-def atom_arrays(sym: RadialSymbol) -> tuple[np.ndarray, np.ndarray]:
-    """The locations s and weights w of measure_atoms(sym), as complex arrays."""
-    f = form(sym)
-    return f.s, f.w
 
 
 def vandermonde_horizon(s: np.ndarray) -> int:
@@ -409,7 +405,7 @@ def psi1(sym: RadialSymbol, n: int) -> complex:
     with atoms gives sum_j w_j s_j**n / (1 + s_j), and a finite-support
     symbol a finite sum up to its support length.  When the even and odd
     tails differ the terms tend to +-(even - odd), so the series diverges
-    and NonConvergent is raised.
+    and UnsupportedTail is raised.
     """
     return form(sym).psi1(n)
 

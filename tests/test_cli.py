@@ -203,7 +203,8 @@ def test_unread_option_exits_1(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("norm", "-s", "indicator:100000"),
+        # an indicator's norm is in closed form at any height, its plan is not
+        ("cs-bound", "-s", "indicator:100000", "--space", '{"factors":[1,1],"max_len":2}'),
         ("integral-check", "-s", "truncgeom:0.5,5000"),
     ],
 )
@@ -212,6 +213,15 @@ def test_support_height_cap_exits_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("radial-mult: error:")
+
+
+def test_indicator_norm_past_support_height_cap(capsys):
+    # the singular values of h and k sum to f(n0 + 1) and f(n0)
+    f = lambda n: 2 * math.sin(n * math.pi / (4 * n + 2)) ** 2 / math.sin(math.pi / (4 * n + 2))
+    code, out, _ = run_cli(capsys, "norm", "-s", "indicator:100000")
+    report, expected = json.loads(out)["report"], f(100_001) + f(100_000)
+    assert code == 0 and report["route"] == "support" and report["truncation"] == 100_001
+    assert abs(report["total"] - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("command", ["norm", "integral-check"])

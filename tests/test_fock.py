@@ -23,15 +23,9 @@ from radial_mult import (
     eps,
     factor_end_projection,
     fock_spec_from_obj,
-    identity,
-    left_word,
-    level_projection,
     rho,
-    rho_power,
-    right_creation,
     right_word,
     spectral_norm,
-    tail_projection,
     to_obj,
     word_operator,
 )
@@ -170,13 +164,13 @@ def test_annihilation_orthogonality(triple):
 
 def test_right_creation_mirror(two_line):
     gamma, delta = (0, 0), (1, 0)
-    R = right_creation(two_line, gamma)
+    R = right_word(two_line, (gamma,))
     assert dense(R)[two_line.index[(gamma,)], two_line.index[()]] == 1
     ends_same = two_line.index[((1, 0), (0, 0))]
     assert not dense(R)[:, ends_same].any()
     # left and right creations at distinct factors commute on the vacuum
     L = creation(two_line, gamma)
-    Rd = right_creation(two_line, delta)
+    Rd = right_word(two_line, (delta,))
     vac = np.zeros(two_line.dim)
     vac[two_line.index[()]] = 1
     both = two_line.index[(gamma, delta)]
@@ -186,7 +180,7 @@ def test_right_creation_mirror(two_line):
 
 def test_partial_isometries_and_grading(triple):
     for g in triple.letters():
-        for op in (creation(triple, g), right_creation(triple, g)):
+        for op in (creation(triple, g), right_word(triple, (g,))):
             m = dense(op)
             assert abs(m @ m.conj().T @ m - m).max() == 0
         L = dense(creation(triple, g))
@@ -225,23 +219,23 @@ def test_diagonal_examples(two_line):
     ones = diagonal(two_line, np.ones(4))
     assert np.array_equal(dense(ones), np.eye(7))
     e0 = diagonal(two_line, np.array([1.0, 0, 0, 0]))
-    assert np.array_equal(dense(e0), dense(level_projection(two_line, 0)))
+    assert np.array_equal(dense(e0), np.diag(two_line.levels == 0))
     a = np.array([0.3, -2.0, 1.5, 0.25])
     assert abs(spectral_norm(diagonal(two_line, a)) - 2.0) < 1e-12
 
 
 def test_projections(two_line):
-    assert np.array_equal(dense(tail_projection(two_line, 0)), np.eye(7))
-    total = sum(
-        dense(level_projection(two_line, n)) for n in range(two_line.max_len + 1)
-    )
+    # projections are diagonals of 0/1 masks over the levels
+    levels = np.arange(two_line.max_len + 1)
+    assert np.array_equal(dense(diagonal(two_line, levels >= 0)), np.eye(7))
+    total = sum(dense(diagonal(two_line, levels == n)) for n in levels)
     assert np.array_equal(total, np.eye(7))
     assert np.array_equal(
-        dense(tail_projection(two_line, 1)),
-        np.eye(7) - dense(level_projection(two_line, 0)),
+        dense(diagonal(two_line, levels >= 1)),
+        np.eye(7) - dense(diagonal(two_line, levels == 0)),
     )
     # beyond the cap the tail sum is empty
-    assert not dense(tail_projection(two_line, two_line.max_len + 2)).any()
+    assert not dense(diagonal(two_line, levels >= two_line.max_len + 2)).any()
 
 
 def test_factor_end_projections(triple):
@@ -249,7 +243,7 @@ def test_factor_end_projections(triple):
         dense(factor_end_projection(triple, i))
         for i in range(len(triple.spec.factor_dims))
     )
-    assert np.array_equal(total, dense(tail_projection(triple, 1)))
+    assert np.array_equal(total, dense(diagonal(triple, np.arange(triple.max_len + 1) >= 1)))
     q0 = dense(factor_end_projection(triple, 0))
     assert not q0[:, triple.index[()]].any()
     gamma = triple.index[((0, 1),)]
@@ -262,7 +256,7 @@ def rho_reference(space, op):
     # dual route: explicit operator products
     total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for g in space.letters():
-        r = csr(right_creation(space, g))
+        r = csr(right_word(space, (g,)))
         total = total + r @ csr(op) @ r.getH()
     return total.toarray()
 
@@ -289,22 +283,25 @@ def test_rho_against_reference(triple):
 
 
 def test_rho_basics(two_line):
-    I = identity(two_line)
-    assert np.array_equal(dense(rho(two_line, I)), dense(tail_projection(two_line, 1)))
-    p0 = level_projection(two_line, 0)
-    assert np.array_equal(dense(rho(two_line, p0)), dense(level_projection(two_line, 1)))
-    assert np.array_equal(dense(eps(two_line, I)), dense(tail_projection(two_line, 1)))
+    levels = np.arange(two_line.max_len + 1)
+    I, q1 = diagonal(two_line, levels >= 0), dense(diagonal(two_line, levels >= 1))
+    assert np.array_equal(dense(rho(two_line, I)), q1)
+    p0 = diagonal(two_line, levels == 0)
+    assert np.array_equal(dense(rho(two_line, p0)), dense(diagonal(two_line, levels == 1)))
+    assert np.array_equal(dense(eps(two_line, I)), q1)
 
 
 def test_rho_power_word_identity(triple):
     # rho^n (L_xi L_eta^*) = L_xi L_eta^* Q_{l+n}, exactly
     pairs = [((), ()), (((0, 0),), ()), (((0, 0),), ((1, 1),)), (((1, 0), (2, 1)), ((1, 1),))]
+    levels = np.arange(triple.max_len + 1)
     for xi, eta in pairs:
         a = word_operator(triple, xi, eta)
+        power = a
         for n in range(3):
-            lhs = dense(rho_power(triple, a, n))
-            rhs = dense(a @ tail_projection(triple, len(eta) + n))
-            assert np.array_equal(lhs, rhs)
+            rhs = dense(a @ diagonal(triple, levels >= len(eta) + n))
+            assert np.array_equal(dense(power), rhs)
+            power = rho(triple, power)
 
 
 def test_eps_case_split(triple):
@@ -384,9 +381,10 @@ def test_single_factor_embedding_reproduces_matrix_units():
 
 
 def test_operator_algebra_and_mismatch(two_line, triple):
+    I = diagonal(two_line, np.ones(two_line.max_len + 1))
     with pytest.raises(DimensionMismatch):
-        identity(two_line) @ identity(triple)
-    op = 2.0 * identity(two_line) - identity(two_line)
+        I @ diagonal(triple, np.ones(triple.max_len + 1))
+    op = 2.0 * I - I
     assert np.array_equal(dense(op), np.eye(7))
 
 
@@ -408,8 +406,8 @@ def test_invalid_letters_rejected(two_line):
     for bad in ((2, 0), (0, 1), (-1, 0)):
         for make in (
             lambda: creation(two_line, bad),
-            lambda: right_creation(two_line, bad),
-            lambda: left_word(two_line, ((0, 0), bad)),
+            lambda: right_word(two_line, ((1, 0), bad)),
+            lambda: word_operator(two_line, ((0, 0), bad), ()),
             lambda: right_word(two_line, (bad,)),
             lambda: word_operator(two_line, ((1, 0),), (bad,)),
         ):
@@ -549,7 +547,7 @@ def test_word_targets_match_literal_lookup(case):
     prepended = literal_targets(space, lambda w: xi + w)
     appended = literal_targets(space, lambda w: w + xi)
     eta_prepended = literal_targets(space, lambda w: eta + w)
-    assert np.array_equal(dense(left_word(space, xi)), units(space, prepended, every))
+    assert np.array_equal(dense(word_operator(space, xi, ())), units(space, prepended, every))
     assert np.array_equal(dense(right_word(space, xi)), units(space, appended, every))
     assert np.array_equal(
         dense(word_operator(space, xi, eta)), units(space, prepended, eta_prepended)

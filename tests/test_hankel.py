@@ -34,7 +34,7 @@ from radial_mult import (
     tail_constant,
     to_obj,
 )
-from radial_mult.symbols import atom_arrays, form, measure_atoms, parity_tails, support_length
+from radial_mult.symbols import form, measure_atoms, parity_tails, support_length
 
 SQRT5 = math.sqrt(5.0)
 
@@ -169,8 +169,8 @@ def test_indicator_closed_form_matches_svd(n0):
         dense = np.linalg.svd(assemble(sym, m), compute_uv=False)
         assert sv.shape == dense.shape
         assert np.abs(sv - dense).max() <= 1e-12
-    dec_h, dec_k = hankel_mod.difference_decompositions(sym)
-    for dec, assemble in ((dec_h, hankel_h), (dec_k, hankel_k)):
+    plan = build_plan(sym)
+    for dec, assemble in ((plan.decomposition_h, hankel_h), (plan.decomposition_k, hankel_k)):
         target = assemble(sym, m)
         assert np.abs(dec.reconstruct(m) - target).max() <= 1e-12
         assert abs(dec.nuclear_sum - trace_norm(target)) <= 1e-12 * max(1.0, n0)
@@ -192,10 +192,15 @@ def test_cprime_norm_near_unit_circle():
 def test_support_route_height_cap():
     cap = hankel_mod.SUPPORT_HEIGHT_CAP
     assert hankel_mod.exact_route(Indicator(cap - 1)) == ("support", cap)
+    # an indicator's norm is in closed form at any height: the singular values
+    # of its h and k sum to f(n0 + 1) and f(n0)
+    f = lambda n: 2 * math.sin(n * math.pi / (4 * n + 2)) ** 2 / math.sin(math.pi / (4 * n + 2))
+    total, expected = c_norm(Indicator(100_000)).total, f(100_001) + f(100_000)
+    assert abs(total - expected) <= 1e-12 * expected
     with pytest.raises(TooLarge):
-        hankel_mod.exact_route(Indicator(cap))
+        hankel_mod.exact_route(TruncatedGeometric(0.9, cap))  # a head of cap + 1 values
     with pytest.raises(TooLarge):
-        c_norm(Indicator(100_000))
+        build_plan(Indicator(cap))  # its plan vectors would be dense, n0 x n0
     with pytest.raises(TooLarge):
         cprime_norm(ParityTail((0.0,) * (cap + 1), 0.0, 0.0))
 
@@ -209,7 +214,7 @@ def test_c_norm_unsupported_tail():
 def test_difference_decompositions_reject_parity_tails(sym):
     # d(n) = +-1 forever: h and k are not trace class at any height
     with pytest.raises(UnsupportedTail):
-        hankel_mod.difference_decompositions(sym)
+        build_plan(sym)
 
 
 def test_cprime_norm_examples():
@@ -274,11 +279,10 @@ def test_indicator_closed_form_large_n0(n0):
     # they are orthonormal; at n0 = 1000 the cosines run over angles up to 2000 rad
     sym = Indicator(n0)
     m = n0 + 3
-    rep = c_norm(sym)
-    dec_h, dec_k = hankel_mod.difference_decompositions(sym)
+    rep, plan = c_norm(sym), build_plan(sym)
     for dec, assemble, sv in (
-        (dec_h, hankel_h, rep.singular_values_h),
-        (dec_k, hankel_k, rep.singular_values_k),
+        (plan.decomposition_h, hankel_h, rep.singular_values_h),
+        (plan.decomposition_k, hankel_k, rep.singular_values_k),
     ):
         assert np.abs(dec.reconstruct(m) - assemble(sym, m)).max() <= 1e-13
         root = np.sqrt(sv[: len(dec.x)])[:, None]
@@ -310,11 +314,11 @@ def test_plan_terms_accurate_near_unit_circle(sym):
     # The exact route's height is 65536 for 0.999i, too tall for a dense
     # matrix, so the reconstruction is checked on grids of rows and columns
     # that reach across it, against differences taken in 40 digits.
-    dec_h, dec_k = hankel_mod.difference_decompositions(sym)
+    plan = build_plan(sym)
     m = hankel_mod.exact_route(sym)[1]
-    assert dec_h.x.shape[1] == m
+    assert plan.decomposition_h.x.shape[1] == m
     grids = (np.arange(64), np.arange(0, min(m, 4096), 16), np.arange(0, m, m // 256))
-    for dec, offset in ((dec_h, 0), (dec_k, 1)):
+    for dec, offset in ((plan.decomposition_h, 0), (plan.decomposition_k, 1)):
         for grid in grids:
             sums = np.add.outer(grid, grid) + offset
             block = dec.x[:, grid].T @ dec.y[:, grid].conj()
@@ -335,11 +339,11 @@ def test_single_atom_terms_match_qr_route(name):
     # One atom reads its term off v; the QR route on the same atom is the
     # reference.  Heights past 256 are compared on a grid across them.
     sym = SINGLE_ATOMS[name]
-    s, w = atom_arrays(sym)
+    f, plan = form(sym), build_plan(sym)
     m = hankel_mod.exact_route(sym)[1]
     grid = np.unique(np.r_[np.arange(min(m, 64)), np.arange(0, m, max(m // 256, 1))])
-    refs = hankel_mod._measure_decompositions(s, w, m)
-    for dec, ref in zip(hankel_mod.difference_decompositions(sym), refs):
+    refs = hankel_mod._measure_decompositions(f.s, f.w, m)
+    for dec, ref in zip((plan.decomposition_h, plan.decomposition_k), refs):
         assert dec.x.shape == dec.y.shape == ref.x.shape == (1, m)
         assert dec.x.dtype == ref.x.dtype and dec.y.dtype == ref.y.dtype
         block, ref_block = (d.x[:, grid].T @ d.y[:, grid].conj() for d in (dec, ref))
@@ -352,10 +356,11 @@ def test_single_atom_terms_match_qr_route(name):
 def test_single_atom_zero_diagonals_give_no_terms():
     # a zero weight cancels both matrices; s = 0 leaves h = e_0 e_0^T, k = 0
     sym = FromMeasure(0.5, DiscreteMeasure(((0.6, 0.0),)))
-    m = hankel_mod.exact_route(sym)[1]
-    for dec in hankel_mod.difference_decompositions(sym):
+    m, plan = hankel_mod.exact_route(sym)[1], build_plan(sym)
+    for dec in (plan.decomposition_h, plan.decomposition_k):
         assert dec.x.shape == dec.y.shape == (0, m) and dec.nuclear_sum == 0.0
-    dec_h, dec_k = hankel_mod.difference_decompositions(Geometric(0.0))
+    plan = build_plan(Geometric(0.0))
+    dec_h, dec_k = plan.decomposition_h, plan.decomposition_k
     assert dec_h.x.shape == (1, 1) and dec_h.nuclear_sum == 1.0
     assert dec_h.reconstruct(2).tolist() == [[1, 0], [0, 0]]
     assert dec_k.x.shape == dec_k.y.shape == (0, 1) and dec_k.nuclear_sum == 0.0
@@ -595,11 +600,10 @@ def test_difference_decompositions_property(sym):
     # the nuclear sum against the trace norm c_norm takes from its own
     # Vandermonde factorization.
     m = hankel_mod.exact_route(sym)[1]
-    rep = c_norm(sym)
-    dec_h, dec_k = hankel_mod.difference_decompositions(sym)
+    rep, plan = c_norm(sym), build_plan(sym)
     for dec, assemble, tn in (
-        (dec_h, hankel_h, rep.trace_norm_h),
-        (dec_k, hankel_k, rep.trace_norm_k),
+        (plan.decomposition_h, hankel_h, rep.trace_norm_h),
+        (plan.decomposition_k, hankel_k, rep.trace_norm_k),
     ):
         assert dec.x.shape == dec.y.shape and dec.x.shape[1] == m
         scale = max(1.0, tn)

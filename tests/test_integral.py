@@ -16,17 +16,15 @@ from radial_mult import (
     FromMeasure,
     Geometric,
     Indicator,
-    NonConvergent,
     ParityTail,
     TruncatedGeometric,
-    UnsupportedRepresentation,
+    UnsupportedTail,
     c_norm,
     cprime_norm,
     double,
-    eval_measure,
     evaluate,
+    measure_atoms,
     psi1,
-    representation_for,
     symbol_from_obj,
     tail_constant,
     to_obj,
@@ -53,18 +51,20 @@ def random_measure(rng, n_atoms, radius=0.9):
 
 
 def test_eval_measure_examples():
-    assert eval_measure(0.0, DELTA_HALF, 3) == 0.125
+    assert evaluate(FromMeasure(0.0, DELTA_HALF), 3) == 0.125
     empty = DiscreteMeasure(())
-    assert eval_measure(2.0, empty, 7) == 2.0
+    assert evaluate(FromMeasure(2.0, empty), 7) == 2.0
     cancel = DiscreteMeasure(((0.5, 1.0), (-0.5, 1.0)))
-    assert eval_measure(0.0, cancel, 1) == 0.0
+    assert evaluate(FromMeasure(0.0, cancel), 1) == 0.0
 
 
 def test_eval_measure_matches_symbol_evaluation():
+    # c + sum_j w_j s_j**n, summed in the order of the atoms
     measure = DiscreteMeasure(((0.4 + 0.3j, 1.0 - 0.5j), (-0.2, 2.0)))
     sym = FromMeasure(0.75j, measure)
     for n in range(30):
-        assert eval_measure(0.75j, measure, n) == evaluate(sym, n)
+        expected = 0.75j + (1.0 - 0.5j) * (0.4 + 0.3j) ** n + 2.0 * (-0.2 + 0j) ** n
+        assert evaluate(sym, n) == expected
 
 
 def test_weight_examples():
@@ -115,32 +115,20 @@ def test_induced_symbol_total_bounded():
 
 
 def test_representation_for():
-    c, measure = representation_for(Geometric(0.5))
-    assert c == 0 and measure.atoms == ((0.5 + 0j, 1.0 + 0j),)
-
-    sym = FromMeasure(2.0, DELTA_HALF)
-    assert representation_for(sym) == (2.0, DELTA_HALF)
-
-    c, measure = representation_for(Finite((), 3.0))
-    assert c == 3.0 and len(measure) == 0
-
-    # a doubled measure is its form's atoms +-sqrt(s) with weights w/2
-    c, measure = representation_for(Doubled(Geometric(0.5)))
+    # a symbol's representation c + sum w s**n is its tail and its form's atoms
     root = cmath.sqrt(0.5)
-    assert c == 0 and measure.atoms == ((root, 0.5 + 0j), (-root, 0.5 + 0j))
-    c, measure = representation_for(ParityTail((2.0, 2.0), 2.0, 2.0))
-    assert c == 2.0 and len(measure) == 0
-
-    # a head that differs from the tail has no such representation
-    for sym in (
-        Indicator(1),
-        TruncatedGeometric(0.5, 3),
-        Doubled(Indicator(1)),
-        Doubled(TruncatedGeometric(0.5, 3)),
-        Doubled(Finite((), 1.0)),
+    r = 0.9999992499997188
+    for sym, c, atoms in (
+        (Geometric(0.5), 0, ((0.5 + 0j, 1.0 + 0j),)),
+        (FromMeasure(2.0, DELTA_HALF), 2.0, DELTA_HALF.atoms),
+        (Finite((), 3.0), 3.0, ()),
+        (ParityTail((2.0, 2.0), 2.0, 2.0), 2.0, ()),
+        # a doubled measure is its form's atoms +-sqrt(s) with weights w/2
+        (Doubled(Geometric(0.5)), 0, ((root, 0.5 + 0j), (-root, 0.5 + 0j))),
+        # +-sqrt(s) may lie nearer the circle than a DiscreteMeasure atom may
+        (Doubled(Geometric(0.9999985)), 0, ((r + 0j, 0.5 + 0j), (-r - 0j, 0.5 + 0j))),
     ):
-        with pytest.raises(UnsupportedRepresentation):
-            representation_for(sym)
+        assert tail_constant(sym) == c and measure_atoms(sym) == atoms, sym
 
 
 def test_doubling_examples():
@@ -292,7 +280,7 @@ def test_doubling_properties(sym):
     if tail_constant(sym) == 0:
         psi1(doubled, 0)
     else:
-        with pytest.raises(NonConvergent):
+        with pytest.raises(UnsupportedTail):
             psi1(doubled, 0)
 
     for s in (sym, doubled):

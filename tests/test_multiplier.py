@@ -36,7 +36,6 @@ from radial_mult import (
     FockOperator,
     hankel_h,
     hankel_k,
-    identity,
     kraus_row_sum,
     plan_cb_bound,
     psi1,
@@ -198,7 +197,7 @@ def kernels_from_terms(dec, size):
 
 
 def test_phi1_identity_on_vacuum_vectors(line5):
-    I = identity(line5)
+    I = diagonal(line5, np.ones(6))
     out = phi1_apply(line5, unit(0, 8), unit(0, 8), I)
     assert np.abs(out.to_dense() - np.eye(line5.dim)).max() < 1e-14
 
@@ -243,7 +242,7 @@ def test_phi2_case_eigenvalues(pair4):
 
 
 def test_phi2_identity_with_shifted_unit(line5):
-    out = phi2_apply(line5, unit(1, 8), unit(1, 8), identity(line5))
+    out = phi2_apply(line5, unit(1, 8), unit(1, 8), diagonal(line5, np.ones(6)))
     assert np.abs(out.to_dense() - np.eye(line5.dim)).max() < 1e-14
 
 
@@ -266,7 +265,7 @@ def test_build_plan_ranks():
 def test_apply_T_on_identity(line5):
     for sym in SYMBOLS:
         plan = build_plan(sym)
-        out = apply_T(plan, line5, identity(line5))
+        out = apply_T(plan, line5, diagonal(line5, np.ones(6)))
         expected = evaluate(sym, 0) * np.eye(line5.dim)
         # identity is the pair (vacuum, vacuum): every column is safe
         assert np.abs(out.to_dense() - expected).max() < 1e-10, sym
@@ -455,7 +454,7 @@ def test_spectral_norm_of_a_601_dim_diagonal():
 
 def test_ucp_identity_and_examples(line5):
     d = line5.max_len + 1
-    row, col, data = ucp_pi_apply(line5, d, 1, identity(line5))
+    row, col, data = ucp_pi_apply(line5, d, 1, diagonal(line5, np.ones(6)))
     assert len(np.unique(row * line5.dim * d + col)) == len(data)  # distinct positions
     pi1 = dense_from(line5.dim * d, (row, col, data))
     assert np.abs(pi1 - np.eye(line5.dim * d)).max() < 1e-14
@@ -486,7 +485,7 @@ def test_ucp_relations_and_dimension_guard(line5):
         report = verify_ucp_relations(line5, line5.max_len + 1, variant, max_word=3)
         assert report.worst_residual < 1e-12
     with pytest.raises(DimensionMismatch):
-        ucp_pi_apply(line5, line5.max_len, 1, identity(line5))
+        ucp_pi_apply(line5, line5.max_len, 1, diagonal(line5, np.ones(6)))
 
 
 @pytest.mark.parametrize(
