@@ -54,21 +54,6 @@ class FockSpec:
             raise ValueError("max_len must be at least 1")
 
 
-def _word_count(spec: FockSpec) -> int:
-    """Number of words of length <= max_len, counted level by level until
-    the running total passes BASIS_CAP or a level is empty."""
-    dims = spec.factor_dims
-    ending = list(dims)  # words of the current length ending in factor f
-    total = 1 + sum(ending)
-    for _ in range(2, spec.max_len + 1):
-        level = sum(ending)
-        if total > BASIS_CAP or level == 0:
-            break
-        ending = [(level - e) * d for e, d in zip(ending, dims)]
-        total += sum(ending)
-    return total
-
-
 class FockSpace:
     """Word basis of a truncated product space, as index arrays: word i > 0 is
     word parent[i] plus letter letters()[letter[i]], of length levels[i] and last
@@ -122,21 +107,26 @@ def build_space(spec: FockSpec) -> FockSpace:
     level m + 1 is the children of level m in order, one per letter outside
     the parent's last factor, so one np.nonzero of letter masks gives a level.
     The levels past the first empty one (a single factor has no words past
-    length 1) all start at dim."""
+    length 1) all start at dim.  Each level is sized before it is built, so
+    a basis past BASIS_CAP raises TooLarge without allocating it."""
     if spec.max_len > BASIS_CAP:  # array entries per level, even empty
         raise TooLarge(f"max_len {spec.max_len} gives more than {BASIS_CAP} levels")
-    if _word_count(spec) > BASIS_CAP:
-        raise TooLarge(f"basis would hold more than {BASIS_CAP} words")
     dims = spec.factor_dims
     # the factor of each letter column, and -1 at index -1 for the vacuum
     factors = np.repeat([*range(len(dims)), -1], [*dims, 1])
     # row f marks the letters outside factor f; the last row, which the
     # vacuum's factor -1 picks, marks every letter
     allowed = np.arange(len(dims) + 1)[:, None] != factors[:-1]
+    widths = allowed.sum(axis=1)  # the children of a word, by its last factor
     parents, letters, level_offsets = [_NONE], [_NONE], [0]
     last = _NONE  # the last factor of each word of the level
     for _ in range(spec.max_len):
-        level_offsets.append(level_offsets[-1] + len(last))
+        level_offsets.append(total := level_offsets[-1] + len(last))
+        # the next level has widths.take(last).sum() <= len(last) * sum(dims)
+        # words, summed only when that bound would pass the cap
+        bound = len(last) * sum(dims)
+        if total + bound > BASIS_CAP and total + widths.take(last).sum() > BASIS_CAP:
+            raise TooLarge(f"basis would hold more than {BASIS_CAP} words")
         parent, letter = allowed.take(last, axis=0).nonzero()
         if not len(letter):
             break
@@ -229,10 +219,6 @@ def _diagonal(space: FockSpace, values) -> FockOperator:
     return FockOperator(space, (index, index, values))
 
 
-def zero(space: FockSpace) -> FockOperator:
-    return _diagonal(space, np.zeros(space.dim))
-
-
 def _letter_maps(space: FockSpace) -> np.ndarray:
     """The append table: the index of w + (g,) at row w and letter column g, -1
     off the space and in a trailing row, so that appends compose by indexing.
@@ -288,7 +274,7 @@ def word_operator(space: FockSpace, xi: Word, eta: Word) -> FockOperator:
     xi, eta = _checked(space, xi), _checked(space, eta)
     i, j = (_append_targets(space, w, 0) for w in (xi, eta))
     if i < 0 or j < 0:
-        return zero(space)
+        return _diagonal(space, np.zeros(space.dim))
     corner = np.array([i]), np.array([j]), np.ones(1, dtype=complex)
     return FockOperator(space, _concat(list(_chain(space, *corner))))
 

@@ -45,8 +45,9 @@ from .symbols import (
 # Singular values below this relative level are double-precision noise.
 RANK_CUTOFF = 1e-14
 
-# The support route assembles dense m x m complex matrices; one at this
-# height already takes 268 MB, so taller ones raise TooLarge.
+# The support route's matrices are strided views of one row, but the SVD
+# takes a dense m x m copy: 268 MB at this height for a complex one, so
+# taller ones raise TooLarge.
 SUPPORT_HEIGHT_CAP = 4096
 
 
@@ -160,20 +161,16 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def exact_route(sym: RadialSymbol) -> tuple[str, int]:
-    """The symbol's exact route and its matrix height.
+def _route(f: Form) -> tuple[str, int, int | None]:
+    """The form's exact route, its matrix height, and n0 when f has the shape
+    of Indicator(n0): a head of one 1 among zeros, zero tails and no atoms
+    (else None).
 
-    ("support", max(support, 1)) for finite-support symbols,
-    ("vandermonde", M) for symbols with atoms.  Raises TooLarge when the
+    ("support", max(support, 1)) for finite-support forms,
+    ("vandermonde", M) for forms with atoms.  Raises TooLarge when the
     support route would need a matrix taller than SUPPORT_HEIGHT_CAP; an
     indicator shape, which takes the closed form, needs none.
     """
-    return _route(form(sym))[:2]
-
-
-def _route(f: Form) -> tuple[str, int, int | None]:
-    """exact_route, and n0 when f has the shape of Indicator(n0): a head of
-    one 1 among zeros, zero tails and no atoms (else None)."""
     if f.s.size:
         return "vandermonde", vandermonde_horizon(f.s), None
     m, head = max(len(f.head), 1), f.head

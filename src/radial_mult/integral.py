@@ -25,16 +25,6 @@ from .symbols import (
     one_minus_abs_squared,
 )
 
-__all__ = [
-    "DiscreteMeasure",
-    "DoublingReport",
-    "MembershipReport",
-    "verify_doubling",
-    "verify_membership_bound",
-    "weight",
-]
-
-
 # One atom meets the membership bound with equality, where both sides carry
 # rounding: c_norm's one-atom total was within 17 units of
 # ROUNDING * (left + right) on 240 atoms with 1 - |s| from 1e-6 to 1e-3.

@@ -68,9 +68,6 @@ class DiscreteMeasure:
         )
         object.__setattr__(self, "atoms", atoms)
 
-    def __len__(self) -> int:
-        return len(self.atoms)
-
 
 @dataclass(frozen=True)
 class Geometric:
@@ -182,10 +179,8 @@ class Form:
     Hankel theorem): phi(n) = head[n] for n < len(head), and from there on
     phi(n) = t(n) + sum_a w_a s_a**n, with t(n) the even or odd tail.
 
-    The atoms (s, w) have distinct locations and nonzero weights.  After k
-    doublings they are the 2**k-th roots of ``base_atoms``, with stride =
-    2**k: their sum is sum_b v_b b**(n / stride) where stride divides n and
-    0 elsewhere, which ``value`` reads with the rounding of the base.
+    The atoms (s, w) have distinct locations and nonzero weights.  A doubled
+    form keeps its ``base``, whose own arithmetic gives its values.
     """
 
     head: tuple[complex, ...]
@@ -193,8 +188,7 @@ class Form:
     odd: complex
     s: np.ndarray
     w: np.ndarray
-    stride: int
-    base_atoms: tuple[tuple[complex, complex], ...]
+    base: Form | None
 
     @property
     def atoms(self) -> tuple[tuple[complex, complex], ...]:
@@ -202,15 +196,18 @@ class Form:
 
     @property
     def support_length(self) -> int | None:
+        """Index from which phi is constant on the even and on the odd indices,
+        so that every difference vanishes; None with atoms, which never settle."""
         return None if self.s.size else len(self.head)
 
     def value(self, n: int) -> complex:
         if n < len(self.head):
             return self.head[n]
+        if self.base is not None:
+            return 0j if n % 2 else self.base.value(n // 2)
         acc = self.odd if n % 2 else self.even
-        if n % self.stride == 0:
-            for b, v in self.base_atoms:
-                acc += v * b ** (n // self.stride)
+        for s, w in self.atoms if self.s.size else ():
+            acc += w * s**n
         return acc
 
     def tail_constant(self) -> complex:
@@ -238,12 +235,14 @@ class Form:
 def form(sym: RadialSymbol) -> Form:
     """The normal form of sym: the one reading of the families' fields.
 
-    A Doubled symbol is a transform of its base's form: the head is
-    interleaved with exact zeros, each atom s becomes +-sqrt(s) with weight
-    w/2, and a tail c becomes the tails (c, 0).  Atoms at equal locations
-    (such as +-sqrt(0)) are merged into the first, and zero weights dropped.
+    A Doubled symbol is a transform of its base's form, which it keeps as
+    ``base`` for its values: the head is interleaved with exact zeros, each
+    atom s becomes +-sqrt(s) with weight w/2, and a tail c becomes the tails
+    (c, 0).  So an indicator doubles to the shape of Indicator(2 n0) with
+    one more zero.  Atoms at equal locations (such as +-sqrt(0)) are merged
+    into the first, and zero weights dropped.
     """
-    head, tails, atoms, stride = (), (0j, 0j), (), 1
+    head, tails, atoms, base = (), (0j, 0j), (), None
     if isinstance(sym, (Indicator, TruncatedGeometric)) and sym.n0 >= VECTOR_HORIZON_CAP:
         raise TooLarge(f"a head of {sym.n0 + 1} values (cap {VECTOR_HORIZON_CAP})")
     if isinstance(sym, Doubled):
@@ -251,7 +250,7 @@ def form(sym: RadialSymbol) -> Form:
         head = [v for x in base.head for v in (x, 0j)]
         roots = [(cmath.sqrt(s), w / 2) for s, w in base.atoms]
         atoms = [atom for r, w in roots for atom in ((r, w), (-r, w))]
-        tails, stride = (base.even, 0j), 2 * base.stride
+        tails = (base.even, 0j)
     elif isinstance(sym, Geometric):
         atoms = ((sym.s, 1.0 + 0.0j),)
     elif isinstance(sym, Indicator):
@@ -271,7 +270,7 @@ def form(sym: RadialSymbol) -> Form:
         merged[s] = merged[s] + w if s in merged else w
     atoms = tuple((s, w) for s, w in merged.items() if w)
     s, w = np.array(atoms, dtype=complex).reshape(-1, 2).T.copy()
-    return Form(tuple(head), *tails, s, w, stride, base.base_atoms if stride > 1 else atoms)
+    return Form(tuple(head), *tails, s, w, base)
 
 
 def evaluate(sym: RadialSymbol, n: int) -> complex:
@@ -290,12 +289,6 @@ def parity_tails(sym: RadialSymbol) -> tuple[complex, complex]:
 def tail_constant(sym: RadialSymbol) -> complex:
     """The limit of phi(n); raises UnsupportedTail if even/odd limits differ."""
     return form(sym).tail_constant()
-
-
-def support_length(sym: RadialSymbol) -> int | None:
-    """Index from which phi is constant on the even and on the odd indices, so
-    that every difference vanishes; None for symbols with atoms, which never settle."""
-    return form(sym).support_length
 
 
 def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
@@ -415,13 +408,7 @@ def psi2(sym: RadialSymbol, n: int) -> complex:
     return psi1(sym, n + 1)
 
 
-def double(sym: RadialSymbol) -> RadialSymbol:
-    """The symbol with phi~(2n) = phi(n) and phi~(2n+1) = 0.
-
-    Indicators keep their closed form, Indicator(2 n0); every other symbol
-    becomes Doubled(sym), which is read through the doubling of its base's
-    form.
-    """
-    if isinstance(sym, Indicator):
-        return Indicator(2 * sym.n0)
+def double(sym: RadialSymbol) -> Doubled:
+    """The symbol with phi~(2n) = phi(n) and phi~(2n+1) = 0, read through the
+    doubling of its base's form."""
     return Doubled(sym)

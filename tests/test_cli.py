@@ -613,15 +613,36 @@ def test_integral_check_non_object_measure_exits_1(capsys, measure):
     [
         (("--measure", "["), "bad measure spec"),
         (("--random-atoms", "-1"), "--random-atoms"),
+        (("--random-atoms", "x"), "--random-atoms: invalid int value: 'x'"),
         (("--random-atoms", "2", "--seed", "-1"), "--seed"),
     ],
-    ids=["measure", "random-atoms", "seed"],
+    ids=["measure", "random-atoms", "random-atoms-text", "seed"],
 )
 def test_integral_check_usage_errors_name_their_option(capsys, argv, named):
     code, out, err = run_cli(capsys, "integral-check", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("radial-mult: error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "-s", "truncgeom:0.8,5"),
+        ("cs-bound", "-s", "truncgeom:0.8,5", "--space", '{"factors":[1,1],"max_len":2}'),
+    ],
+    ids=["singular-values", "decomposition"],
+)
+def test_svd_failure_exits_2(capsys, monkeypatch, argv):
+    # norm reaches hankel.singular_values, cs-bound the plan's stacked SVD;
+    # both turn numpy's LinAlgError into NumericalFailure
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("radial-mult: mathematical failure: SVD did not converge")
 
 
 def test_integral_check_random_atoms(capsys):

@@ -94,9 +94,12 @@ def test_spec_accepts_numpy_integers():
 
 
 def test_build_space_cap():
-    # counting stops at the cap, long before the 6000-digit count of 20000 levels
+    # sizing each level stops at the cap, long before the 6000-digit count
+    # of 20000 levels
     with pytest.raises(TooLarge, match="more than 200000 words"):
         build_space(FockSpec((2, 2), 20000))
+    # 600 letters could give level 2 up to 360000 words; it has 180000
+    assert build_space(FockSpec((300, 300), 2)).dim == 1 + 600 + 180000
 
 
 def test_build_space_level_cap():
@@ -236,6 +239,13 @@ def test_projections(two_line):
     )
     # beyond the cap the tail sum is empty
     assert not dense(diagonal(two_line, levels >= two_line.max_len + 2)).any()
+
+
+def test_diagonal_and_factor_projection_reject_bad_input(two_line):
+    with pytest.raises(ValueError, match="need at least 4 diagonal values"):
+        diagonal(two_line, np.ones(3))
+    with pytest.raises(ValueError, match="invalid factor 2"):
+        factor_end_projection(two_line, 2)
 
 
 def test_factor_end_projections(triple):

@@ -34,7 +34,7 @@ from radial_mult import (
     tail_constant,
     to_obj,
 )
-from radial_mult.symbols import form, measure_atoms, parity_tails, support_length
+from radial_mult.symbols import form, measure_atoms, parity_tails
 
 SQRT5 = math.sqrt(5.0)
 
@@ -112,7 +112,7 @@ def test_merged_atoms_take_the_route_of_what_is_left():
     # +-sqrt(0) are one atom: Doubled(Geometric(0)) is the delta at 0, as Geometric(0) is
     doubled = Doubled(Geometric(0))
     assert measure_atoms(doubled) == ((0j, 1 + 0j),)
-    assert hankel_mod.exact_route(doubled) == ("vandermonde", 1)
+    assert hankel_mod._route(form(doubled))[:2] == ("vandermonde", 1)
     assert c_norm(doubled).total == c_norm(Geometric(0)).total == 1.0
     assert cprime_norm(doubled).total == 1.0
 
@@ -189,16 +189,24 @@ def test_cprime_norm_near_unit_circle():
     assert abs(cprime_norm(double(sym)).total - c_norm(sym).total) <= 1e-14
 
 
+def test_truncation_and_head_caps():
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        hankel_h(Geometric(0.5), 0)
+    # an indicator's head stops at VECTOR_HORIZON_CAP values
+    with pytest.raises(TooLarge, match="a head of 1048577 values"):
+        c_norm(Indicator(1 << 20))
+
+
 def test_support_route_height_cap():
     cap = hankel_mod.SUPPORT_HEIGHT_CAP
-    assert hankel_mod.exact_route(Indicator(cap - 1)) == ("support", cap)
+    assert hankel_mod._route(form(Indicator(cap - 1)))[:2] == ("support", cap)
     # an indicator's norm is in closed form at any height: the singular values
     # of its h and k sum to f(n0 + 1) and f(n0)
     f = lambda n: 2 * math.sin(n * math.pi / (4 * n + 2)) ** 2 / math.sin(math.pi / (4 * n + 2))
     total, expected = c_norm(Indicator(100_000)).total, f(100_001) + f(100_000)
     assert abs(total - expected) <= 1e-12 * expected
     with pytest.raises(TooLarge):
-        hankel_mod.exact_route(TruncatedGeometric(0.9, cap))  # a head of cap + 1 values
+        hankel_mod._route(form(TruncatedGeometric(0.9, cap)))  # a head of cap + 1 values
     with pytest.raises(TooLarge):
         build_plan(Indicator(cap))  # its plan vectors would be dense, n0 x n0
     with pytest.raises(TooLarge):
@@ -315,7 +323,7 @@ def test_plan_terms_accurate_near_unit_circle(sym):
     # matrix, so the reconstruction is checked on grids of rows and columns
     # that reach across it, against differences taken in 40 digits.
     plan = build_plan(sym)
-    m = hankel_mod.exact_route(sym)[1]
+    m = hankel_mod._route(form(sym))[1]
     assert plan.decomposition_h.x.shape[1] == m
     grids = (np.arange(64), np.arange(0, min(m, 4096), 16), np.arange(0, m, m // 256))
     for dec, offset in ((plan.decomposition_h, 0), (plan.decomposition_k, 1)):
@@ -340,7 +348,7 @@ def test_single_atom_terms_match_qr_route(name):
     # reference.  Heights past 256 are compared on a grid across them.
     sym = SINGLE_ATOMS[name]
     f, plan = form(sym), build_plan(sym)
-    m = hankel_mod.exact_route(sym)[1]
+    m = hankel_mod._route(form(sym))[1]
     grid = np.unique(np.r_[np.arange(min(m, 64)), np.arange(0, m, max(m // 256, 1))])
     refs = hankel_mod._measure_decompositions(f.s, f.w, m)
     for dec, ref in zip((plan.decomposition_h, plan.decomposition_k), refs):
@@ -356,7 +364,7 @@ def test_single_atom_terms_match_qr_route(name):
 def test_single_atom_zero_diagonals_give_no_terms():
     # a zero weight cancels both matrices; s = 0 leaves h = e_0 e_0^T, k = 0
     sym = FromMeasure(0.5, DiscreteMeasure(((0.6, 0.0),)))
-    m, plan = hankel_mod.exact_route(sym)[1], build_plan(sym)
+    m, plan = hankel_mod._route(form(sym))[1], build_plan(sym)
     for dec in (plan.decomposition_h, plan.decomposition_k):
         assert dec.x.shape == dec.y.shape == (0, m) and dec.nuclear_sum == 0.0
     plan = build_plan(Geometric(0.0))
@@ -416,7 +424,7 @@ late_or_complex_tail = st.one_of(
 @given(late_or_complex_tail, st.data())
 def test_psi_parts_and_tail_add_up_to_phi(sym, data):
     # psi1(n) + psi2(n) sums every difference from n on, which telescopes to phi(n) - c
-    length = support_length(sym)
+    length = form(sym).support_length
     top = 60 if length is None else length + 2
     n = data.draw(st.integers(0, top))
     c = tail_constant(sym)
@@ -451,7 +459,7 @@ def test_measure_plan_terms_reconstruct_truncation():
     atoms = ((0.6, 1.0), (-0.4 + 0.3j, 0.5j), (0.6 + 1e-7, -1.0))
     sym = FromMeasure(0.25, DiscreteMeasure(atoms))
     plan = build_plan(sym)
-    m = hankel_mod.exact_route(sym)[1]
+    m = hankel_mod._route(form(sym))[1]
     for dec, dense in (
         (plan.decomposition_h, hankel_h(sym, m)),
         (plan.decomposition_k, hankel_k(sym, m)),
@@ -599,7 +607,7 @@ def test_difference_decompositions_property(sym):
     # ones (measures near the circle) on their leading 128 x 128 block, with
     # the nuclear sum against the trace norm c_norm takes from its own
     # Vandermonde factorization.
-    m = hankel_mod.exact_route(sym)[1]
+    m = hankel_mod._route(form(sym))[1]
     rep, plan = c_norm(sym), build_plan(sym)
     for dec, assemble, tn in (
         (plan.decomposition_h, hankel_h, rep.trace_norm_h),
@@ -648,7 +656,7 @@ def test_support_route_memory_holds_no_index_arrays():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.route == "support" and rep.truncation == support_length(sym)
+        assert rep.route == "support" and rep.truncation == form(sym).support_length
         assert peak <= 5 * 2**20, peak
 
 
@@ -667,7 +675,7 @@ finite_support = st.one_of(
 
 def dense_spectra(sym, matrices):
     """Singular values of the difference matrices built whole at support + 2."""
-    m = support_length(sym) + 2
+    m = form(sym).support_length + 2
     values = [evaluate(sym, n) for n in range(2 * m + 2)]
     return [
         np.linalg.svd(brute_hankel(values.__getitem__, m, *pair), compute_uv=False)
@@ -692,7 +700,7 @@ def assert_spectrum_matches(sv, dense, height, scale):
 @example(ParityTail((1j,), 1.0, -1.0))
 @example(TruncatedGeometric(0.99, 40))
 def test_support_route_matches_dense_oracle(sym):
-    height = max(support_length(sym), 1)
+    height = max(form(sym).support_length, 1)
     even, odd = parity_tails(sym)
     crep = cprime_norm(sym)
     (dense_hhat,) = dense_spectra(sym, ((0, 2),))

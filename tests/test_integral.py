@@ -32,7 +32,7 @@ from radial_mult import (
     verify_membership_bound,
     weight,
 )
-from radial_mult.symbols import support_length
+from radial_mult.symbols import form
 
 DELTA_HALF = DiscreteMeasure(((0.5, 1.0),))
 
@@ -145,6 +145,13 @@ def test_doubling_examples():
     assert rep.holds
     assert rep.doubled.c1 == 0.5 and rep.doubled.c2 == 0.5
     assert rep.doubled.trace_norm_hhat < 1e-10
+
+
+def test_doubling_of_an_indicator_past_the_head_cap_holds():
+    # the doubled head holds 2 n0 + 2 values, past VECTOR_HORIZON_CAP, and
+    # takes the same closed form as the base
+    rep = verify_doubling(Indicator(600_000))
+    assert rep.holds and rep.base_total == rep.doubled_total
 
 
 def test_doubling_of_measure_without_tail_takes_vandermonde_route():
@@ -268,7 +275,7 @@ all_symbols = st.one_of(
 @given(all_symbols)
 def test_doubling_properties(sym):
     doubled = double(sym)
-    for n in range(max(60, (support_length(sym) or 0) + 2)):
+    for n in range(max(60, (form(sym).support_length or 0) + 2)):
         assert evaluate(doubled, 2 * n) == evaluate(sym, n)
         assert evaluate(doubled, 2 * n + 1) == 0
 

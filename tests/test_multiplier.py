@@ -60,7 +60,6 @@ from radial_mult.fock import (
     _summed,
     eps,
     rho,
-    zero,
 )
 from radial_mult.multiplier import (
     ComponentRecord,
@@ -147,7 +146,7 @@ def _first_sum(space, x, y, op):
 
 def _deep_sum(space, x, y, deep: list):
     """sum_{n>=1} D_{S^n x} deep[n] D*_{S^n y}."""
-    total = zero(space)
+    total = diagonal(space, np.zeros(space.max_len + 1))
     for n in range(1, len(deep)):
         dx = _diagonal(space, _shift_values(x, space.levels, -n))
         dy = _diagonal(space, _shift_values(y, space.levels, -n).conj())
@@ -531,6 +530,21 @@ def test_tensor_check_counts_every_fault(pair4, monkeypatch, fault):
             assert (r.residual >= 1) if hit else (r.residual == 0), (fault, variant, r)
 
 
+def test_maps_reject_operators_of_another_space(line5):
+    # an operator of a smaller space has indices that fit line5, so only the
+    # spec comparison tells them apart
+    op = diagonal(build_space(FockSpec((1, 1), 2)), np.ones(3))
+    with pytest.raises(DimensionMismatch, match="different space"):
+        apply_T(build_plan(Geometric(0.5)), line5, op)
+    with pytest.raises(DimensionMismatch, match="different space"):
+        ucp_pi_apply(line5, line5.max_len + 1, 1, op)
+
+
+def test_kraus_row_sum_rejects_unknown_variant(line5):
+    with pytest.raises(ValueError, match="variant must be 1 or 2"):
+        kraus_row_sum(line5, np.ones(6), 3)
+
+
 def test_ucp_positivity_spot_check(pair4):
     d = pair4.max_len + 1
     rng = np.random.default_rng(9)
@@ -870,7 +884,7 @@ def kraus_row_sum_from_products(space, vec, variant):
                 for z in space.words_of_length(n - 1)
                 for f in range(len(space.spec.factor_dims))
             ]
-    total = zero(space)
+    total = diagonal(space, np.zeros(space.max_len + 1))
     for u in kraus:
         total = total + u @ u.H
     return total

@@ -19,6 +19,7 @@ from radial_mult import (
     ParityTail,
     TruncatedGeometric,
     UnsupportedTail,
+    cprime_norm,
     double,
     evaluate,
     parity_tails,
@@ -28,7 +29,7 @@ from radial_mult import (
     tail_constant,
     to_obj,
 )
-from radial_mult.symbols import form, measure_atoms, support_length
+from radial_mult.symbols import form, measure_atoms
 
 FAMILIES = [
     Geometric(0.5),
@@ -179,8 +180,24 @@ def test_double_interleaves_exactly(sym):
         assert evaluate(doubled, 2 * n + 1) == 0
 
 
+def test_bad_indices_and_non_symbols_are_rejected():
+    with pytest.raises(ValueError, match="indicator index must be non-negative"):
+        Indicator(-1)
+    with pytest.raises(ValueError, match="cutoff must be non-negative"):
+        TruncatedGeometric(0.5, -1)
+    with pytest.raises(ValueError, match="index must be non-negative"):
+        psi1(Geometric(0.5), -1)
+    with pytest.raises(TypeError, match="not a radial symbol"):
+        form(object())
+
+
 def test_double_special_forms():
-    assert double(Indicator(1)) == Indicator(2)
+    # a doubled indicator has the shape of Indicator(2 n0) with one more
+    # zero in its head, so it takes the same closed form
+    for n0 in (0, 1, 5, 300, 4000):
+        rep = cprime_norm(double(Indicator(n0)))
+        assert rep.total == cprime_norm(Indicator(2 * n0)).total
+        assert (rep.route, rep.truncation) == ("support", 2 * n0 + 2)
     d = double(Finite((1.0,), 0.0))
     assert [evaluate(d, n) for n in range(4)] == [
         evaluate(Indicator(0), n) for n in range(4)
@@ -348,7 +365,7 @@ def test_form_reads_match_the_family_formulas(sym):
     if not merged:
         assert [tuple(map(bits, a)) for a in atoms] == [tuple(map(bits, a)) for a in raw]
     length = reference_support_length(sym)
-    assert support_length(sym) == (length if atoms or not raw else 0)
+    assert form(sym).support_length == (length if atoms or not raw else 0)
     signed = root_family(sym) is not Geometric
     u, even, odd = 2.0**-53, *reference_parity_tails(sym)
     for n in range(300):
