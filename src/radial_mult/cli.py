@@ -20,13 +20,7 @@ from .errors import NumericalFailure, TooLarge, UnsupportedTail
 from .fock import build_space
 from .hankel import c_norm, cprime_norm
 from .integral import verify_doubling, verify_membership_bound
-from .multiplier import (
-    _kraus_levels,
-    build_plan,
-    cb_rounding_bound,
-    plan_cb_bound,
-    verify_eigenaction,
-)
+from .multiplier import _kraus_levels, build_plan, plan_cb_bound, verify_eigenaction
 from .schema import (
     SCHEMA,
     _cplx_in,
@@ -37,12 +31,14 @@ from .schema import (
     to_obj,
 )
 from .symbols import (
+    DEFAULT_TOL,
     DiscreteMeasure,
     Finite,
     Geometric,
     Indicator,
     TruncatedGeometric,
     eigenvalue_lower_bound,
+    equality_allowance,
 )
 
 
@@ -223,7 +219,7 @@ def cmd_cs_bound(args):
             )
     bound_total = plan_cb_bound(plan)
     lower = eigenvalue_lower_bound(sym)
-    rounding = cb_rounding_bound(lower, bound_total)
+    rounding = equality_allowance(lower, bound_total)
     obj = {
         "symbol": to_obj(sym),
         "terms": terms,
@@ -288,7 +284,7 @@ def build_parser() -> _Parser:
     # only the commands that judge a result (exit 2 past it) take a tolerance
     judged = argparse.ArgumentParser(add_help=False, parents=[common])
     judged.add_argument(
-        "--tol", type=_tolerance, default=1e-10, help="tolerance (default 1e-10)"
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help=f"tolerance (default {DEFAULT_TOL:g})"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

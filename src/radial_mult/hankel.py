@@ -120,11 +120,6 @@ class RankOneDecomposition:
 H, K, HHAT = (0, 1), (1, 1), (0, 2)
 
 
-def _difference_row(f: Form, length: int, offset: int, step: int) -> np.ndarray:
-    values = np.array([f.value(offset + m) for m in range(length + step)])
-    return values[:length] - values[step : length + step]
-
-
 def _difference_matrices(f: Form, m: int, matrices) -> list[np.ndarray]:
     """The m x m (offset, step) difference matrices d[i+j+offset], with
     d(n) = phi(n) - phi(n+step) for n < 2m: read-only Hankel views of one
@@ -133,7 +128,7 @@ def _difference_matrices(f: Form, m: int, matrices) -> list[np.ndarray]:
     if m < 1:
         raise ValueError("truncation must be at least 1")
     steps = {step for _, step in matrices}
-    rows = {step: _real_if_real(_difference_row(f, 2 * m, 0, step))[0] for step in steps}
+    rows = {step: _real_if_real(f.differences(2 * m, 0, step))[0] for step in steps}
     view = np.lib.stride_tricks.as_strided
     return [view(rows[s][o:], (m, m), rows[s].strides * 2, writeable=False) for o, s in matrices]
 
@@ -153,12 +148,17 @@ def hankel_hhat(sym: RadialSymbol, m: int) -> np.ndarray:
     return _difference_matrices(form(sym), m, (HHAT,))[0]
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix, descending, in real arithmetic when it is real."""
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of a matrix or a stack; the one place LAPACK failure is NumericalFailure."""
     try:
-        return np.linalg.svd(np.asarray(a), compute_uv=False)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, descending, in real arithmetic when it is real."""
+    return _svd(np.asarray(a), compute_uv=False)
 
 
 def _route(f: Form) -> tuple[str, int, int | None]:
@@ -339,13 +339,6 @@ def cprime_norm(sym: RadialSymbol) -> CPrimeReport:
         error_bound=bound,
         singular_values_hhat=sv,
     )
-
-
-def _svd(a: np.ndarray):
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
 def _real_if_real(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

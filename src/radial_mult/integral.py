@@ -15,27 +15,24 @@ from dataclasses import dataclass
 
 from .hankel import CPrimeReport, HankelReport, c_norm, cprime_norm
 from .symbols import (
+    DEFAULT_TOL,
     ROUNDING,
     DiscreteMeasure,
     Form,
     FromMeasure,
     RadialSymbol,
     double,
+    equality_allowance,
     form,
     one_minus_abs_squared,
 )
-
-# One atom meets the membership bound with equality, where both sides carry
-# rounding: c_norm's one-atom total was within 17 units of
-# ROUNDING * (left + right) on 240 atoms with 1 - |s| from 1e-6 to 1e-3.
-MEMBERSHIP_ULPS = 64
 
 
 @dataclass
 class MembershipReport:
     """Both sides of the trace-norm-versus-weight inequality.
 
-    ``rounding_bound`` is MEMBERSHIP_ULPS * ROUNDING * (left + right), the
+    ``rounding_bound`` is symbols.equality_allowance of the two sides, the
     rounding the comparison forgives on top of tol.
     """
 
@@ -70,17 +67,14 @@ def weight(measure: DiscreteMeasure) -> float:
 
 
 def verify_membership_bound(
-    c: complex, measure: DiscreteMeasure, tol: float = 1e-8
+    c: complex, measure: DiscreteMeasure, tol: float = DEFAULT_TOL
 ) -> MembershipReport:
-    """Check trace_norm_h + trace_norm_k <= weight(measure) + tol + rounding.
-
-    A single atom meets the bound with equality, so the comparison forgives
-    MEMBERSHIP_ULPS roundings of left + right.
-    """
+    """Check trace_norm_h + trace_norm_k <= weight(measure) + tol + rounding,
+    the equality allowance of both sides: one atom meets the bound exactly."""
     report = c_norm(FromMeasure(c, measure))
     left = report.trace_norm_h + report.trace_norm_k
     right = weight(measure)
-    rounding = MEMBERSHIP_ULPS * ROUNDING * (left + right)
+    rounding = equality_allowance(left, right)
     return MembershipReport(
         difference_norms=left,
         weight=right,
@@ -104,7 +98,7 @@ def _doubling_rounding(doubled: Form, total: float) -> float:
     return ROUNDING * total / gap
 
 
-def verify_doubling(sym: RadialSymbol, tol: float = 1e-8) -> DoublingReport:
+def verify_doubling(sym: RadialSymbol, tol: float = DEFAULT_TOL) -> DoublingReport:
     """Check that doubling preserves the norm within tol and the bounds.
 
     The doubled side is the two-step-difference norm of double(sym), so a

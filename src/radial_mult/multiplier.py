@@ -53,7 +53,7 @@ from .fock import (
     _eps_triplets,
     _rho_triplets,
 )
-from .hankel import RankOneDecomposition, _decompositions, _difference_row
+from .hankel import RankOneDecomposition, _decompositions
 from .symbols import ROUNDING, Form, RadialSymbol, form
 
 
@@ -148,31 +148,10 @@ def plan_cb_bound(plan: MultiplierPlan) -> float:
     """Upper bound sum_i ||x_i|| ||y_i|| + sum_i ||z_i|| ||w_i|| + |c|.
 
     Each term carries sqrt(sigma_i) on both sides, so the sums are the
-    decompositions' nuclear_sum.
+    decompositions' nuclear_sum.  sup |phi| is at most this bound, and meets
+    it for a positive measure (see symbols.equality_allowance).
     """
     return abs(plan.c) + plan.decomposition_h.nuclear_sum + plan.decomposition_k.nuclear_sum
-
-
-# Units of ROUNDING * (lower + bound) that cb_rounding_bound forgives: the
-# gap lower - bound was at most 7.4 of them over about 1500 seeded positive
-# measure symbols of 1 to 5 atoms, 1 - s from 3e-5 to 1, w and c to 1e9.
-CB_BOUND_ULPS = 64
-
-
-def cb_rounding_bound(lower: float, bound: float) -> float:
-    """How far rounding may push sup |phi| (``lower``) past plan_cb_bound.
-
-    In exact arithmetic lower <= bound, and the two meet for a positive
-    measure: atoms in [0, 1) with weights >= 0 and c >= 0 make H and K
-    positive semidefinite, so their trace norms are their traces psi1(0)
-    and psi1(1), and c + psi1(0) + psi1(1) = phi(0) = sup |phi|.  There the
-    powers, the Vandermonde QR, the positive core's SVD and the atom sums
-    of phi(0) add terms of one sign, so each side is within a few roundings
-    of itself per atom, and the comparison forgives CB_BOUND_ULPS roundings
-    of lower + bound.  Away from equality the gap is the symbol's, not
-    rounding's.
-    """
-    return CB_BOUND_ULPS * ROUNDING * (lower + bound)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +179,7 @@ def _kernels(f: Form, space: FockSpace, c=0.0, h=False, k=False):
     and psi2(s) = psi1(s + 1) for k.  As psi1(n) = d(n) + psi1(n + 2),
     each parity class of psi1 is a reversed cumulative sum of d."""
     top = 2 * space.max_len + 1  # level sums 0 .. 2 max_len
-    d = _difference_row(f, top + 1, 0, 1)
+    d = f.differences(top + 1, 0, 1)
     psi = np.empty(top + 1, dtype=complex)
     for parity in (0, 1):
         run = np.append(d[parity::2], f.psi1(top + 1 + parity))
@@ -315,6 +294,14 @@ def _scaling_rounding(f: Form, space: FockSpace) -> float:
       carries up to (7.3n + 4) u of relative error (the modulus raised to
       n, the angle times n), its product with w 2.3 u, and each of the N
       additions u a(n).
+    * Gradual underflow adds to e(n) an absolute error: a product, quotient
+      or power with a subnormal result is off by up to eta = 2**-1074 (a
+      subnormal sum is exact): a real power by one eta.  s**n takes at
+      most 2 bit_length(n) complex products of factors of modulus below 1
+      (CPython squares up to n = 100; past it, hypot, pow and two products),
+      of 4 real products each, and w s**n scales their errors by |w| and
+      adds 4: eta sum (8 bit_length(n) |w| + 4) over the atoms, which covers
+      a doubled form's base at n // 2 (no more atoms, the same sum of |w|).
     * A residual w[s] + m dk[s] + P(e) - lambda (see _scaling_rows) reads
       each difference d(n) = phi(n) - phi(n+1), n <= top, at most once:
       psi[s] + psi[s+1] in w the d(i) for i >= s, m dk[s] and P(e) those
@@ -322,9 +309,12 @@ def _scaling_rounding(f: Form, space: FockSpace) -> float:
     * Each parity's cumsum in psi starts from psi1(top + 1) or
       psi1(top + 2).  A measure symbol's is within u (8n + N + 17) b(n),
       b(n) = sum |w| |s|**n / |1 + s| >= |psi1(n)| (a power, a product, a
-      sum and a quotient per atom).  A finite-support symbol's is a sum of
-      differences d(i), i >= n of its parity, each within 2 u (a(i) + a(i+1)),
-      whose additions round by at most u times the running sum of |d(i)|.
+      sum and a quotient per atom), plus eta ((16 bit_length(n) |w| + 10) /
+      |1 + s| + 2) per atom: Smith's quotient by 1 + s mixes the parts of
+      w s**n in two products and divides twice by at least |1 + s|.  A
+      finite-support symbol's is a sum of differences d(i), i >= n of its
+      parity, each within 2 u (a(i) + a(i+1)) + 2 eta, whose additions round
+      by at most u times the running sum of |d(i)|.
     * Additions of values of size at most M, with M >= |phi|, |psi1| up to
       top + 2: the cumsums' max_len + 1 per parity (each partial sum is a
       psi1 value), the two of w = c + psi[s] + psi[s+1] (at most 3M), and as
@@ -332,22 +322,24 @@ def _scaling_rounding(f: Form, space: FockSpace) -> float:
       sums at most 3M (a value, a difference of two, or a value plus one d).
     * lambda = phi(n), n <= 2 max_len, is within e(n).
     """
-    u, top, length = ROUNDING / 2, 2 * space.max_len + 1, f.support_length
+    u, eta, top, length = ROUNDING / 2, 2.0**-1074, 2 * space.max_len + 1, f.support_length
     n = np.arange(top + 3 if length is None else max(top + 3, length + 2))
     if length is None:
         s, w = f.s, f.w
         terms = np.abs(w)[:, None] * np.abs(s)[:, None] ** n
         a = max(abs(f.even), abs(f.odd)) + terms.sum(axis=0)
-        e = u * (8 * n + s.size + 11) * a
+        power = 8 * np.array([m.bit_length() for m in n.tolist()]) * np.abs(w)[:, None]
+        e = u * (8 * n + s.size + 11) * a + eta * (power + 4).sum(axis=0)
         b = (terms / np.abs(1 + s)[:, None]).sum(axis=0)
-        psi_rounding = u * (8 * n + s.size + 17) * b
+        quotient = eta * ((2 * power + 10) / np.abs(1 + s)[:, None] + 2).sum(axis=0)
+        psi_rounding = u * (8 * n + s.size + 17) * b + quotient
         tails, big = psi_rounding[top + 1] + psi_rounding[top + 2], max(a.max(), b.max())
     else:
         phi = np.array([f.value(m) for m in n.tolist()])
         a, diff = np.abs(phi), np.abs(phi[:-1] - phi[1:])
-        e, pairs = u * a, a[:-1] + a[1:]
+        e, pairs = u * a + eta, a[:-1] + a[1:]
         run = [(pairs[m:length:2], diff[m:length:2]) for m in (top + 1, top + 2)]
-        tails = u * sum(2 * p.sum() + np.cumsum(d).sum() for p, d in run)
+        tails = sum(u * (2 * p.sum() + np.cumsum(d).sum()) + 2 * eta * len(d) for p, d in run)
         big = max(a.max(), diff[:length].sum())  # |psi1| is at most the variation
     kernels = (e[: top + 1] + e[1 : top + 2] + u * (a[: top + 1] + a[1 : top + 2])).sum()
     additions = 2 * (space.max_len + 1) + 2 * 3 + 3 * (2 * space.max_len + 3)

@@ -4,11 +4,11 @@ A symbol is given either by a closed-form family (geometric, indicator,
 truncated geometric) or by finite data plus explicit tail behaviour, and
 ``Doubled`` is the index doubling phi~(2n) = phi(n), phi~(2n+1) = 0.
 Every family is read through one normal form (``form``, a ``Form``): a head
-of values, even and odd tails, and atoms w s**n.  The module's reads of a
-symbol (values, tail constants, support length, atoms, sup |phi| from
-below and the alternating difference series ``psi1``/``psi2``) are reads of
-that form.  It is also the one home of measure arithmetic: the Vandermonde
-horizon, and exact squares, powers and 1 - |s|**2 of atoms.
+of values, even and odd tails, and atoms w s**n; every read of a symbol
+(values, difference rows, tails, atoms, sup |phi|, ``psi1``/``psi2``) is a
+read of that form.  The module is also the one home of measure arithmetic
+(Vandermonde horizon, exact squares, powers and 1 - |s|**2 of atoms) and of
+the rules judged comparisons share: DEFAULT_TOL and equality_allowance.
 """
 
 from __future__ import annotations
@@ -30,12 +30,30 @@ ATOM_BOUNDARY_MARGIN = 1e-6
 # a double can hold.
 ROUNDING = float(np.finfo(float).eps)
 
+# Default tolerance of verify_membership_bound, verify_doubling and --tol.
+DEFAULT_TOL = 1e-10
+
 # Significant bits kept by the exact squarings behind atom_powers.
 POWER_BITS = 128
 
 # Longest power sequences built (atoms with |s| above about 1 - 3.4e-5 need
 # more) and longest heads of indicators and truncated geometrics.
 VECTOR_HORIZON_CAP = 1 << 20
+
+
+def equality_allowance(left: float, right: float) -> float:
+    """What a rule met with equality forgives on top of the tolerance: 64
+    roundings of left + right, its two computed sides.  One atom meets the
+    membership bound with equality, and c_norm's one-atom total was within
+    17 of them of the weight on 240 atoms with 1 - |s| from 1e-6 to 1e-3.
+    A positive measure (atoms in [0, 1), w >= 0, c >= 0) meets the cb
+    bracket: its H and K are positive semidefinite, so plan_cb_bound is
+    c + psi1(0) + psi1(1) = phi(0) = sup |phi|, both sums of terms of one
+    sign, and sup |phi| passed plan_cb_bound by at most 7.4 of them over
+    about 1500 seeded positive measure symbols of 1 to 5 atoms, 1 - s from
+    3e-5 to 1, w and c to 1e9.  Away from equality the gap is the symbol's.
+    """
+    return 64 * ROUNDING * (left + right)
 
 
 def _finite_complex(z, what: str) -> complex:
@@ -218,6 +236,13 @@ class Form:
             )
         return self.even
 
+    def differences(self, length: int, offset: int, step: int) -> np.ndarray:
+        """phi(offset + m) - phi(offset + m + step) for m < length, complex."""
+        end = offset + length + step
+        past = map(self.value, range(max(offset, len(self.head)), end))
+        values = np.array([*self.head[offset:end], *past], dtype=complex)
+        return values[:length] - values[step:]
+
     def psi1(self, n: int) -> complex:
         if n < 0:
             raise ValueError("index must be non-negative")
@@ -228,8 +253,7 @@ class Form:
             )
         if self.s.size:
             return sum((w * s**n / (1.0 + s) for s, w in self.atoms), 0.0 + 0.0j)
-        terms = (self.value(i) - self.value(i + 1) for i in range(n, len(self.head), 2))
-        return sum(terms, 0.0 + 0.0j)
+        return sum(self.differences(max(len(self.head) - n, 0), n, 1)[::2].tolist(), 0.0 + 0.0j)
 
 
 def form(sym: RadialSymbol) -> Form:
@@ -247,7 +271,8 @@ def form(sym: RadialSymbol) -> Form:
         raise TooLarge(f"a head of {sym.n0 + 1} values (cap {VECTOR_HORIZON_CAP})")
     if isinstance(sym, Doubled):
         base = form(sym.base)
-        head = [v for x in base.head for v in (x, 0j)]
+        head = [0j] * (2 * len(base.head))
+        head[::2] = base.head
         roots = [(cmath.sqrt(s), w / 2) for s, w in base.atoms]
         atoms = [atom for r, w in roots for atom in ((r, w), (-r, w))]
         tails = (base.even, 0j)

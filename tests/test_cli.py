@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -19,9 +20,11 @@ import radial_mult
 from radial_mult import cli
 from radial_mult.cli import main, parse_symbol
 from radial_mult.hankel import cprime_norm
+from radial_mult.integral import verify_doubling, verify_membership_bound
 from radial_mult.multiplier import build_plan
 from radial_mult.schema import to_obj
 from radial_mult.symbols import (
+    DEFAULT_TOL,
     DiscreteMeasure,
     Doubled,
     Finite,
@@ -32,6 +35,7 @@ from radial_mult.symbols import (
     TruncatedGeometric,
     double,
     eigenvalue_lower_bound,
+    equality_allowance,
     evaluate,
     parity_tails,
     tail_constant,
@@ -530,6 +534,17 @@ def test_cs_bound_forgives_rounding_at_scale(capsys):
     obj = json.loads(out)
     gap = obj["eigenvalue_lower_bound"] - obj["plan_cb_bound"]
     assert 0 < gap <= obj["rounding_bound"] <= 1e-5
+    # the one allowance of a rule met with equality, as for the membership bound
+    sides = obj["eigenvalue_lower_bound"], obj["plan_cb_bound"]
+    assert obj["rounding_bound"] == equality_allowance(*sides)
+
+
+def test_library_tolerance_defaults_are_the_cli_default():
+    # one default tolerance, read by --tol and by the library checks
+    cli_default = cli.build_parser().parse_args(["integral-check", "-s", "indicator:1"]).tol
+    assert cli_default == DEFAULT_TOL == 1e-10
+    for check in (verify_membership_bound, verify_doubling):
+        assert inspect.signature(check).parameters["tol"].default == cli_default
 
 
 def test_fock_verify_forgives_rounding_at_scale(capsys):

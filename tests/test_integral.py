@@ -32,7 +32,7 @@ from radial_mult import (
     verify_membership_bound,
     weight,
 )
-from radial_mult.symbols import form
+from radial_mult.symbols import DEFAULT_TOL, equality_allowance, form
 
 DELTA_HALF = DiscreteMeasure(((0.5, 1.0),))
 
@@ -192,7 +192,8 @@ def test_doubling_near_unit_circle_holds_within_rounding(sym):
 def test_doubling_gap_past_the_bound_fails(monkeypatch):
     sym = Geometric(0.999998j)
     honest = verify_doubling(sym)
-    slack = 1e-8 + honest.rounding_bound + honest.base.error_bound + honest.doubled.error_bound
+    slack = DEFAULT_TOL + honest.rounding_bound
+    slack += honest.base.error_bound + honest.doubled.error_bound
     for total, holds in (
         (honest.base_total + 0.999 * slack, True),
         (honest.base_total + slack + 1e-9 * honest.base_total, False),
@@ -217,6 +218,7 @@ def test_membership_equality_case_within_rounding(monkeypatch):
     measure = DiscreteMeasure(((0.999998, 1.0),))
     rep = verify_membership_bound(0.0, measure)
     assert rep.holds and to_obj(rep)["rounding_bound"] == rep.rounding_bound
+    assert rep.rounding_bound == equality_allowance(rep.difference_norms, rep.weight)
     left = rep.weight * (1 + 1e-9) + 1e-8
     inflated = dataclasses.replace(rep.hankel, trace_norm_h=left - rep.hankel.trace_norm_k)
     monkeypatch.setattr(integral_mod, "c_norm", lambda _: inflated)

@@ -26,7 +26,6 @@ from radial_mult import (
     apply_T2,
     build_plan,
     build_space,
-    c_norm,
     classify_case,
     cs_bound,
     diagonal,

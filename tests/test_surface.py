@@ -169,14 +169,12 @@ MODULES = {
     },
     "integral": {
         "DoublingReport",
-        "MEMBERSHIP_ULPS",
         "MembershipReport",
         "verify_doubling",
         "verify_membership_bound",
         "weight",
     },
     "multiplier": {
-        "CB_BOUND_ULPS",
         "ComponentRecord",
         "ComponentReport",
         "EigenRecord",
@@ -188,7 +186,6 @@ MODULES = {
         "apply_T1",
         "apply_T2",
         "build_plan",
-        "cb_rounding_bound",
         "cs_bound",
         "kraus_row_sum",
         "plan_cb_bound",
@@ -208,6 +205,7 @@ MODULES = {
     },
     "symbols": {
         "ATOM_BOUNDARY_MARGIN",
+        "DEFAULT_TOL",
         "DiscreteMeasure",
         "Doubled",
         "Finite",
@@ -224,6 +222,7 @@ MODULES = {
         "atom_powers",
         "double",
         "eigenvalue_lower_bound",
+        "equality_allowance",
         "evaluate",
         "form",
         "measure_atoms",
@@ -243,7 +242,9 @@ MODULES = {
 # representation measure_atoms() with tail_constant().  A zero operator is
 # diagonal() of zeros, a route hankel._route() of the form, a support length
 # the form's, and the basis count build_space()'s own level sizes; the
-# package, not integral.__all__, lists the public names.
+# package, not integral.__all__, lists the public names.  The membership and
+# cb allowances are symbols.equality_allowance(), and a difference row the
+# form's differences().
 RETIRED = {
     "fock": (
         "identity",
@@ -255,10 +256,11 @@ RETIRED = {
         "zero",
         "_word_count",
     ),
-    "integral": ("eval_measure", "representation_for", "__all__"),
+    "integral": ("eval_measure", "representation_for", "__all__", "MEMBERSHIP_ULPS"),
+    "multiplier": ("CB_BOUND_ULPS", "cb_rounding_bound"),
     "errors": ("NonConvergent", "UnsupportedRepresentation"),
     "symbols": ("atom_arrays", "support_length"),
-    "hankel": ("difference_decompositions", "exact_route"),
+    "hankel": ("difference_decompositions", "exact_route", "_difference_row"),
 }
 
 

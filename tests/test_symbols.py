@@ -3,6 +3,7 @@ import json
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -330,11 +331,28 @@ def bits(z, signed_zeros=True):
     return struct.pack("<dd", z.real, z.imag)
 
 
+def exact_value(sym, n):
+    """phi(n) of a symbol with atoms in 60-digit arithmetic, read from the
+    family's fields (a Doubled symbol from its base at n // 2)."""
+    if isinstance(sym, Doubled):
+        return mpmath.mpc(0) if n % 2 else exact_value(sym.base, n // 2)
+    if isinstance(sym, Geometric):
+        return mpmath.mpc(sym.s) ** n
+    atoms = sym.measure.atoms
+    return mpmath.mpc(sym.c) + mpmath.fsum(mpmath.mpc(w) * mpmath.mpc(s) ** n for s, w in atoms)
+
+
 def root_family(sym):
     while isinstance(sym, Doubled):
         sym = sym.base
     return type(sym)
 
+
+# Two atoms at one location of modulus 1e-10, so s**32 is subnormal: three
+# doublings of their measure read merged values at n = 256 that lie one
+# subnormal spacing from the unmerged ones.
+TINY = -4.1614683654714244e-11 + 9.092974268256818e-11j
+SUBNORMAL_PAIR = DiscreteMeasure(((TINY, 1.5j), (TINY, 1.75j)))
 
 every_symbol = st.one_of(
     decomposed_symbols,
@@ -350,12 +368,14 @@ every_symbol = st.one_of(
 @example(Doubled(Doubled(Geometric(0.5j))))
 @example(Doubled(FromMeasure(0j, DiscreteMeasure(((0.5, 1.0), (0.5, 1.0), (0.3, 0.0))))))
 @example(Doubled(Doubled(Doubled(TruncatedGeometric(0.7, 4)))))
+@example(Doubled(Doubled(Doubled(FromMeasure(0j, SUBNORMAL_PAIR)))))
 def test_form_reads_match_the_family_formulas(sym):
     # Bit for bit, with two exceptions.  A geometric symbol is read as the
     # measure 0 + 1 s**n, whose sum turns a -0.0 part of s**n into 0.0.
-    # Merged atoms sum their weights before the powers, so those values are
-    # within 2 e(n): each side is within e(n) = u (8n + N + 11) a(n) of
-    # phi(n), the per-value bound in multiplier._scaling_rounding.
+    # Merged atoms sum their weights before the powers, so there each side
+    # is checked against 60-digit phi(n), within the per-value bound of
+    # multiplier._scaling_rounding: e(n) = u (8n + N + 11) a(n) plus, for
+    # gradual underflow, eta sum (8 bit_length(n) |w| + 4).
     f = form(sym)
     assert f is not form(sym)  # built per call, never cached on the symbol
     assert list(map(bits, parity_tails(sym))) == list(map(bits, reference_parity_tails(sym)))
@@ -367,12 +387,21 @@ def test_form_reads_match_the_family_formulas(sym):
     length = reference_support_length(sym)
     assert form(sym).support_length == (length if atoms or not raw else 0)
     signed = root_family(sym) is not Geometric
-    u, even, odd = 2.0**-53, *reference_parity_tails(sym)
+    u, eta, even, odd = 2.0**-53, 2.0**-1074, *reference_parity_tails(sym)
     for n in range(300):
         got, want = f.value(n), reference_value(sym, n)
         if merged:
             a = max(abs(even), abs(odd)) + sum(abs(wj) * abs(sj) ** n for sj, wj in raw)
-            assert abs(got - want) <= 2 * u * (8 * n + len(raw) + 11) * a
+            under = sum(8 * n.bit_length() * abs(wj) + 4 for _, wj in raw)
+            e = u * (8 * n + len(raw) + 11) * a + eta * under
+            with mpmath.workdps(60):
+                exact = exact_value(sym, n)
+                assert abs(got - exact) <= e and abs(want - exact) <= e, n
         else:
             assert bits(got, signed) == bits(want, signed), n
     assert bits(evaluate(sym, 299)) == bits(f.value(299))
+    # the difference rows the Hankel matrices and the kernels read
+    for offset, step in ((0, 1), (1, 1), (0, 2), (3, 2)):
+        row = f.differences(64, offset, step).tolist()
+        want = [f.value(offset + m) - f.value(offset + m + step) for m in range(64)]
+        assert list(map(bits, row)) == list(map(bits, want)), (offset, step)
