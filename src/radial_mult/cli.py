@@ -170,16 +170,14 @@ def cmd_norm(args):
 
 
 def cmd_fock_verify(args):
-    sym = parse_symbol(args.symbol)
-    spec = parse_space(args.space)
+    sym, spec = parse_symbol(args.symbol), parse_space(args.space)
     if args.max_word > spec.max_len:
         raise CliError(
             f"max word length {args.max_word} exceeds the space cap "
             f"{spec.max_len}: no safe pairs to verify"
         )
     space = build_space(spec)
-    plan = build_plan(sym)
-    report = verify_eigenaction(plan, space, args.max_word)
+    report = verify_eigenaction(build_plan(sym), space, args.max_word)
     obj = {
         "symbol": to_obj(sym),
         "space": to_obj(spec),
@@ -257,13 +255,13 @@ def _check(name: str, left: float, right: float, rep, **extra) -> dict:
 def cmd_integral_check(args):
     """The membership bound for --measure and --random-atoms; for --symbol,
     that doubling keeps the norm."""
-    if not (args.symbol or args.measure or args.random_atoms):
+    if not (args.symbol or args.measure or args.random_atoms is not None):
         raise CliError("need --symbol, --measure, or --random-atoms")
     checks = []
     if args.measure:
         rep = verify_membership_bound(*parse_measure(args.measure), args.tol)
         checks.append(_check("membership", rep.difference_norms, rep.weight, rep))
-    if args.random_atoms:
+    if args.random_atoms is not None:
         measure = _random_measure(np.random.default_rng(args.seed), args.random_atoms)
         rep = verify_membership_bound(0.0, measure, args.tol)
         extra = {"measure": to_obj(measure), "seed": args.seed}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,36 +107,39 @@ def build_space(spec: FockSpec) -> FockSpace:
     """Enumerate all words of length <= max_len in graded-lexicographic order:
     level m + 1 is the children of level m in order, one per letter outside
     the parent's last factor, so one np.nonzero of letter masks gives a level.
-    The levels past the first empty one (a single factor has no words past
-    length 1) all start at dim.  Each level is sized before it is built, so
-    a basis past BASIS_CAP raises TooLarge without allocating it."""
-    if spec.max_len > BASIS_CAP:  # array entries per level, even empty
+    Levels are counted in integers first (the words of length m + 1 ending in
+    f are dims[f] times those of length m ending elsewhere): past BASIS_CAP the
+    counts raise TooLarge before any level is built, and no empty one is built."""
+    if spec.max_len > BASIS_CAP:  # the count loop runs once per level
         raise TooLarge(f"max_len {spec.max_len} gives more than {BASIS_CAP} levels")
     dims = spec.factor_dims
+    counts, ends, total = [1], [0] * len(dims), 1  # ends: a level's words by last factor
+    for _ in range(spec.max_len):
+        ends = [d * (counts[-1] - e) for d, e in zip(dims, ends)]
+        counts.append(sum(ends))
+        if (total := total + counts[-1]) > BASIS_CAP:
+            raise TooLarge(f"basis would hold more than {BASIS_CAP} words")
+    level_offsets = list(accumulate(counts[:-1], initial=0))
     # the factor of each letter column, and -1 at index -1 for the vacuum
     factors = np.repeat([*range(len(dims)), -1], [*dims, 1])
     # row f marks the letters outside factor f; the last row, which the
     # vacuum's factor -1 picks, marks every letter
     allowed = np.arange(len(dims) + 1)[:, None] != factors[:-1]
-    widths = allowed.sum(axis=1)  # the children of a word, by its last factor
-    parents, letters, level_offsets = [_NONE], [_NONE], [0]
-    last = _NONE  # the last factor of each word of the level
-    for _ in range(spec.max_len):
-        level_offsets.append(total := level_offsets[-1] + len(last))
-        # the next level has widths.take(last).sum() <= len(last) * sum(dims)
-        # words, summed only when that bound would pass the cap
-        bound = len(last) * sum(dims)
-        if total + bound > BASIS_CAP and total + widths.take(last).sum() > BASIS_CAP:
-            raise TooLarge(f"basis would hold more than {BASIS_CAP} words")
-        parent, letter = allowed.take(last, axis=0).nonzero()
-        if not len(letter):
+    parents, letters, last = [_NONE], [_NONE], _NONE  # last: each word's last factor
+    for offset, count in zip(level_offsets, counts[1:]):
+        if not count:
             break
-        parents.append(parent + level_offsets[-2])
+        parent, letter = allowed.take(last, axis=0).nonzero()
+        parents.append(parent + offset)
         letters.append(letter)
         last = factors.take(letter)
-    level_offsets += [level_offsets[-1]] * (spec.max_len + 1 - len(level_offsets))
     letter = np.concatenate(letters)
     return FockSpace(spec, np.concatenate(parents), letter, factors[letter], level_offsets)
+
+
+def _same_space(space: FockSpace, other: FockSpace) -> None:
+    if other is not space and other.spec != space.spec:  # a spec builds one space
+        raise DimensionMismatch("operator lives on a different space")
 
 
 def _summed(row, col, data, ncols: int):
@@ -165,10 +169,6 @@ class FockOperator:
         self.space = space
         self.row, self.col, self.data = _summed(row, col, data, space.dim)
 
-    def _check(self, other: "FockOperator"):
-        if self.space is not other.space and self.space.spec != other.space.spec:
-            raise DimensionMismatch("operators live on different spaces")
-
     @property
     def triplets(self):
         return self.row, self.col, self.data
@@ -188,7 +188,7 @@ class FockOperator:
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         """Index join of each entry (i, k) with the entries (k, j) of other's row k."""
-        self._check(other)
+        _same_space(self.space, other.space)
         start = np.searchsorted(other.row, self.col, "left")
         count = np.searchsorted(other.row, self.col, "right") - start
         left = np.repeat(np.arange(len(self.data)), count)
@@ -198,7 +198,7 @@ class FockOperator:
         )
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
+        _same_space(self.space, other.space)
         return FockOperator(self.space, _concat([self.triplets, other.triplets]))
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":

@@ -72,8 +72,7 @@ def verify_membership_bound(
     """Check trace_norm_h + trace_norm_k <= weight(measure) + tol + rounding,
     the equality allowance of both sides: one atom meets the bound exactly."""
     report = c_norm(FromMeasure(c, measure))
-    left = report.trace_norm_h + report.trace_norm_k
-    right = weight(measure)
+    left, right = report.trace_norm_h + report.trace_norm_k, weight(measure)
     rounding = equality_allowance(left, right)
     return MembershipReport(
         difference_norms=left,
@@ -92,10 +91,8 @@ def _doubling_rounding(doubled: Form, total: float) -> float:
     moves by up to ROUNDING / (1 - max|s|) of itself.  Finite-support
     symbols double exactly.
     """
-    if not doubled.s.size:
-        return 0.0
-    gap = min(one_minus_abs_squared(r) for r in doubled.s.tolist())
-    return ROUNDING * total / gap
+    gaps = [one_minus_abs_squared(r) for r in doubled.s.tolist()]
+    return ROUNDING * total / min(gaps) if gaps else 0.0
 
 
 def verify_doubling(sym: RadialSymbol, tol: float = DEFAULT_TOL) -> DoublingReport:

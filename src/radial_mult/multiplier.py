@@ -35,7 +35,6 @@ returned as COO triplets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 
 import numpy as np
@@ -52,6 +51,7 @@ from .fock import (
     _diagonal,
     _eps_triplets,
     _rho_triplets,
+    _same_space,
 )
 from .hankel import RankOneDecomposition, _decompositions
 from .symbols import ROUNDING, Form, RadialSymbol, form
@@ -212,8 +212,7 @@ def _apply(space: FockSpace, kernels, row, col, data) -> list:
 
 
 def _apply_map(space: FockSpace, op: FockOperator, kernels) -> FockOperator:
-    if op.space is not space and op.space.spec != space.spec:
-        raise DimensionMismatch("operator lives on a different space")
+    _same_space(space, op.space)
     return FockOperator(space, _concat(_apply(space, kernels, *op.triplets)))
 
 
@@ -335,7 +334,7 @@ def _scaling_rounding(f: Form, space: FockSpace) -> float:
         psi_rounding = u * (8 * n + s.size + 17) * b + quotient
         tails, big = psi_rounding[top + 1] + psi_rounding[top + 2], max(a.max(), b.max())
     else:
-        phi = np.array([f.value(m) for m in n.tolist()])
+        phi = f.values(0, len(n))
         a, diff = np.abs(phi), np.abs(phi[:-1] - phi[1:])
         e, pairs = u * a + eta, a[:-1] + a[1:]
         run = [(pairs[m:length:2], diff[m:length:2]) for m in (top + 1, top + 2)]
@@ -360,7 +359,8 @@ def verify_eigenaction(
     """
     f = form(plan.symbol)
     kernels = _kernels(f, space, plan.c, h=True, k=True)
-    parts = [(kernels, cache(lambda n, case: f.value(n - (case == CASE_TWO))))]
+    phi = f.values(0, 2 * min(max_word, space.max_len) + 1).tolist()
+    parts = [(kernels, lambda n, case: phi[n - (case == CASE_TWO)])]
     rows, worst = _scaling_rows(space, max_word, max_pair_sum, parts)
     records = [EigenRecord(*p, k, l, *r[0]) for k, l, p, r in rows]
     return EigenReport(records, worst, _scaling_rounding(f, space))
@@ -378,9 +378,9 @@ def verify_component_eigenaction(
     distinct-factor case and psi2(k+l-2) otherwise.
     """
     f = form(plan.symbol)
-    t1, t2 = cache(f.psi1), cache(lambda n: f.psi1(n + 1))
+    psi = [f.psi1(n) for n in range(2 * min(max_word, space.max_len) + 2)]
     kh, kk = _kernels(f, space, h=True), _kernels(f, space, k=True)
-    parts = [(kh, lambda n, case: t1(n)), (kk, lambda n, case: t2(n - 2 * (case == CASE_TWO)))]
+    parts = [(kh, lambda n, _: psi[n]), (kk, lambda n, case: psi[n + 1 - 2 * (case == CASE_TWO)])]
     rows, worst = _scaling_rows(space, max_word, max_pair_sum, parts)
     return ComponentReport([ComponentRecord(*p, k, l, *r[0], *r[1]) for k, l, p, r in rows], worst)
 
@@ -480,8 +480,7 @@ def ucp_pi_apply(space: FockSpace, tensor_dim: int, variant: int, op: FockOperat
     tensor slot.
     """
     _check_tensor(space, tensor_dim, variant)
-    if op.space is not space and op.space.spec != space.spec:
-        raise DimensionMismatch("operator lives on a different space")
+    _same_space(space, op.space)
     d, layers = tensor_dim, _tensor_layers(space, tensor_dim, variant, *op.triplets)
     return _concat([(r * d + sr, c * d + sc, x) for r, c, x, sr, sc in layers])
 

@@ -236,11 +236,17 @@ class Form:
             )
         return self.even
 
+    def values(self, start: int, stop: int) -> np.ndarray:
+        """phi(n) for start <= n < stop, the one reader of phi's rows.  Apart on purpose:
+        eigenvalue_lower_bound's atom windows (atom_powers' exact squares to the horizon)
+        and multiplier._kernels' psi row, which verify_component_eigenaction checks
+        against psi1 as an independent reference."""
+        past = map(self.value, range(max(start, len(self.head)), stop))
+        return np.array([*self.head[start:stop], *past], dtype=complex)
+
     def differences(self, length: int, offset: int, step: int) -> np.ndarray:
         """phi(offset + m) - phi(offset + m + step) for m < length, complex."""
-        end = offset + length + step
-        past = map(self.value, range(max(offset, len(self.head)), end))
-        values = np.array([*self.head[offset:end], *past], dtype=complex)
+        values = self.values(offset, offset + length + step)
         return values[:length] - values[step:]
 
     def psi1(self, n: int) -> complex:
@@ -331,7 +337,7 @@ def eigenvalue_lower_bound(sym: RadialSymbol) -> float:
     """
     f = form(sym)
     if (length := f.support_length) is not None:
-        return max(abs(f.value(n)) for n in range(length + 2))
+        return max(map(abs, f.values(0, length + 2).tolist()))
     radius, size = np.abs(f.s), np.abs(f.w)
     limit = max(abs(f.even), abs(f.odd))
     horizon = min(vandermonde_horizon(f.s), VECTOR_HORIZON_CAP)

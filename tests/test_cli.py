@@ -668,6 +668,19 @@ def test_integral_check_random_atoms(capsys):
     assert json.loads(out)["checks"][0]["holds"]
 
 
+def test_integral_check_zero_random_atoms_checks_the_empty_measure(capsys):
+    # 0 is a count like any other: alone it is not a missing option, and
+    # beside --symbol it is not dropped
+    code, out, _ = run_cli(capsys, "integral-check", "--random-atoms", "0")
+    (check,) = json.loads(out)["checks"]
+    assert code == 0
+    assert check["check"] == "membership_random" and check["measure"] == []
+    assert check["left"] == check["right"] == 0.0 and check["holds"]
+    code, out, _ = run_cli(capsys, "integral-check", "--random-atoms", "0", "-s", "geometric:0.5")
+    assert code == 0
+    assert [c["check"] for c in json.loads(out)["checks"]] == ["membership_random", "doubling"]
+
+
 def test_reports_are_byte_stable(capsys):
     args = ("integral-check", "--random-atoms", "5", "--seed", "3")
     _, first, _ = run_cli(capsys, *args)

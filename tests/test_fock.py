@@ -94,12 +94,28 @@ def test_spec_accepts_numpy_integers():
 
 
 def test_build_space_cap():
-    # sizing each level stops at the cap, long before the 6000-digit count
+    # counting the levels stops at the cap, long before the 6000-digit count
     # of 20000 levels
     with pytest.raises(TooLarge, match="more than 200000 words"):
         build_space(FockSpec((2, 2), 20000))
     # 600 letters could give level 2 up to 360000 words; it has 180000
     assert build_space(FockSpec((300, 300), 2)).dim == 1 + 600 + 180000
+    # two words a level, one past the cap only at the last of 100000 levels:
+    # the counts refuse it before any level is built
+    deep = FockSpec((1, 1), 100_000)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="more than 200000 words"):
+        build_space(deep)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="more than 200000 words"):
+            build_space(deep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert build_space(FockSpec((1, 1), 99_999)).dim == 199_999
 
 
 def test_build_space_level_cap():
@@ -112,8 +128,8 @@ def test_build_space_level_cap():
 
 
 def test_single_factor_space_stops_at_its_last_word():
-    # one factor has no words past length 1: the level loops stop there, and
-    # the 199999 empty levels past it only pad level_offsets with dim
+    # one factor has no words past length 1: the build stops there, and the
+    # 199999 empty levels past it count 0 words, so each starts at dim
     tracemalloc.start()
     try:
         space = build_space(FockSpec((3,), 200_000))
@@ -124,6 +140,19 @@ def test_single_factor_space_stops_at_its_last_word():
     assert space.words_of_length(1) == [((0, 0),), ((0, 1),), ((0, 2),)]
     assert peak < 20 * 2**20
     assert word_operator(space, ((0, 1),), ()).nnz == 1
+
+
+def test_empty_level_takes_no_letter_mask():
+    # one factor of 5000 letters: level 2 counts 0 words, so the build stops
+    # before taking the 5001 x 5000 letter mask of level 1's words (25 MB)
+    tracemalloc.start()
+    try:
+        space = build_space(FockSpec((5000,), 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.level_offsets == [0, 1, 5001] and space.dim == 5001
+    assert peak < 4 * 2**20
 
 
 def test_letter_map_cap():

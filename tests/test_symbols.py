@@ -400,6 +400,10 @@ def test_form_reads_match_the_family_formulas(sym):
         else:
             assert bits(got, signed) == bits(want, signed), n
     assert bits(evaluate(sym, 299)) == bits(f.value(299))
+    # the one row reader, across the head's end and inside it
+    for start, stop in ((0, 300), (3, 70), (5, 5)):
+        row = f.values(start, stop).tolist()
+        assert list(map(bits, row)) == [bits(f.value(n)) for n in range(start, stop)], start
     # the difference rows the Hankel matrices and the kernels read
     for offset, step in ((0, 1), (1, 1), (0, 2), (3, 2)):
         row = f.differences(64, offset, step).tolist()
